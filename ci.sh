@@ -6,7 +6,8 @@
 # persisted shard families must merge bit-identically to the unsharded run,
 # writing SHARD.json), the serve smoke (booted from a binary snapshot, with
 # a runtime snapshot upload), explicit thread- and shard-invariance runs, a
-# compile check of the Criterion bench targets, the deterministic perf smoke
+# compile check of the Criterion bench targets, the tiny-scale run of the
+# repository benchmark (perfbench), the deterministic perf smoke
 # behind BENCH.json, the perf-regression gate against the committed
 # BENCH_BASELINE.json, the streaming-vs-batch equivalence check of
 # `mochy-exp evolve`, the keep-alive loadtest gate (LOADTEST.json against
@@ -21,12 +22,12 @@
 # --locked so CI fails loudly if Cargo.lock drifts from the vendored deps.
 #
 # PROFILE=debug|release (default release) selects the build/test profile —
-# the GitHub workflow runs both as a matrix. The bench compile check, perf
-# smoke, perf gate, and evolve check only run in the release lane: debug
-# timings would be meaningless against a release baseline. The snapshot
-# round-trip gate and the snapshot-booted serve smoke run in BOTH lanes;
-# the debug lane additionally boots the server from a *text* dataset once,
-# so the legacy load path stays covered.
+# the GitHub workflow runs both as a matrix. The bench compile check, the
+# perfbench smoke, perf smoke, perf gate, and evolve check only run in the
+# release lane: debug timings would be meaningless against a release
+# baseline. The snapshot round-trip gate and the snapshot-booted serve
+# smoke run in BOTH lanes; the debug lane additionally boots the server
+# from a *text* dataset once, so the legacy load path stays covered.
 #
 # Every stage is timed; a summary (and the failing stage, if any) is printed
 # on exit, and the collected timings are checked against CI_BUDGET.json so
@@ -187,6 +188,12 @@ run_stage invariance-1v8 env MOCHY_POOL_THREADS=8 \
 
 if [[ "$PROFILE" == "release" ]]; then
   run_stage bench-compile cargo bench --locked --no-run
+
+  # Repository benchmark smoke: perfbench (its own workspace, reaching the
+  # crates only through their public APIs) runs all three workloads at tiny
+  # scale, untraced and traced, and checks each prints exactly its declared
+  # metrics. A public-API change that breaks the benchmark fails here.
+  run_stage perfbench-tiny cargo test --locked --release --manifest-path perfbench/Cargo.toml
 
   # Perf smoke + regression gate: writes BENCH.json (uploaded as a CI
   # artifact) and compares it against the committed baseline. Counts (and

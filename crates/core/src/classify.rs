@@ -3,11 +3,20 @@
 //! Given three connected hyperedges, the motif they form is determined by the
 //! emptiness of the seven Venn regions, which in turn follows from the three
 //! hyperedge sizes, the three pairwise intersection sizes (hyperwedge weights
-//! stored in the projected graph) and the triple intersection size, the last
-//! of which is computed by scanning the smallest of the three hyperedges.
+//! stored in the projected graph) and the triple intersection size
+//! ([`MotifCatalog::classify_from_intersections`]).
+//!
+//! The functions here classify one triple at a time and compute its triple
+//! intersection by scanning the smallest of the three hyperedges; the
+//! sampling and on-the-fly counters use them. The exact counters classify
+//! whole neighbourhoods at once: their pair walk (`exact::CentreWalk`) reads
+//! every `ω_jk` of a centre `e_i` from one sorted merge per neighbour and
+//! every triple intersection as a popcount over bitmasks of `e_i`'s nodes,
+//! then classifies through the same catalog call, so both routes give the
+//! same motif for the same triple.
 
 use mochy_hypergraph::{EdgeId, Hypergraph};
-use mochy_motif::{MotifCatalog, MotifId, RegionCardinalities};
+use mochy_motif::{MotifCatalog, MotifId};
 use mochy_projection::ProjectedGraph;
 
 /// Classifies the instance `{e_i, e_j, e_k}`, returning its motif id, or
@@ -16,7 +25,8 @@ use mochy_projection::ProjectedGraph;
 ///
 /// `w_ij`, `w_jk`, `w_ik` are the pairwise intersection sizes; pass 0 for
 /// non-adjacent pairs. The triple intersection is computed from the
-/// hypergraph in `O(min(|e_i|, |e_j|, |e_k|))` time, exactly as in Lemma 2.
+/// hypergraph in `O(min(|e_i|, |e_j|, |e_k|))` binary searches, exactly as
+/// in Lemma 2.
 #[allow(clippy::too_many_arguments)]
 pub fn classify_triple_with_weights(
     hypergraph: &Hypergraph,
@@ -34,7 +44,7 @@ pub fn classify_triple_with_weights(
     } else {
         hypergraph.triple_intersection_size(i, j, k)
     };
-    let regions = RegionCardinalities::from_intersections(
+    catalog.classify_from_intersections(
         hypergraph.edge_size(i),
         hypergraph.edge_size(j),
         hypergraph.edge_size(k),
@@ -42,8 +52,7 @@ pub fn classify_triple_with_weights(
         w_jk,
         w_ik,
         triple,
-    )?;
-    catalog.classify(&regions)
+    )
 }
 
 /// Classifies the instance `{e_i, e_j, e_k}` looking the pairwise overlaps up
@@ -66,6 +75,7 @@ pub fn classify_triple(
 mod tests {
     use super::*;
     use mochy_hypergraph::HypergraphBuilder;
+    use mochy_motif::RegionCardinalities;
     use mochy_projection::project;
 
     fn figure2() -> Hypergraph {

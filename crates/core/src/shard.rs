@@ -16,10 +16,10 @@
 //!    weights; attribution compares edge ids, and local order equals global
 //!    order within a shard).
 //! 2. **Boundary exchange (cross-shard instances).** One pass over the full
-//!    projected graph enumerates every instance through the same shared
-//!    inner loop and keeps only those spanning at least two shards,
-//!    attributing each to its centre's shard. Together the two phases visit
-//!    every instance exactly once.
+//!    projected graph enumerates every instance through the pair walk every
+//!    exact path shares (`exact::CentreWalk`) and keeps only those spanning
+//!    at least two shards, attributing each to its centre's shard. Together
+//!    the two phases visit every instance exactly once.
 //!
 //! The hyperwedge count decomposes the same way: a shard's internal
 //! hyperwedges are the local projection's pair count, and each cross-shard
@@ -40,11 +40,11 @@ use mochy_hypergraph::{
     default_chunk_size, edge_slice, map_reduce_chunks, shard_boundaries, EdgeId, Hypergraph,
 };
 use mochy_json::JsonValue;
-use mochy_motif::{MotifCatalog, NUM_MOTIFS};
+use mochy_motif::NUM_MOTIFS;
 use mochy_projection::{project, project_parallel, ProjectedGraph};
 
 use crate::count::MotifCounts;
-use crate::exact::{count_instances_centred_at, mochy_e, mochy_e_parallel};
+use crate::exact::{mochy_e, mochy_e_parallel, CentreWalk};
 
 /// One shard's contribution to a sharded count: everything needed for the
 /// order-fixed gather, kept split by phase so diagnostics (and the
@@ -230,28 +230,20 @@ pub fn count_sharded(
         default_chunk_size(num_edges, threads),
         || {
             (
-                MotifCatalog::new(),
+                CentreWalk::new(hypergraph, projected),
                 vec![(MotifCounts::zero(), 0usize); shards],
             )
         },
-        |(catalog, locals), range| {
+        |(walk, locals), range| {
             for i in range {
                 let centre = i as EdgeId;
                 let home = shard_of[i] as usize;
-                count_instances_centred_at(
-                    hypergraph,
-                    projected,
-                    catalog,
-                    centre,
-                    |motif, j, k| {
-                        if shard_of[j as usize] == shard_of[i]
-                            && shard_of[k as usize] == shard_of[i]
-                        {
-                            return; // all-internal: phase 1 counted it
-                        }
-                        locals[home].0.increment(motif);
-                    },
-                );
+                walk.visit(centre, |motif, j, k| {
+                    if shard_of[j as usize] == shard_of[i] && shard_of[k as usize] == shard_of[i] {
+                        return; // all-internal: phase 1 counted it
+                    }
+                    locals[home].0.increment(motif);
+                });
                 for &(j, _) in projected.neighbors(centre) {
                     if j > centre && shard_of[j as usize] != shard_of[i] {
                         locals[home].1 += 1;
@@ -352,25 +344,23 @@ pub fn count_shard_partial(
         span_len,
         threads,
         default_chunk_size(span_len, threads),
-        || (MotifCatalog::new(), MotifCounts::zero(), 0usize),
-        |(catalog, boundary, cross), chunk| {
+        || {
+            (
+                CentreWalk::new(hypergraph, projected),
+                MotifCounts::zero(),
+                0usize,
+            )
+        },
+        |(walk, boundary, cross), chunk| {
             for offset in chunk {
                 let i = range.start + offset;
                 let centre = i as EdgeId;
-                count_instances_centred_at(
-                    hypergraph,
-                    projected,
-                    catalog,
-                    centre,
-                    |motif, j, k| {
-                        if shard_of[j as usize] == shard_of[i]
-                            && shard_of[k as usize] == shard_of[i]
-                        {
-                            return; // all-internal: phase 1 counted it
-                        }
-                        boundary.increment(motif);
-                    },
-                );
+                walk.visit(centre, |motif, j, k| {
+                    if shard_of[j as usize] == shard_of[i] && shard_of[k as usize] == shard_of[i] {
+                        return; // all-internal: phase 1 counted it
+                    }
+                    boundary.increment(motif);
+                });
                 for &(j, _) in projected.neighbors(centre) {
                     if j > centre && shard_of[j as usize] != shard_of[i] {
                         *cross += 1;

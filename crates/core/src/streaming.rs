@@ -39,8 +39,9 @@
 
 use std::time::{Duration, Instant};
 
+use mochy_hypergraph::graph::sorted_triple_intersection_size;
 use mochy_hypergraph::{DynamicHypergraph, EdgeId, Hypergraph, HypergraphError, NodeId};
-use mochy_motif::{MotifCatalog, MotifId, RegionCardinalities};
+use mochy_motif::{MotifCatalog, MotifId};
 use mochy_projection::{project, ProjectionOverlay, WeightedNeighbor};
 
 use crate::count::MotifCounts;
@@ -289,12 +290,13 @@ impl StreamingEngine {
         w_bc: u32,
         w_ca: u32,
     ) -> Option<MotifId> {
+        let edge = |e: EdgeId| self.hypergraph.edge(e).expect("live edge");
         let triple = if w_ab == 0 || w_bc == 0 || w_ca == 0 {
             0
         } else {
-            self.triple_intersection_size(a, b, c)
+            sorted_triple_intersection_size(edge(a), edge(b), edge(c))
         };
-        let regions = RegionCardinalities::from_intersections(
+        self.catalog.classify_from_intersections(
             self.hypergraph.edge_size(a),
             self.hypergraph.edge_size(b),
             self.hypergraph.edge_size(c),
@@ -302,27 +304,7 @@ impl StreamingEngine {
             w_bc as usize,
             w_ca as usize,
             triple,
-        )?;
-        self.catalog.classify(&regions)
-    }
-
-    fn triple_intersection_size(&self, a: EdgeId, b: EdgeId, c: EdgeId) -> usize {
-        let (a, b, c) = (
-            self.hypergraph.edge(a).expect("live edge"),
-            self.hypergraph.edge(b).expect("live edge"),
-            self.hypergraph.edge(c).expect("live edge"),
-        );
-        let (smallest, other1, other2) = if a.len() <= b.len() && a.len() <= c.len() {
-            (a, b, c)
-        } else if b.len() <= a.len() && b.len() <= c.len() {
-            (b, a, c)
-        } else {
-            (c, a, b)
-        };
-        smallest
-            .iter()
-            .filter(|&&v| other1.binary_search(&v).is_ok() && other2.binary_search(&v).is_ok())
-            .count()
+        )
     }
 }
 

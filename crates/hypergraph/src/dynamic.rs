@@ -11,7 +11,8 @@
 //!   counter) lean on this invariant: any id seen for the first time is
 //!   strictly greater than every id seen before it.
 //! - **Member lists stay sorted**, so the hash-free intersection kernels of
-//!   [`crate::graph`] (`sorted_intersection_size`, binary-search membership)
+//!   [`crate::graph`] (`sorted_intersection_size`,
+//!   `sorted_triple_intersection_size`, binary-search membership)
 //!   keep working unchanged on live edges.
 //! - **Incidence lists stay sorted** for free on insertion (new ids are the
 //!   largest) and by a binary-search removal on deletion, so the

@@ -161,24 +161,10 @@ impl Hypergraph {
         sorted_intersection_size(self.edge(i), self.edge(j))
     }
 
-    /// Size of the triple intersection `|e_i ∩ e_j ∩ e_k|`.
-    ///
-    /// Iterates over the smallest of the three edges and checks membership in
-    /// the other two, exactly as in the proof of Lemma 2.
+    /// Size of the triple intersection `|e_i ∩ e_j ∩ e_k|`, via
+    /// [`sorted_triple_intersection_size`].
     pub fn triple_intersection_size(&self, i: EdgeId, j: EdgeId, k: EdgeId) -> usize {
-        let (a, b, c) = (self.edge(i), self.edge(j), self.edge(k));
-        // Pick the smallest slice as the outer loop.
-        let (smallest, other1, other2) = if a.len() <= b.len() && a.len() <= c.len() {
-            (a, b, c)
-        } else if b.len() <= a.len() && b.len() <= c.len() {
-            (b, a, c)
-        } else {
-            (c, a, b)
-        };
-        smallest
-            .iter()
-            .filter(|&&v| other1.binary_search(&v).is_ok() && other2.binary_search(&v).is_ok())
-            .count()
+        sorted_triple_intersection_size(self.edge(i), self.edge(j), self.edge(k))
     }
 
     /// Whether hyperedges `i` and `j` are adjacent, i.e. share at least one
@@ -255,6 +241,24 @@ pub fn sorted_intersection_size(a: &[NodeId], b: &[NodeId]) -> usize {
         }
     }
     count
+}
+
+/// Size of the intersection of three ascending-sorted slices.
+///
+/// Iterates over the smallest slice and checks membership in the other two
+/// by binary search, exactly as in the proof of Lemma 2.
+pub fn sorted_triple_intersection_size(a: &[NodeId], b: &[NodeId], c: &[NodeId]) -> usize {
+    let (smallest, other1, other2) = if a.len() <= b.len() && a.len() <= c.len() {
+        (a, b, c)
+    } else if b.len() <= a.len() && b.len() <= c.len() {
+        (b, a, c)
+    } else {
+        (c, a, b)
+    };
+    smallest
+        .iter()
+        .filter(|&&v| other1.binary_search(&v).is_ok() && other2.binary_search(&v).is_ok())
+        .count()
 }
 
 /// Intersection by probing: every element of the (much shorter) `small`
