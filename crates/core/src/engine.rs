@@ -189,8 +189,8 @@ pub struct CountConfig {
     pub generalized_k: Option<u32>,
     /// Number of contiguous hyperedge shards for [`Method::Exact`]. `0` and
     /// `1` both mean unsharded; `K > 1` routes through the scatter-gather
-    /// path ([`crate::shard`]): per-shard internal counting plus a
-    /// deterministic boundary exchange, merged order-fixed. The merged
+    /// path ([`crate::shard`]): MoCHy-E over each shard's span of centre
+    /// hyperedges on the one full projection, merged order-fixed. The merged
     /// report is bit-identical to the unsharded run for every `K`
     /// (shard-count invariance, pinned by `shard_invariance.rs` and the
     /// `shard-check` CI gate).
@@ -420,11 +420,11 @@ impl MotifEngine {
                 let ((projected, projection), projection_time) =
                     timed(|| self.eager_projection(hypergraph, threads));
                 if self.config.shards > 1 {
-                    // Scatter-gather: per-shard internal counting plus the
-                    // boundary exchange, merged order-fixed. The merged
-                    // counts and hyperwedge total are bit-identical to the
-                    // unsharded branch below, so the report compares equal
-                    // across shard counts (PartialEq ignores timings).
+                    // Scatter-gather: MoCHy-E over each shard's centre span,
+                    // merged order-fixed. The merged counts and hyperwedge
+                    // total are bit-identical to the unsharded branch below,
+                    // so the report compares equal across shard counts
+                    // (PartialEq ignores timings).
                     let ((counts, num_hyperwedges), counting_time) = timed(|| {
                         let partials = crate::shard::count_sharded(
                             hypergraph,

@@ -1,9 +1,11 @@
 //! MoCHy-E: exact h-motif counting and enumeration (Algorithms 2 and 3).
 //!
 //! Every exact path — sequential, parallel, enumeration (and through it the
-//! per-edge, per-node, variance and pairwise statistics) and both phases of
-//! the sharded count ([`crate::shard`]) — walks the neighbour pairs of each
-//! centre hyperedge through one kernel, `CentreWalk`.
+//! per-edge, per-node, variance and pairwise statistics) and the sharded
+//! count ([`crate::shard`]) — walks the neighbour pairs of each centre
+//! hyperedge through one kernel, `CentreWalk`.
+
+use std::ops::Range;
 
 use mochy_hypergraph::{default_chunk_size, map_reduce_chunks, EdgeId, Hypergraph};
 use mochy_motif::{MotifCatalog, MotifId};
@@ -27,30 +29,48 @@ pub fn mochy_e(hypergraph: &Hypergraph, projected: &ProjectedGraph) -> MotifCoun
     counts
 }
 
-/// Parallel MoCHy-E (Section 3.4): worker threads claim hyperedge blocks
-/// from an atomic work queue (work stealing, so skewed-degree datasets do
-/// not serialize on one heavy static shard), each with its own
-/// `CentreWalk` and a private count vector; the partials are summed at the
-/// end. Every raw contribution is an exact integer-valued `f64` increment,
-/// so the output is bit-identical to [`mochy_e`] for every thread count and
-/// schedule.
+/// Parallel MoCHy-E (Section 3.4): [`mochy_e`] with the centres split over
+/// `num_threads` workers, bit-identical to it for every thread count and
+/// schedule (see `mochy_e_centres`).
 pub fn mochy_e_parallel(
     hypergraph: &Hypergraph,
     projected: &ProjectedGraph,
     num_threads: usize,
 ) -> MotifCounts {
-    let n = hypergraph.num_edges();
-    if num_threads <= 1 || n < 2 {
-        return mochy_e(hypergraph, projected);
-    }
-    let partials = map_reduce_chunks(
-        n,
+    mochy_e_centres(
+        hypergraph,
+        projected,
+        0..hypergraph.num_edges(),
         num_threads,
-        default_chunk_size(n, num_threads),
+    )
+}
+
+/// MoCHy-E restricted to the centre hyperedges in `centres`: the instances
+/// attributed to those centres, over the full projection `projected`. Since
+/// every instance has exactly one centre, disjoint centre ranges count
+/// disjoint instance sets, and ranges covering `0..|E|` count them all.
+///
+/// Worker threads claim blocks of `centres` from an atomic work queue (work
+/// stealing, so skewed-degree datasets do not serialize on one heavy static
+/// block), each with its own `CentreWalk` and a private count vector; the
+/// partials are summed at the end. Every raw contribution is an exact
+/// integer-valued `f64` increment, so the output does not depend on the
+/// thread count or the schedule.
+pub(crate) fn mochy_e_centres(
+    hypergraph: &Hypergraph,
+    projected: &ProjectedGraph,
+    centres: Range<usize>,
+    threads: usize,
+) -> MotifCounts {
+    let partials = map_reduce_chunks(
+        centres.len(),
+        threads,
+        default_chunk_size(centres.len(), threads),
         || (CentreWalk::new(hypergraph, projected), MotifCounts::zero()),
-        |(walk, local), range| {
-            for i in range {
-                walk.visit(i as EdgeId, |motif, _, _| local.increment(motif));
+        |(walk, local), block| {
+            for offset in block {
+                let centre = (centres.start + offset) as EdgeId;
+                walk.visit(centre, |motif, _, _| local.increment(motif));
             }
         },
     );

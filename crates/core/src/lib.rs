@@ -43,9 +43,9 @@
 //!   incrementally under hyperedge insertions and deletions, over a mutable
 //!   projection overlay (evolving-hypergraph workloads).
 //! - [`shard`] — scatter-gather MoCHy-E over contiguous hyperedge shards:
-//!   per-shard internal counting plus a deterministic boundary exchange,
-//!   with an order-fixed merge bit-identical to the unsharded run
-//!   (`CountConfig::shards`).
+//!   each shard counts the instances centred in its edge span on the one
+//!   full projection, and an order-fixed merge is bit-identical to the
+//!   unsharded run (`CountConfig::shards`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

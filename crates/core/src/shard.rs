@@ -1,105 +1,74 @@
 //! Sharded MoCHy-E: scatter-gather exact counting, bit-identical to the
 //! unsharded run.
 //!
-//! The hyperwedge formula is per-edge-pair local and the MoCHy-E attribution
-//! rule ([`crate::exact`]) assigns every h-motif instance to exactly one
-//! centre hyperedge, so exact counting decomposes across any partition of
-//! the hyperedges. This module counts in two phases over the contiguous
-//! shard layout of [`mochy_hypergraph::shard`]:
+//! The MoCHy-E attribution rule ([`crate::exact`]) assigns every h-motif
+//! instance to exactly one centre hyperedge: the unique centre of an open
+//! instance, the smallest member of a closed one. Splitting the *centres*
+//! into the contiguous edge spans of [`shard_boundaries`] therefore splits
+//! the instances into disjoint sets that together hold every instance. A
+//! shard's [`ShardPartial`] is MoCHy-E over the centres in its span, walked
+//! on the one full projection with the same parallel code as
+//! [`mochy_e_parallel`](crate::exact::mochy_e_parallel). With one shard it
+//! is exactly [`mochy_e`](crate::exact::mochy_e).
 //!
-//! 1. **Scatter (internal instances).** Each shard's edge slice keeps global
-//!    node ids and order-isomorphic local edge ids, so projecting the slice
-//!    and running plain MoCHy-E on it visits exactly the instances whose
-//!    three hyperedges all live in the shard — with the same per-instance
-//!    classification and the same open/closed attribution decisions as the
-//!    global run (classification depends only on node sets and intersection
-//!    weights; attribution compares edge ids, and local order equals global
-//!    order within a shard).
-//! 2. **Boundary exchange (cross-shard instances).** One pass over the full
-//!    projected graph enumerates every instance through the pair walk every
-//!    exact path shares (`exact::CentreWalk`) and keeps only those spanning
-//!    at least two shards, attributing each to its centre's shard. Together
-//!    the two phases visit every instance exactly once.
+//! The hyperwedge count decomposes the same way: each pair `{e_i, e_j}`
+//! with `i < j` is attributed to the shard whose span holds `i`.
 //!
-//! The hyperwedge count decomposes the same way: a shard's internal
-//! hyperwedges are the local projection's pair count, and each cross-shard
-//! hyperwedge `{e_i, e_j}` (with `i < j`) is attributed to `shard(i)`.
-//!
-//! **Why the merge is bit-identical.** Every contribution on both paths is
-//! a `+1.0` increment into an `f64` accumulator. The totals stay far below
-//! `2^53`, where floating-point addition of integers is exact — so any
-//! grouping of the same instance multiset sums to identical bits. The merge
-//! is nevertheless defined order-fixed (shard 0, 1, …, K−1; internal before
-//! boundary) so the gather step is deterministic by construction, not by
-//! arithmetic accident. `shard-check` (CI) and `shard_invariance.rs` pin
-//! the resulting reports bit-equal to unsharded MoCHy-E.
+//! **Why the merge is bit-identical.** Every contribution is a `+1.0`
+//! increment into an `f64` accumulator. The totals stay below `2^53`, where
+//! floating-point addition of integers is exact, so any grouping of the same
+//! instance multiset sums to identical bits. The merge is nevertheless
+//! defined order-fixed (shard 0, 1, …, K−1), so the gather step is
+//! deterministic by construction, not by arithmetic accident. Partials that
+//! cross a process boundary keep the premise: [`ShardPartial::from_json`]
+//! accepts only exact integer counts below `2^53`. `shard-check` (CI) and
+//! `shard_invariance.rs` pin the merged reports bit-equal to unsharded
+//! MoCHy-E.
 
 use std::ops::Range;
 
-use mochy_hypergraph::{
-    default_chunk_size, edge_slice, map_reduce_chunks, shard_boundaries, EdgeId, Hypergraph,
-};
+use mochy_hypergraph::{shard_boundaries, EdgeId, Hypergraph};
 use mochy_json::JsonValue;
 use mochy_motif::NUM_MOTIFS;
-use mochy_projection::{project, project_parallel, ProjectedGraph};
+use mochy_projection::ProjectedGraph;
 
 use crate::count::MotifCounts;
-use crate::exact::{mochy_e, mochy_e_parallel, CentreWalk};
+use crate::exact::mochy_e_centres;
 
-/// One shard's contribution to a sharded count: everything needed for the
-/// order-fixed gather, kept split by phase so diagnostics (and the
-/// `shard-check` report) can show where each count came from.
+/// `2^53`: every integer-valued `f64` below it is exact, and so is every sum
+/// of such values that stays below it.
+const EXACT_INTEGER_LIMIT: f64 = 9_007_199_254_740_992.0;
+
+/// One shard's contribution to a sharded count.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardPartial {
     /// Zero-based shard index.
     pub shard: usize,
-    /// The global edge span `[start, end)` this shard covers.
+    /// The global edge span `[start, end)` of the shard's centres.
     pub edges: Range<usize>,
-    /// Instances whose three hyperedges all lie in this shard, counted from
-    /// the shard-local projection.
-    pub internal_counts: MotifCounts,
-    /// Instances spanning at least two shards whose centre lies in this
-    /// shard, counted in the boundary exchange over the full projection.
-    pub boundary_counts: MotifCounts,
-    /// Hyperwedges with both hyperedges in this shard.
-    pub internal_hyperwedges: usize,
-    /// Cross-shard hyperwedges `{e_i, e_j}` (`i < j`, different shards) with
-    /// `e_i` in this shard.
-    pub cross_hyperwedges: usize,
+    /// The instances whose centre lies in `edges`.
+    pub counts: MotifCounts,
+    /// The hyperwedges `{e_i, e_j}` with `i` in `edges` and `j > i`.
+    pub hyperwedges: usize,
 }
 
 impl ShardPartial {
-    /// The shard's merged counts (internal then boundary — both are exact
-    /// integer-valued sums, so this is itself exact).
-    pub fn counts(&self) -> MotifCounts {
-        let mut counts = self.internal_counts.clone();
-        counts.merge(&self.boundary_counts);
-        counts
-    }
-
-    /// The shard's attributed hyperwedge count.
-    pub fn num_hyperwedges(&self) -> usize {
-        self.internal_hyperwedges + self.cross_hyperwedges
-    }
-
     /// Serializes the partial as a JSON object — the wire format of the
-    /// distributed scatter-gather (`POST /v1/internal/count-shard`).
+    /// distributed scatter-gather (`POST /v1/internal/count-shard`):
+    /// `{shard, edge_start, edge_end, counts, hyperwedges}`.
     ///
-    /// All counts are integer-valued `f64`s far below 2^53, and
-    /// [`mochy_json`] renders finite numbers with Rust's shortest-round-trip
-    /// formatting, so `from_json(render(to_json))` reproduces every field
-    /// bit-for-bit — the property that lets a gathered partial merge exactly
-    /// like an in-process one.
+    /// All counts are integer-valued `f64`s below 2^53, and [`mochy_json`]
+    /// renders finite numbers with Rust's shortest-round-trip formatting, so
+    /// `from_json(render(to_json))` reproduces every field bit-for-bit — the
+    /// property that lets a gathered partial merge exactly like an
+    /// in-process one.
     pub fn to_json(&self) -> JsonValue {
-        let counts_array = |counts: &MotifCounts| {
-            JsonValue::Array(
-                counts
-                    .as_slice()
-                    .iter()
-                    .map(|&c| JsonValue::Number(c))
-                    .collect(),
-            )
-        };
+        let counts = self
+            .counts
+            .as_slice()
+            .iter()
+            .map(|&c| JsonValue::Number(c))
+            .collect();
         JsonValue::Object(vec![
             ("shard".to_string(), JsonValue::Number(self.shard as f64)),
             (
@@ -110,29 +79,19 @@ impl ShardPartial {
                 "edge_end".to_string(),
                 JsonValue::Number(self.edges.end as f64),
             ),
+            ("counts".to_string(), JsonValue::Array(counts)),
             (
-                "internal_counts".to_string(),
-                counts_array(&self.internal_counts),
-            ),
-            (
-                "boundary_counts".to_string(),
-                counts_array(&self.boundary_counts),
-            ),
-            (
-                "internal_hyperwedges".to_string(),
-                JsonValue::Number(self.internal_hyperwedges as f64),
-            ),
-            (
-                "cross_hyperwedges".to_string(),
-                JsonValue::Number(self.cross_hyperwedges as f64),
+                "hyperwedges".to_string(),
+                JsonValue::Number(self.hyperwedges as f64),
             ),
         ])
     }
 
     /// Decodes a partial from the [`ShardPartial::to_json`] wire format,
     /// validating shape and ranges (the coordinator treats worker responses
-    /// as untrusted input). Counts must be finite, non-negative, and exactly
-    /// [`NUM_MOTIFS`] per phase; the edge span must be a valid range.
+    /// as untrusted input). `counts` must hold exactly [`NUM_MOTIFS`] exact
+    /// non-negative integers below 2^53, the premise of the bit-identical
+    /// merge; the edge span must be a valid range.
     pub fn from_json(value: &JsonValue) -> Result<ShardPartial, String> {
         let field = |key: &str| {
             value
@@ -144,28 +103,27 @@ impl ShardPartial {
                 .as_usize()
                 .ok_or_else(|| format!("field `{key}` is not a non-negative integer"))
         };
-        let counts_field = |key: &str| -> Result<MotifCounts, String> {
-            let array = field(key)?
-                .as_array()
-                .ok_or_else(|| format!("field `{key}` is not an array"))?;
-            if array.len() != NUM_MOTIFS {
+        let array = field("counts")?
+            .as_array()
+            .ok_or_else(|| "field `counts` is not an array".to_string())?;
+        if array.len() != NUM_MOTIFS {
+            return Err(format!(
+                "field `counts` has {} entries, expected {NUM_MOTIFS}",
+                array.len()
+            ));
+        }
+        let mut counts = [0f64; NUM_MOTIFS];
+        for (slot, entry) in counts.iter_mut().zip(array) {
+            let number = entry
+                .as_f64()
+                .ok_or_else(|| "field `counts` holds a non-number entry".to_string())?;
+            if !(0.0..EXACT_INTEGER_LIMIT).contains(&number) || number.fract() != 0.0 {
                 return Err(format!(
-                    "field `{key}` has {} entries, expected {NUM_MOTIFS}",
-                    array.len()
+                    "field `counts` holds {number}, not an exact integer below 2^53"
                 ));
             }
-            let mut counts = [0f64; NUM_MOTIFS];
-            for (slot, entry) in counts.iter_mut().zip(array) {
-                let number = entry
-                    .as_f64()
-                    .ok_or_else(|| format!("field `{key}` holds a non-number entry"))?;
-                if !number.is_finite() || number < 0.0 {
-                    return Err(format!("field `{key}` holds a non-count value {number}"));
-                }
-                *slot = number;
-            }
-            Ok(MotifCounts::from_slice(&counts))
-        };
+            *slot = number;
+        }
         let edge_start = usize_field("edge_start")?;
         let edge_end = usize_field("edge_end")?;
         if edge_start > edge_end {
@@ -174,149 +132,39 @@ impl ShardPartial {
         Ok(ShardPartial {
             shard: usize_field("shard")?,
             edges: edge_start..edge_end,
-            internal_counts: counts_field("internal_counts")?,
-            boundary_counts: counts_field("boundary_counts")?,
-            internal_hyperwedges: usize_field("internal_hyperwedges")?,
-            cross_hyperwedges: usize_field("cross_hyperwedges")?,
+            counts: MotifCounts::from_slice(&counts),
+            hyperwedges: usize_field("hyperwedges")?,
         })
     }
 }
 
-/// Runs both phases of sharded MoCHy-E over `num_shards` contiguous shards,
-/// returning one [`ShardPartial`] per shard. `projected` must be the full
-/// eager projection of `hypergraph` (the boundary pass and the hyperwedge
-/// decomposition read it); the per-shard internal passes build their own
-/// shard-local projections.
+/// Counts every shard of the `num_shards` contiguous spans of
+/// [`shard_boundaries`], in shard order. `projected` must be the full eager
+/// projection of `hypergraph`.
 ///
-/// `threads` parallelizes each phase on the shared worker pool exactly like
-/// unsharded counting; the partials are thread-count invariant.
+/// `threads` parallelizes each shard's walk on the shared worker pool
+/// exactly like unsharded counting; the partials are thread-count invariant.
 pub fn count_sharded(
     hypergraph: &Hypergraph,
     projected: &ProjectedGraph,
     num_shards: usize,
     threads: usize,
 ) -> Vec<ShardPartial> {
-    let num_edges = hypergraph.num_edges();
-    let boundaries = shard_boundaries(num_edges, num_shards);
-    let shards = boundaries.len();
-
-    // Dense edge → shard map for the boundary pass's inner loop.
-    let mut shard_of = vec![0u32; num_edges];
-    for (shard, range) in boundaries.iter().enumerate() {
-        for e in range.clone() {
-            shard_of[e] = shard as u32;
-        }
-    }
-
-    // Phase 1 — scatter: each shard's internal instances from its local
-    // projection. Local edge ids are order-isomorphic to global ids and
-    // node ids are global, so plain MoCHy-E on the slice classifies and
-    // attributes every all-internal instance exactly as the global run.
-    let mut partials: Vec<ShardPartial> = boundaries
-        .iter()
+    shard_boundaries(hypergraph.num_edges(), num_shards)
+        .into_iter()
         .enumerate()
-        .map(|(shard, range)| internal_partial(hypergraph, shard, range.clone(), threads))
-        .collect();
-
-    // Phase 2 — boundary exchange: every instance spanning at least two
-    // shards, attributed to its centre's shard, plus the cross-shard
-    // hyperwedge pairs. Workers accumulate per-shard vectors; worker
-    // partials merge in pool order, then into the shard partials in shard
-    // order — every sum is an exact integer sum, so chunking cannot change
-    // a single bit.
-    let worker_partials = map_reduce_chunks(
-        num_edges,
-        threads,
-        default_chunk_size(num_edges, threads),
-        || {
-            (
-                CentreWalk::new(hypergraph, projected),
-                vec![(MotifCounts::zero(), 0usize); shards],
-            )
-        },
-        |(walk, locals), range| {
-            for i in range {
-                let centre = i as EdgeId;
-                let home = shard_of[i] as usize;
-                walk.visit(centre, |motif, j, k| {
-                    if shard_of[j as usize] == shard_of[i] && shard_of[k as usize] == shard_of[i] {
-                        return; // all-internal: phase 1 counted it
-                    }
-                    locals[home].0.increment(motif);
-                });
-                for &(j, _) in projected.neighbors(centre) {
-                    if j > centre && shard_of[j as usize] != shard_of[i] {
-                        locals[home].1 += 1;
-                    }
-                }
-            }
-        },
-    );
-    for (_, locals) in &worker_partials {
-        for (shard, (boundary, cross)) in locals.iter().enumerate() {
-            partials[shard].boundary_counts.merge(boundary);
-            partials[shard].cross_hyperwedges += cross;
-        }
-    }
-    partials
-}
-
-/// Phase 1 for one shard: the internal instances and hyperwedges of the
-/// shard's edge slice, with boundary fields zeroed. Shared by the in-process
-/// scatter ([`count_sharded`]) and the distributed single-shard path
-/// ([`count_shard_partial`]) so both classify and attribute through exactly
-/// the same code.
-fn internal_partial(
-    hypergraph: &Hypergraph,
-    shard: usize,
-    range: Range<usize>,
-    threads: usize,
-) -> ShardPartial {
-    if range.is_empty() {
-        return ShardPartial {
-            shard,
-            edges: range,
-            internal_counts: MotifCounts::zero(),
-            boundary_counts: MotifCounts::zero(),
-            internal_hyperwedges: 0,
-            cross_hyperwedges: 0,
-        };
-    }
-    let local =
-        edge_slice(hypergraph, range.clone()).expect("shard boundaries are in range and non-empty");
-    let local_projected = if threads > 1 {
-        project_parallel(&local, threads)
-    } else {
-        project(&local)
-    };
-    let internal_counts = if threads > 1 {
-        mochy_e_parallel(&local, &local_projected, threads)
-    } else {
-        mochy_e(&local, &local_projected)
-    };
-    ShardPartial {
-        shard,
-        edges: range,
-        internal_counts,
-        boundary_counts: MotifCounts::zero(),
-        internal_hyperwedges: local_projected.num_hyperwedges(),
-        cross_hyperwedges: 0,
-    }
+        .map(|(shard, edges)| centre_span_partial(hypergraph, projected, shard, edges, threads))
+        .collect()
 }
 
 /// Computes a single shard's [`ShardPartial`] in isolation — the unit of
 /// work a distributed worker answers `count-shard` with. Returns `None` when
 /// `shard` is outside the `shard_boundaries(num_edges, num_shards)` layout.
 ///
-/// Produces exactly the element `count_sharded(...)[shard]` would: phase 1
-/// runs the same shard-local code ([`internal_partial`]); phase 2 visits
-/// only centres inside this shard's span, which is precisely the subset of
-/// the global boundary pass that accumulates into this shard (cross-shard
-/// instances and hyperwedges are attributed to their centre's shard). Every
-/// contribution is a `+1.0` exact-integer `f64` increment, so restricting
-/// the iteration cannot change a bit. `projected` must be the FULL
-/// projection of the FULL `hypergraph` — cross-shard instances centred here
-/// reference arbitrary other shards' hyperedges.
+/// Produces exactly the element `count_sharded(...)[shard]` would: both run
+/// the same code over the same span. `projected` must be the FULL
+/// projection of the FULL `hypergraph`, since instances centred in the span
+/// reach hyperedges outside it.
 pub fn count_shard_partial(
     hypergraph: &Hypergraph,
     projected: &ProjectedGraph,
@@ -324,78 +172,58 @@ pub fn count_shard_partial(
     shard: usize,
     threads: usize,
 ) -> Option<ShardPartial> {
-    let num_edges = hypergraph.num_edges();
-    let boundaries = shard_boundaries(num_edges, num_shards);
-    let range = boundaries.get(shard)?.clone();
-
-    let mut shard_of = vec![0u32; num_edges];
-    for (home, span) in boundaries.iter().enumerate() {
-        for e in span.clone() {
-            shard_of[e] = home as u32;
-        }
-    }
-
-    let mut partial = internal_partial(hypergraph, shard, range.clone(), threads);
-
-    // Phase 2, restricted to this shard's centres. Chunk over the span and
-    // offset indices back into global edge ids.
-    let span_len = range.len();
-    let worker_partials = map_reduce_chunks(
-        span_len,
-        threads,
-        default_chunk_size(span_len, threads),
-        || {
-            (
-                CentreWalk::new(hypergraph, projected),
-                MotifCounts::zero(),
-                0usize,
-            )
-        },
-        |(walk, boundary, cross), chunk| {
-            for offset in chunk {
-                let i = range.start + offset;
-                let centre = i as EdgeId;
-                walk.visit(centre, |motif, j, k| {
-                    if shard_of[j as usize] == shard_of[i] && shard_of[k as usize] == shard_of[i] {
-                        return; // all-internal: phase 1 counted it
-                    }
-                    boundary.increment(motif);
-                });
-                for &(j, _) in projected.neighbors(centre) {
-                    if j > centre && shard_of[j as usize] != shard_of[i] {
-                        *cross += 1;
-                    }
-                }
-            }
-        },
-    );
-    for (_, boundary, cross) in &worker_partials {
-        partial.boundary_counts.merge(boundary);
-        partial.cross_hyperwedges += cross;
-    }
-    Some(partial)
+    let edges = shard_boundaries(hypergraph.num_edges(), num_shards)
+        .into_iter()
+        .nth(shard)?;
+    Some(centre_span_partial(
+        hypergraph, projected, shard, edges, threads,
+    ))
 }
 
-/// The order-fixed gather: folds the partials in shard order (internal
-/// counts before boundary counts within each shard) into the merged motif
-/// counts and the merged hyperwedge count. Associative by exact integer
-/// `f64` arithmetic; the fixed order makes the merge deterministic by
-/// construction as well.
+/// MoCHy-E over the centres in `edges` plus their hyperwedge tally.
+fn centre_span_partial(
+    hypergraph: &Hypergraph,
+    projected: &ProjectedGraph,
+    shard: usize,
+    edges: Range<usize>,
+    threads: usize,
+) -> ShardPartial {
+    let counts = mochy_e_centres(hypergraph, projected, edges.clone(), threads);
+    let hyperwedges = edges
+        .clone()
+        .map(|i| {
+            let neighbors = projected.neighbors(i as EdgeId);
+            neighbors.len() - neighbors.partition_point(|&(j, _)| j as usize <= i)
+        })
+        .sum();
+    ShardPartial {
+        shard,
+        edges,
+        counts,
+        hyperwedges,
+    }
+}
+
+/// The order-fixed gather: folds the partials in shard order into the
+/// merged motif counts and the merged hyperwedge count. Associative by exact
+/// integer `f64` arithmetic; the fixed order makes the merge deterministic
+/// by construction as well.
 pub fn merge_partials(partials: &[ShardPartial]) -> (MotifCounts, usize) {
     let mut counts = MotifCounts::zero();
-    let mut num_hyperwedges = 0usize;
+    let mut hyperwedges = 0usize;
     for partial in partials {
-        counts.merge(&partial.internal_counts);
-        counts.merge(&partial.boundary_counts);
-        num_hyperwedges += partial.num_hyperwedges();
+        counts.merge(&partial.counts);
+        hyperwedges += partial.hyperwedges;
     }
-    (counts, num_hyperwedges)
+    (counts, hyperwedges)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exact::{mochy_e, mochy_e_enumerate};
     use mochy_hypergraph::HypergraphBuilder;
+    use mochy_projection::project;
     use rand::prelude::*;
     use rand::rngs::StdRng;
 
@@ -474,20 +302,57 @@ mod tests {
     }
 
     #[test]
-    fn partials_decompose_by_phase() {
-        let h = random_hypergraph(7, 20, 30, 5);
-        let projected = project(&h);
-        let partials = count_sharded(&h, &projected, 3, 1);
-        // Internal hyperwedges of each shard equal the local projections'
-        // pair counts; cross pairs make up the difference.
-        let total: usize = partials.iter().map(ShardPartial::num_hyperwedges).sum();
-        assert_eq!(total, projected.num_hyperwedges());
-        // With K=1 everything is internal.
-        let single = count_sharded(&h, &projected, 1, 1);
-        assert_eq!(single.len(), 1);
-        assert_eq!(single[0].boundary_counts, MotifCounts::zero());
-        assert_eq!(single[0].cross_hyperwedges, 0);
-        assert_eq!(single[0].internal_hyperwedges, projected.num_hyperwedges());
+    fn partials_decompose_by_centre_span() {
+        // Per-partial oracle: a partial holds exactly the enumerated
+        // instances centred in its span and the hyperwedges {e_i, e_j} with
+        // i in its span and j > i.
+        for seed in [7u64, 13, 21] {
+            let h = random_hypergraph(seed, 20, 30, 5);
+            let projected = project(&h);
+            let mut instances = Vec::new();
+            mochy_e_enumerate(&h, &projected, |i, _, _, motif| instances.push((i, motif)));
+            for shards in [1usize, 2, 3, 8] {
+                for threads in [1usize, 2] {
+                    let partials = count_sharded(&h, &projected, shards, threads);
+                    assert_eq!(partials.len(), shards, "seed={seed} K={shards}");
+                    let mut next_start = 0;
+                    for (shard, partial) in partials.iter().enumerate() {
+                        let label = format!("seed={seed} K={shards} t={threads} shard={shard}");
+                        assert_eq!(partial.shard, shard, "{label}");
+                        assert_eq!(partial.edges.start, next_start, "{label}");
+                        next_start = partial.edges.end;
+                        let mut expected = MotifCounts::zero();
+                        for &(centre, motif) in &instances {
+                            if partial.edges.contains(&(centre as usize)) {
+                                expected.increment(motif);
+                            }
+                        }
+                        assert_eq!(partial.counts, expected, "{label}");
+                        let wedges: usize = partial
+                            .edges
+                            .clone()
+                            .map(|i| {
+                                projected
+                                    .neighbors(i as EdgeId)
+                                    .iter()
+                                    .filter(|&&(j, _)| j as usize > i)
+                                    .count()
+                            })
+                            .sum();
+                        assert_eq!(partial.hyperwedges, wedges, "{label}");
+                    }
+                    assert_eq!(next_start, h.num_edges(), "seed={seed} K={shards}");
+                }
+            }
+            // With K=1 the single partial is plain MoCHy-E and |∧|.
+            let single = count_sharded(&h, &projected, 1, 1);
+            assert_eq!(single[0].counts, mochy_e(&h, &projected), "seed={seed}");
+            assert_eq!(
+                single[0].hyperwedges,
+                projected.num_hyperwedges(),
+                "seed={seed}"
+            );
+        }
     }
 
     #[test]
@@ -509,10 +374,10 @@ mod tests {
                             "seed={seed} K={shards} shard={shard} t={threads}"
                         );
                         for (motif, (a, b)) in expected
-                            .counts()
+                            .counts
                             .as_slice()
                             .iter()
-                            .zip(solo.counts().as_slice())
+                            .zip(solo.counts.as_slice())
                             .enumerate()
                         {
                             assert_eq!(
@@ -542,17 +407,10 @@ mod tests {
             let decoded = ShardPartial::from_json(&parsed).expect("round-trip decodes");
             assert_eq!(decoded, partial);
             for (a, b) in partial
-                .internal_counts
+                .counts
                 .as_slice()
                 .iter()
-                .chain(partial.boundary_counts.as_slice())
-                .zip(
-                    decoded
-                        .internal_counts
-                        .as_slice()
-                        .iter()
-                        .chain(decoded.boundary_counts.as_slice()),
-                )
+                .zip(decoded.counts.as_slice())
             {
                 assert_eq!(a.to_bits(), b.to_bits());
             }
@@ -583,16 +441,35 @@ mod tests {
                     .collect(),
             )
         };
+        // A valid count vector with its first entry replaced by `value`.
+        let counts_with = |value: f64| {
+            let mut counts = vec![JsonValue::Number(0.0); NUM_MOTIFS];
+            counts[0] = JsonValue::Number(value);
+            set_field("counts", JsonValue::Array(counts))
+        };
+        // A partial in the retired per-phase wire format: a worker that still
+        // speaks it must fail the fan-out, not merge as an empty partial.
+        let zeros = JsonValue::Array(vec![JsonValue::Number(0.0); NUM_MOTIFS]);
+        let per_phase = JsonValue::Object(vec![
+            ("shard".to_string(), JsonValue::Number(0.0)),
+            ("edge_start".to_string(), JsonValue::Number(0.0)),
+            ("edge_end".to_string(), JsonValue::Number(2.0)),
+            ("internal_counts".to_string(), zeros.clone()),
+            ("boundary_counts".to_string(), zeros),
+            ("internal_hyperwedges".to_string(), JsonValue::Number(1.0)),
+            ("cross_hyperwedges".to_string(), JsonValue::Number(1.0)),
+        ]);
+        assert!(ShardPartial::from_json(&counts_with(3.0)).is_ok());
         for bad in [
             drop_field("shard"),
-            drop_field("internal_counts"),
-            set_field("internal_counts", JsonValue::Array(vec![])),
-            set_field(
-                "boundary_counts",
-                JsonValue::Array(vec![JsonValue::Number(f64::NAN); NUM_MOTIFS]),
-            ),
-            set_field("internal_hyperwedges", JsonValue::Number(-1.0)),
+            drop_field("counts"),
+            set_field("counts", JsonValue::Array(vec![])),
+            counts_with(f64::NAN),
+            counts_with(1.5),
+            counts_with(9007199254740992.0),
+            set_field("hyperwedges", JsonValue::Number(-1.0)),
             set_field("edge_start", JsonValue::Number(10.0)),
+            per_phase,
             JsonValue::Null,
         ] {
             assert!(
@@ -601,18 +478,5 @@ mod tests {
                 bad.render()
             );
         }
-    }
-
-    #[test]
-    fn shard_partial_counts_helper_merges_phases() {
-        let h = random_hypergraph(3, 18, 24, 5);
-        let projected = project(&h);
-        let partials = count_sharded(&h, &projected, 2, 1);
-        let (merged, _) = merge_partials(&partials);
-        let mut via_helper = MotifCounts::zero();
-        for partial in &partials {
-            via_helper.merge(&partial.counts());
-        }
-        assert_eq!(merged, via_helper);
     }
 }

@@ -1,15 +1,16 @@
 //! Shard-count invariance of exact counting.
 //!
-//! Sharded MoCHy-E scatters over K contiguous hyperedge shards (per-shard
-//! internal counting plus a boundary exchange) and gathers with an
-//! order-fixed merge. Every contribution is a `+1.0` integer-valued `f64`
-//! increment, so the merged report must be **bit-identical** — not merely
-//! close — to the unsharded run for every shard count, the same guarantee
-//! thread invariance already pins for thread counts. This suite asserts
-//! K ∈ {1, 2, 4, 8} == unsharded on the paper's Figure 2 example and on
-//! every bench dataset, at `threads = 1` and at the pooled thread count
-//! (`MOCHY_POOL_THREADS`, which CI pins to 2 and to 8), so shard and thread
-//! variation are exercised jointly inside the existing invariance stages.
+//! Sharded MoCHy-E scatters over K contiguous hyperedge shards (each counts
+//! the instances centred in its edge span, on the one full projection) and
+//! gathers with an order-fixed merge. Every contribution is a `+1.0`
+//! integer-valued `f64` increment, so the merged report must be
+//! **bit-identical** — not merely close — to the unsharded run for every
+//! shard count, the same guarantee thread invariance already pins for
+//! thread counts. This suite asserts K ∈ {1, 2, 4, 8} == unsharded on the
+//! paper's Figure 2 example and on every bench dataset, at `threads = 1`
+//! and at the pooled thread count (`MOCHY_POOL_THREADS`, which CI pins to 2
+//! and to 8), so shard and thread variation are exercised jointly inside the
+//! existing invariance stages.
 
 use mochy_core::engine::{CountConfig, CountReport, Method};
 use mochy_hypergraph::{Hypergraph, HypergraphBuilder};

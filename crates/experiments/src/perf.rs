@@ -5,7 +5,7 @@
 //! [`CountReport`](mochy_core::CountReport) timings) for all six counting
 //! methods — MoCHy-E, streamed-incremental, MoCHy-A, MoCHy-A+, adaptive
 //! MoCHy-A+, and on-the-fly MoCHy-A+ — plus a sharded-exact row
-//! (`mochy-e-sharded`, scatter-gather MoCHy-E at K = 4 shards) on every
+//! (`mochy-e-sharded`, MoCHy-E over K = 4 centre spans, merged) on every
 //! [`mochy_bench::bench_datasets`] workload, and renders the result as
 //! machine-readable JSON. Seeds are fixed, so the *counts* in the output are
 //! bit-reproducible; the timings are what CI tracks over time as the
@@ -149,8 +149,8 @@ fn run_dataset(name: &str, hypergraph: &Hypergraph, options: &PerfOptions) -> Da
             total_count: report.counts.total(),
         });
     }
-    // Sharded-exact row: the same Method::Exact under the scatter-gather
-    // execution strategy. Its `total_count` must equal the `mochy-e` row's
+    // Sharded-exact row: the same Method::Exact split into K centre spans
+    // and merged. Its `total_count` must equal the `mochy-e` row's
     // bit-for-bit, so the baseline comparison doubles as a standing
     // shard-equivalence check inside the perf gate.
     let report = CountConfig::new(Method::Exact)

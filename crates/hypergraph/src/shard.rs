@@ -2,11 +2,11 @@
 //! per-shard `.mochy` snapshots plus a small checksummed manifest.
 //!
 //! A shard is a contiguous slice `[edge_start, edge_end)` of the canonical
-//! hyperedge order. Slicing by edge id (rather than re-partitioning nodes)
-//! keeps shard-local edge identifiers order-isomorphic to the global ones,
-//! which is what lets the counting layer prove its scatter-gather merge
-//! bit-identical to an unsharded run: every per-instance attribution rule
-//! that compares edge ids decides the same way locally and globally.
+//! hyperedge order — the same spans ([`shard_boundaries`]) whose centre
+//! hyperedges the counting layer's sharded MoCHy-E walks. Slicing by edge
+//! id (rather than re-partitioning nodes) keeps shard-local edge
+//! identifiers order-isomorphic to the global ones, so a family reassembles
+//! to exactly the original edge order.
 //!
 //! On disk, a sharded dataset with stem `data` is the file family
 //!

@@ -6,8 +6,10 @@
 //! on the same untrusted-input path, and so do the `.mochy` snapshot and
 //! shard-manifest byte readers (`crates/hypergraph/src/{snapshot,shard}.rs`)
 //! — a hostile upload reaches them through `POST /datasets` before any
-//! handler sees a parsed value. So in non-test code of those files this
-//! rule bans every construct that converts a bug or bad input into a panic:
+//! handler sees a parsed value — and the shard-partial decoder and merge
+//! (`crates/core/src/shard.rs`), which a coordinator runs on every worker's
+//! answer. So in non-test code of those files this rule bans every
+//! construct that converts a bug or bad input into a panic:
 //!
 //! - `.unwrap()` / `.expect(…)` (and their `_err` duals) — return a typed
 //!   error mapped to a 4xx/5xx instead;
@@ -43,14 +45,16 @@ impl Rule for PanicFreeServe {
     }
 
     fn scope(&self) -> &'static str {
-        "crates/{serve,json}/src, crates/hypergraph/src/{snapshot,shard}.rs"
+        "crates/{serve,json}/src, crates/hypergraph/src/{snapshot,shard}.rs, \
+         crates/core/src/shard.rs"
     }
 
     fn check(&self, file: &SourceFile, out: &mut Vec<Diagnostic>) {
         if !(file.rel_path.starts_with("crates/serve/src/")
             || file.rel_path.starts_with("crates/json/src/")
             || file.rel_path == "crates/hypergraph/src/snapshot.rs"
-            || file.rel_path == "crates/hypergraph/src/shard.rs")
+            || file.rel_path == "crates/hypergraph/src/shard.rs"
+            || file.rel_path == "crates/core/src/shard.rs")
         {
             return;
         }

@@ -67,6 +67,12 @@ const CASES: &[Case] = &[
         expect: &[],
     },
     Case {
+        name: "indexing in the shard-partial decoder is flagged",
+        path: "crates/core/src/shard.rs",
+        source: "fn f(partials: &[u32], shard: usize) -> u32 {\n    partials[shard]\n}\n",
+        expect: &[("panic-free-serve", 2)],
+    },
+    Case {
         name: "unwrap inside cfg(test) in a serve file is exempt",
         path: "crates/serve/src/api.rs",
         source: "fn shipped() -> u32 {\n    0\n}\n\n#[cfg(test)]\nmod tests {\n    #[test]\n    fn case() {\n        Some(1u32).unwrap();\n    }\n}\n",

@@ -10,15 +10,17 @@
 //! # Why the merged answer is bit-identical to unsharded MoCHy-E
 //!
 //! Each partial is computed by the worker with
-//! [`mochy_core::shard::count_shard_partial`] over the full assembled
-//! hypergraph, so a shard's partial does not depend on *which* worker
-//! computed it, when, or after how many retries. [`Coordinator::scatter_gather`]
-//! returns the partials sorted by shard index (`0..K-1`), and `merge_partials`
-//! folds them in that fixed order (internal before boundary counts) using
-//! exact `f64` integer additions — the merged counts equal the single-process
-//! sharded run bit for bit, which in turn equals plain MoCHy-E. Worker
-//! failures, reassignment, and retry order therefore cannot perturb a single
-//! bit of the result.
+//! [`mochy_core::shard::count_shard_partial`] — MoCHy-E over the centres in
+//! the shard's edge span, on the full assembled hypergraph — so a shard's
+//! partial does not depend on *which* worker computed it, when, or after how
+//! many retries. [`Coordinator::scatter_gather`] returns the partials sorted
+//! by shard index (`0..K-1`), and `merge_partials` folds them in that fixed
+//! order using exact `f64` integer additions; [`ShardPartial::from_json`]
+//! admits only exact integer counts below 2^53, so this holds for partials
+//! off the wire too. The merged counts equal the single-process sharded run
+//! bit for bit, which in turn equals plain MoCHy-E. Worker failures,
+//! reassignment, and retry order therefore cannot perturb a single bit of
+//! the result.
 //!
 //! # Failure semantics
 //!

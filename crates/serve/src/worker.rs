@@ -10,17 +10,18 @@
 //! # Why the answer is bit-identical to unsharded MoCHy-E
 //!
 //! The shard partial itself is computed by
-//! [`mochy_core::shard::count_shard_partial`], whose internal phase runs
-//! plain MoCHy-E over the shard's edge slice and whose boundary phase walks
-//! the **full** projected graph in its canonical order, attributing each
-//! cross-shard instance to the shard owning its centre edge. Both phases add
-//! exact `+1.0` contributions into `f64` accumulators, and real-world totals
-//! sit far below 2^53, so addition is exact integer arithmetic — no grouping
-//! of the work (by shard, by worker, by thread) can change a bit of the
-//! merged counts. The first cross-shard request therefore lazily assembles
-//! the full hypergraph from the family's slices (cached afterwards); the
-//! assembled edge order is the manifest order, i.e. exactly the unsharded
-//! snapshot's order.
+//! [`mochy_core::shard::count_shard_partial`]: MoCHy-E over the centre
+//! hyperedges in the shard's edge span, walked on the **full** projected
+//! graph, since an instance centred in the span reaches hyperedges of any
+//! shard. Every instance has exactly one centre, so the shards' partials
+//! are disjoint and together complete. Each adds exact `+1.0`
+//! contributions into `f64` accumulators, and real-world totals sit far
+//! below 2^53, so addition is exact integer arithmetic — no grouping of the
+//! work (by shard, by worker, by thread) can change a bit of the merged
+//! counts. The first request therefore lazily assembles the full hypergraph
+//! from the family's slices and projects it once (both cached afterwards);
+//! the assembled edge order is the manifest order, i.e. exactly the
+//! unsharded snapshot's order.
 
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -32,7 +33,7 @@ use mochy_hypergraph::{
 };
 use mochy_projection::{project, project_parallel, ProjectedGraph};
 
-/// The lazily-assembled full dataset a worker needs for boundary counting.
+/// The lazily-assembled full dataset every shard's centre walk reads.
 struct FullDataset {
     hypergraph: Hypergraph,
     projected: ProjectedGraph,
@@ -64,7 +65,7 @@ impl WorkerState {
     /// (and fully validating) only the `primary_shard` slice.
     ///
     /// The slice itself is not retained: counting always needs the full
-    /// hypergraph for the boundary phase, so the load here is a cheap
+    /// hypergraph and its projection, so the load here is a cheap
     /// boot-time proof that this worker's shard file is present and intact
     /// before the coordinator is told the worker is healthy.
     pub fn boot(
