@@ -2,8 +2,8 @@
 # CI entry point: formatting, lints (clippy plus the workspace's own
 # mochy-lint pass — determinism, panic-safety, and untrusted-input
 # invariants, writing LINT.json), build, tests, the .mochy snapshot
-# round-trip gate, the shard-equivalence gate (scatter-gather MoCHy-E over
-# persisted shard families must merge bit-identically to the unsharded run,
+# round-trip gate, the shard-equivalence gate (scatter-gather MoCHy-E at
+# every shard count must merge bit-identically to the unsharded run,
 # writing SHARD.json), the serve smoke (booted from a binary snapshot, with
 # a runtime snapshot upload), explicit thread- and shard-invariance runs, a
 # compile check of the Criterion bench targets, the tiny-scale run of the
@@ -13,8 +13,8 @@
 # `mochy-exp evolve`, the keep-alive loadtest gate (LOADTEST.json against
 # the committed LOADTEST_BASELINE.json), the distributed-equivalence gate
 # (a real coordinator process scatter-gathering /v1/count over real shard
-# workers, bit-identical to the unsharded count even after a worker kill,
-# writing DIST.json), and finally the per-stage wall-clock budget gate
+# workers booted from one .mochy snapshot, bit-identical to the unsharded
+# count even after a worker kill, writing DIST.json), and finally the per-stage wall-clock budget gate
 # against the committed CI_BUDGET.json.
 #
 # Everything runs offline against the vendored dependency stubs; every
@@ -104,15 +104,13 @@ run_stage test cargo test "${CARGO_FLAGS[@]}" -q
 # what CI serves is literally the artifact this gate verified.
 run_stage snapshot-roundtrip "${TARGET_DIR}/mochy-exp" snapshot-check --dir snapshots --threads 2
 
-# Shard-equivalence gate (both lanes): split every bench dataset into
-# contiguous shard families (per-shard .mochy snapshots + checksummed
-# manifest, persisted in snapshots/ next to the round-trip artifacts),
-# reload them through the validating manifest reader, and require the
-# scatter-gather merged report at K in {1,2,4} to be bit-identical to the
-# unsharded MoCHy-E run. SHARD.json records the full matrix (uploaded as a
-# CI artifact) and the stage exits non-zero on any divergence.
+# Shard-equivalence gate (both lanes): count every bench dataset with
+# scatter-gather MoCHy-E over K contiguous centre spans and require the
+# merged report at K in {1,2,4} to be bit-identical to the unsharded
+# MoCHy-E run. SHARD.json records the full matrix (uploaded as a CI
+# artifact) and the stage exits non-zero on any divergence.
 run_stage shard-equivalence "${TARGET_DIR}/mochy-exp" shard-check \
-  --dir snapshots --shards 1,2,4 --threads 2 --json SHARD.json
+  --shards 1,2,4 --threads 2 --json SHARD.json
 
 # Serve smoke (both lanes): boot mochy-serve FROM A .mochy SNAPSHOT on an
 # ephemeral port, drive /healthz + /datasets + /count through the example
@@ -221,15 +219,15 @@ if [[ "$PROFILE" == "release" ]]; then
   run_stage loadtest-gate cargo run --locked --release -p mochy_experiments --bin mochy-exp -- \
     loadtest --json LOADTEST.json --check LOADTEST_BASELINE.json
 
-  # Distributed-equivalence gate: shard a generated dataset, boot one real
-  # coordinator process over two real worker processes (each loading a single
-  # shard slice at boot), and require the scatter-gathered /v1/count to be
-  # bit-identical to the unsharded in-process count — including after one
-  # worker is killed mid-sequence, which must be absorbed by the
-  # deadline/retry/reassignment path. DIST.json (uploaded as a CI artifact)
-  # records each check; any divergence exits non-zero.
+  # Distributed-equivalence gate: write a generated dataset as one .mochy
+  # snapshot, boot three real worker processes and one real coordinator
+  # process from it (one shard per worker), and require the scatter-gathered
+  # /v1/count to be bit-identical to the unsharded in-process count —
+  # including after one worker is killed mid-sequence, which must be
+  # absorbed by the deadline/retry/reassignment path. DIST.json (uploaded as
+  # a CI artifact) records each check; any divergence exits non-zero.
   run_stage distributed-equivalence "${TARGET_DIR}/mochy-exp" dist-check \
-    --serve-bin "${TARGET_DIR}/mochy-serve" --shards 3 --workers 2 --json DIST.json
+    --serve-bin "${TARGET_DIR}/mochy-serve" --workers 3 --json DIST.json
 fi
 
 # Wall-clock budget gate: every stage above must have stayed under its

@@ -91,22 +91,8 @@ impl AdaptiveOutcome {
 
 /// Runs MoCHy-A+ in batches until the relative standard error of the total
 /// count estimate drops below `config.target_relative_error` (or
-/// `config.max_batches` is reached).
-/// Prefer [`crate::engine::MotifEngine`] with [`crate::engine::Method::Adaptive`],
-/// which owns RNG construction from a seed.
-#[deprecated(
-    since = "0.1.0",
-    note = "construct a MotifEngine with Method::Adaptive instead; seeds replace RNG values"
-)]
-pub fn mochy_a_plus_adaptive<R: Rng + ?Sized>(
-    hypergraph: &Hypergraph,
-    projected: &ProjectedGraph,
-    config: AdaptiveConfig,
-    rng: &mut R,
-) -> AdaptiveOutcome {
-    mochy_a_plus_adaptive_impl(hypergraph, projected, config, rng)
-}
-
+/// `config.max_batches` is reached). The public entry point is
+/// [`crate::engine::Method::Adaptive`], which derives the RNG from a seed.
 pub(crate) fn mochy_a_plus_adaptive_impl<R: Rng + ?Sized>(
     hypergraph: &Hypergraph,
     projected: &ProjectedGraph,
@@ -183,10 +169,6 @@ fn total_relative_standard_error(batches: &[MotifCounts]) -> f64 {
 
 #[cfg(test)]
 mod tests {
-    // The tests exercise the paper-numbered wrappers on purpose: they are
-    // the citable algorithm entry points the engine builds on.
-    #![allow(deprecated)]
-
     use super::*;
     use crate::exact::mochy_e;
     use mochy_hypergraph::{HypergraphBuilder, NodeId};
@@ -223,7 +205,7 @@ mod tests {
             target_relative_error: 0.02,
         };
         let mut rng = StdRng::seed_from_u64(99);
-        let outcome = mochy_a_plus_adaptive(&h, &projected, config, &mut rng);
+        let outcome = mochy_a_plus_adaptive_impl(&h, &projected, config, &mut rng);
         assert!(outcome.batches >= 3);
         assert!(outcome.samples == outcome.batches * 2_000);
         let relative = exact.relative_error(&outcome.estimate);
@@ -248,9 +230,9 @@ mod tests {
             ..tight
         };
         let tight_outcome =
-            mochy_a_plus_adaptive(&h, &projected, tight, &mut StdRng::seed_from_u64(7));
+            mochy_a_plus_adaptive_impl(&h, &projected, tight, &mut StdRng::seed_from_u64(7));
         let loose_outcome =
-            mochy_a_plus_adaptive(&h, &projected, loose, &mut StdRng::seed_from_u64(7));
+            mochy_a_plus_adaptive_impl(&h, &projected, loose, &mut StdRng::seed_from_u64(7));
         assert!(loose_outcome.batches <= tight_outcome.batches);
         assert!(loose_outcome.converged);
         assert!(loose_outcome.total_relative_error <= 0.25);
@@ -266,7 +248,8 @@ mod tests {
             max_batches: 5,
             target_relative_error: 0.0, // unreachable -> always hits the cap
         };
-        let outcome = mochy_a_plus_adaptive(&h, &projected, config, &mut StdRng::seed_from_u64(11));
+        let outcome =
+            mochy_a_plus_adaptive_impl(&h, &projected, config, &mut StdRng::seed_from_u64(11));
         assert_eq!(outcome.batches, 5);
         assert!(!outcome.converged);
     }
@@ -282,7 +265,8 @@ mod tests {
             max_batches: 6,
             target_relative_error: 0.0,
         };
-        let outcome = mochy_a_plus_adaptive(&h, &projected, config, &mut StdRng::seed_from_u64(21));
+        let outcome =
+            mochy_a_plus_adaptive_impl(&h, &projected, config, &mut StdRng::seed_from_u64(21));
         // With z = 3 the normal interval should cover the exact value for the
         // overwhelming majority of motifs (small-sample noise allows a few
         // misses among the 26).
@@ -311,7 +295,8 @@ mod tests {
             max_batches: 0,
             target_relative_error: -1.0,
         };
-        let outcome = mochy_a_plus_adaptive(&h, &projected, config, &mut StdRng::seed_from_u64(31));
+        let outcome =
+            mochy_a_plus_adaptive_impl(&h, &projected, config, &mut StdRng::seed_from_u64(31));
         assert!(outcome.batches >= 2);
         assert!(outcome.samples >= outcome.batches);
     }

@@ -46,21 +46,9 @@ pub struct OnTheFlyOutcome {
 /// (O(|E|) memory), which is required to sample hyperwedges uniformly; the
 /// per-sample neighbourhood look-ups then go through a [`LazyProjection`]
 /// with the configured budget and policy. Estimates are identical in
-/// distribution to [`crate::sample::mochy_a_plus`].
-/// Prefer [`crate::engine::MotifEngine`] with [`crate::engine::Method::OnTheFly`],
-/// which owns RNG construction from a seed.
-#[deprecated(
-    since = "0.1.0",
-    note = "construct a MotifEngine with Method::OnTheFly instead; seeds replace RNG values"
-)]
-pub fn mochy_a_plus_onthefly<R: Rng + ?Sized>(
-    hypergraph: &Hypergraph,
-    config: OnTheFlyConfig,
-    rng: &mut R,
-) -> OnTheFlyOutcome {
-    mochy_a_plus_onthefly_impl(hypergraph, config, rng)
-}
-
+/// distribution to MoCHy-A+ on the eager projection. The public entry point
+/// is [`crate::engine::Method::OnTheFly`], which derives the RNG from a
+/// seed.
 pub(crate) fn mochy_a_plus_onthefly_impl<R: Rng + ?Sized>(
     hypergraph: &Hypergraph,
     config: OnTheFlyConfig,
@@ -125,10 +113,6 @@ pub(crate) fn mochy_a_plus_onthefly_impl<R: Rng + ?Sized>(
 
 #[cfg(test)]
 mod tests {
-    // The tests exercise the paper-numbered wrappers on purpose: they are
-    // the citable algorithm entry points the engine builds on.
-    #![allow(deprecated)]
-
     use super::*;
     use crate::exact::mochy_e;
     use mochy_hypergraph::HypergraphBuilder;
@@ -151,7 +135,7 @@ mod tests {
     fn hyperwedge_count_matches_eager_projection() {
         let h = random_hypergraph(1, 20, 30, 5);
         let proj = project(&h);
-        let outcome = mochy_a_plus_onthefly(
+        let outcome = mochy_a_plus_onthefly_impl(
             &h,
             OnTheFlyConfig {
                 num_samples: 10,
@@ -173,7 +157,7 @@ mod tests {
             (16, MemoPolicy::Lru),
             (usize::MAX, MemoPolicy::Random),
         ] {
-            let outcome = mochy_a_plus_onthefly(
+            let outcome = mochy_a_plus_onthefly_impl(
                 &h,
                 OnTheFlyConfig {
                     num_samples: 5000,
@@ -193,7 +177,7 @@ mod tests {
     #[test]
     fn generous_budget_produces_cache_hits() {
         let h = random_hypergraph(6, 15, 25, 4);
-        let outcome = mochy_a_plus_onthefly(
+        let outcome = mochy_a_plus_onthefly_impl(
             &h,
             OnTheFlyConfig {
                 num_samples: 200,
@@ -214,7 +198,7 @@ mod tests {
             .with_edge([1u32])
             .build()
             .unwrap();
-        let outcome = mochy_a_plus_onthefly(
+        let outcome = mochy_a_plus_onthefly_impl(
             &h,
             OnTheFlyConfig {
                 num_samples: 50,

@@ -27,22 +27,10 @@ fn sample_rng(seed: u64, index: usize) -> StdRng {
 /// MoCHy-A (Algorithm 4): samples `s` hyperedges uniformly at random with
 /// replacement, counts the h-motif instances containing each sample, and
 /// rescales by `|E| / (3s)` to obtain unbiased estimates of every `M[t]`.
-/// Prefer [`crate::engine::MotifEngine`] with [`crate::engine::Method::EdgeSample`],
-/// which owns RNG construction from a seed.
-#[deprecated(
-    since = "0.1.0",
-    note = "construct a MotifEngine with Method::EdgeSample instead; seeds replace RNG values"
-)]
-pub fn mochy_a<R: Rng + ?Sized>(
-    hypergraph: &Hypergraph,
-    projected: &ProjectedGraph,
-    num_samples: usize,
-    rng: &mut R,
-) -> MotifCounts {
-    mochy_a_impl(hypergraph, projected, num_samples, rng)
-}
-
-pub(crate) fn mochy_a_impl<R: Rng + ?Sized>(
+/// The public entry points are [`mochy_a_parallel`] and
+/// [`crate::engine::Method::EdgeSample`], which derive the RNG from a seed.
+#[cfg(test)]
+fn mochy_a_impl<R: Rng + ?Sized>(
     hypergraph: &Hypergraph,
     projected: &ProjectedGraph,
     num_samples: usize,
@@ -102,21 +90,8 @@ pub fn mochy_a_parallel(
 /// MoCHy-A+ (Algorithm 5): samples `r` hyperwedges uniformly at random with
 /// replacement, counts the instances containing each sampled hyperwedge, and
 /// rescales open motifs by `|∧| / (2r)` and closed motifs by `|∧| / (3r)`.
-/// Prefer [`crate::engine::MotifEngine`] with [`crate::engine::Method::WedgeSample`],
-/// which owns RNG construction from a seed.
-#[deprecated(
-    since = "0.1.0",
-    note = "construct a MotifEngine with Method::WedgeSample instead; seeds replace RNG values"
-)]
-pub fn mochy_a_plus<R: Rng + ?Sized>(
-    hypergraph: &Hypergraph,
-    projected: &ProjectedGraph,
-    num_samples: usize,
-    rng: &mut R,
-) -> MotifCounts {
-    mochy_a_plus_impl(hypergraph, projected, num_samples, rng)
-}
-
+/// The public entry points are [`mochy_a_plus_parallel`] and
+/// [`crate::engine::Method::WedgeSample`], which derive the RNG from a seed.
 pub(crate) fn mochy_a_plus_impl<R: Rng + ?Sized>(
     hypergraph: &Hypergraph,
     projected: &ProjectedGraph,
@@ -369,10 +344,6 @@ pub(crate) fn for_each_union_neighbor<F>(
 
 #[cfg(test)]
 mod tests {
-    // The tests exercise the paper-numbered wrappers on purpose: they are
-    // the citable algorithm entry points the engine builds on.
-    #![allow(deprecated)]
-
     use super::*;
     use crate::exact::{brute_force_counts, mochy_e};
     use mochy_hypergraph::HypergraphBuilder;
@@ -463,8 +434,8 @@ mod tests {
         let proj = project(&h);
         let exact = brute_force_counts(&h);
         let mut rng = StdRng::seed_from_u64(100);
-        let estimate_a = mochy_a(&h, &proj, 4000, &mut rng);
-        let estimate_a_plus = mochy_a_plus(&h, &proj, 4000, &mut rng);
+        let estimate_a = mochy_a_impl(&h, &proj, 4000, &mut rng);
+        let estimate_a_plus = mochy_a_plus_impl(&h, &proj, 4000, &mut rng);
         assert!(
             exact.relative_error(&estimate_a) < 0.15,
             "MoCHy-A error {}",
@@ -525,8 +496,8 @@ mod tests {
         let h = figure2();
         let proj = project(&h);
         let mut rng = StdRng::seed_from_u64(1);
-        assert_eq!(mochy_a(&h, &proj, 0, &mut rng).total(), 0.0);
-        assert_eq!(mochy_a_plus(&h, &proj, 0, &mut rng).total(), 0.0);
+        assert_eq!(mochy_a_impl(&h, &proj, 0, &mut rng).total(), 0.0);
+        assert_eq!(mochy_a_plus_impl(&h, &proj, 0, &mut rng).total(), 0.0);
 
         let disconnected = HypergraphBuilder::new()
             .with_edge([0u32])
@@ -535,11 +506,11 @@ mod tests {
             .unwrap();
         let proj_disconnected = project(&disconnected);
         assert_eq!(
-            mochy_a_plus(&disconnected, &proj_disconnected, 10, &mut rng).total(),
+            mochy_a_plus_impl(&disconnected, &proj_disconnected, 10, &mut rng).total(),
             0.0
         );
         assert_eq!(
-            mochy_a(&disconnected, &proj_disconnected, 10, &mut rng).total(),
+            mochy_a_impl(&disconnected, &proj_disconnected, 10, &mut rng).total(),
             0.0
         );
     }

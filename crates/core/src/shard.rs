@@ -27,7 +27,7 @@
 
 use std::ops::Range;
 
-use mochy_hypergraph::{shard_boundaries, EdgeId, Hypergraph};
+use mochy_hypergraph::{EdgeId, Hypergraph};
 use mochy_json::JsonValue;
 use mochy_motif::NUM_MOTIFS;
 use mochy_projection::ProjectedGraph;
@@ -136,6 +136,31 @@ impl ShardPartial {
             hyperwedges: usize_field("hyperwedges")?,
         })
     }
+}
+
+/// The contiguous edge spans that split `num_edges` hyperedges into
+/// `num_shards` balanced shards: shard `s` covers
+/// `[s·n/k, (s+1)·n/k)`. Spans are contiguous and cover `0..num_edges`;
+/// when `num_shards > num_edges` the trailing spans are empty. This is the
+/// one span layout: in-process sharding, a worker's `count-shard` answer and
+/// the coordinator's check of that answer all read it.
+pub fn shard_boundaries(num_edges: usize, num_shards: usize) -> Vec<Range<usize>> {
+    let shards = num_shards.max(1);
+    let n = num_edges as u128;
+    let k = shards as u128;
+    let mut boundaries = Vec::with_capacity(shards);
+    for s in 0..shards {
+        let a = s as u128;
+        let lo = a * n / k;
+        let b = a.saturating_add(1);
+        let hi = b * n / k;
+        // Lossless: both quotients are at most n, which came from a usize —
+        // the fallback (exact upper bound) keeps this total without a panic.
+        let lo = usize::try_from(lo).unwrap_or(num_edges);
+        let hi = usize::try_from(hi).unwrap_or(num_edges);
+        boundaries.push(lo..hi);
+    }
+    boundaries
 }
 
 /// Counts every shard of the `num_shards` contiguous spans of
@@ -251,6 +276,22 @@ mod tests {
     fn unsharded(h: &Hypergraph) -> (MotifCounts, usize) {
         let projected = project(h);
         (mochy_e(h, &projected), projected.num_hyperwedges())
+    }
+
+    #[test]
+    fn boundaries_are_contiguous_and_cover() {
+        for (n, k) in [(4usize, 2usize), (10, 3), (7, 7), (5, 1), (3, 8), (0, 2)] {
+            let boundaries = shard_boundaries(n, k);
+            assert_eq!(boundaries.len(), k.max(1));
+            assert_eq!(boundaries.first().unwrap().start, 0);
+            assert_eq!(boundaries.last().unwrap().end, n);
+            for pair in boundaries.windows(2) {
+                assert_eq!(pair[0].end, pair[1].start, "n={n} k={k}");
+            }
+            if k <= n {
+                assert!(boundaries.iter().all(|r| !r.is_empty()), "n={n} k={k}");
+            }
+        }
     }
 
     #[test]

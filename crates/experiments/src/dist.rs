@@ -1,8 +1,9 @@
 //! `mochy-exp dist-check` — the distributed-equivalence CI gate.
 //!
 //! Boots a real multi-process topology — `workers` × `mochy-serve --worker`
-//! plus one `mochy-serve --coordinator` — from a freshly sharded generated
-//! dataset, then proves over the wire that:
+//! plus one `mochy-serve --coordinator`, all from one `.mochy` snapshot of
+//! a generated dataset, so the coordinator splits it into one shard per
+//! worker — then proves over the wire that:
 //!
 //! 1. `POST /v1/count` through the coordinator is **bit-identical** to the
 //!    unsharded in-process MoCHy-E count (counts, total, hyperwedges);
@@ -21,7 +22,7 @@ use std::process::{Child, Command, Stdio};
 use std::time::Duration;
 
 use mochy_datagen::{generate, DomainKind, GeneratorConfig};
-use mochy_hypergraph::{manifest_file_path, shard_file_path, write_shards};
+use mochy_hypergraph::write_snapshot_file;
 use mochy_projection::project;
 use mochy_serve::client::HttpClient;
 
@@ -32,9 +33,8 @@ use crate::json::{self, JsonValue};
 pub struct DistOptions {
     /// Path to the `mochy-serve` binary to spawn.
     pub serve_bin: String,
-    /// Shards the dataset is split into.
-    pub shards: usize,
-    /// Worker processes to boot (each can serve any shard).
+    /// Worker processes to boot: the coordinator splits the dataset into
+    /// one shard per worker, and each worker can serve any shard.
     pub workers: usize,
     /// Generated dataset size.
     pub nodes: usize,
@@ -48,8 +48,7 @@ impl Default for DistOptions {
     fn default() -> Self {
         Self {
             serve_bin: String::new(),
-            shards: 3,
-            workers: 2,
+            workers: 3,
             nodes: 220,
             edges: 700,
             seed: 17,
@@ -144,23 +143,21 @@ pub fn run(options: &DistOptions) -> Result<(String, JsonValue), String> {
     if options.serve_bin.is_empty() {
         return Err("dist-check requires --serve-bin <path to mochy-serve>".to_string());
     }
-    if options.shards < 2 || options.workers < 2 {
-        return Err("dist-check needs at least 2 shards and 2 workers".to_string());
+    if options.workers < 2 {
+        return Err("dist-check needs at least 2 workers".to_string());
     }
 
-    // Shard a generated dataset into a temp family.
-    let dir = std::env::temp_dir().join(format!("mochy-dist-check-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).map_err(|error| format!("creating {dir:?}: {error}"))?;
-    let stem = dir.join("dist");
+    // Write a generated dataset as the one snapshot every process boots from.
+    let snapshot =
+        std::env::temp_dir().join(format!("mochy-dist-check-{}.mochy", std::process::id()));
     let hypergraph = generate(&GeneratorConfig::new(
         DomainKind::Email,
         options.nodes,
         options.edges,
         options.seed,
     ));
-    write_shards(&hypergraph, &stem, options.shards)
-        .map_err(|error| format!("writing shard family: {error}"))?;
-    let manifest = manifest_file_path(&stem);
+    write_snapshot_file(&hypergraph, &snapshot)
+        .map_err(|error| format!("writing snapshot: {error}"))?;
 
     // The unsharded reference, rendered through the same JSON writer the
     // server uses, so equality below is bit-for-bit.
@@ -179,14 +176,10 @@ pub fn run(options: &DistOptions) -> Result<(String, JsonValue), String> {
         JsonValue::Number(projected.num_hyperwedges() as f64).render(),
     );
 
-    let outcome = run_topology(options, &manifest, &reference);
+    let outcome = run_topology(options, &snapshot, &reference);
 
     // Cleanup before reporting, success or not.
-    let _ = std::fs::remove_file(&manifest);
-    for shard in 0..options.shards {
-        let _ = std::fs::remove_file(shard_file_path(&stem, shard));
-    }
-    let _ = std::fs::remove_dir(&dir);
+    let _ = std::fs::remove_file(&snapshot);
 
     let checks = outcome?;
     let failures: Vec<String> = checks
@@ -199,7 +192,7 @@ pub fn run(options: &DistOptions) -> Result<(String, JsonValue), String> {
         ("format".to_string(), JsonValue::string("mochy-dist/1")),
         (
             "shards".to_string(),
-            JsonValue::Number(options.shards as f64),
+            JsonValue::Number(options.workers as f64),
         ),
         (
             "workers".to_string(),
@@ -249,20 +242,19 @@ pub fn run(options: &DistOptions) -> Result<(String, JsonValue), String> {
 /// Boots the topology, runs the three checks, and tears everything down.
 fn run_topology(
     options: &DistOptions,
-    manifest: &Path,
+    snapshot: &Path,
     reference: &(String, String, String),
 ) -> Result<Vec<Check>, String> {
-    let manifest_text = manifest.display();
+    let spec = format!("dist={}", snapshot.display());
     let mut workers: Vec<ServeProcess> = Vec::new();
     for index in 0..options.workers {
-        let primary = index % options.shards;
         let spawned = ServeProcess::spawn(
             &options.serve_bin,
             &[
                 "--port".to_string(),
                 "0".to_string(),
                 "--worker".to_string(),
-                format!("dist={manifest_text}:{primary}"),
+                spec.clone(),
             ],
         );
         match spawned {
@@ -286,7 +278,7 @@ fn run_topology(
             "--port".to_string(),
             "0".to_string(),
             "--coordinator".to_string(),
-            format!("dist={manifest_text}"),
+            spec,
             "--peers".to_string(),
             peers,
             "--fanout-deadline-ms".to_string(),

@@ -29,17 +29,17 @@
 //! `mochy-exp evolve`, which drives the streaming engine over a temporal
 //! hyperedge event stream with per-checkpoint verification (both run by
 //! `ci.sh`). The `.mochy` binary-snapshot tooling lives in [`snapshot`]
-//! (`mochy-exp convert` and the `snapshot-check` round-trip gate), the shard
-//! tooling in [`shard`] (`mochy-exp shard` splits a dataset into a
-//! checksummed shard family; `shard-check` is the CI shard-equivalence gate
-//! behind `SHARD.json`), [`cibudget`] implements `mochy-exp ci-budget`, the
+//! (`mochy-exp convert` and the `snapshot-check` round-trip gate), [`shard`]
+//! implements `shard-check`, the CI shard-equivalence gate behind
+//! `SHARD.json`, [`cibudget`] implements `mochy-exp ci-budget`, the
 //! per-stage wall-clock gate of the CI pipeline, and [`loadtest`] implements
 //! `mochy-exp loadtest`
 //! — the closed-loop HTTP load harness that proves keep-alive serving beats
 //! connection-per-request and (with `--check`) gates throughput and latency
 //! quantiles against `LOADTEST_BASELINE.json`. [`dist`] implements
 //! `mochy-exp dist-check`, the distributed-equivalence gate: it boots real
-//! `mochy-serve --worker`/`--coordinator` processes over a sharded dataset,
+//! `mochy-serve --worker`/`--coordinator` processes over one `.mochy`
+//! snapshot,
 //! verifies the scatter-gathered count is bit-identical to the unsharded
 //! one (including after a worker is killed mid-sequence), and emits
 //! `DIST.json`.

@@ -8,9 +8,7 @@
 //! mochy-exp gen <domain> <nodes> <edges> <seed> <path>
 //! mochy-exp count <path> [e|a:<samples>|a+:<samples>] [threads]
 //! mochy-exp convert <input> [<simplices>] <out.mochy>
-//! mochy-exp shard <input> <out-stem> [--shards <k>] [--threads <n>] [--verify]
-//! mochy-exp shard-check [--dir <path>] [--shards <k,k,...>] [--threads <n>]
-//!           [--json <path>]
+//! mochy-exp shard-check [--shards <k,k,...>] [--threads <n>] [--json <path>]
 //! mochy-exp snapshot-check [--dir <path>] [--threads <n>] [--reps <n>]
 //! mochy-exp ci-budget <budget.json> <profile> <stage>=<ms>...
 //! mochy-exp perf [--json <path>] [--threads <n>] [--samples <n>]
@@ -19,8 +17,7 @@
 //!           [--repeats <n>] [--seed <n>] [--check <baseline.json>]
 //!           [--tolerance <pct>] [--min-ms <ms>] [--min-speedup <x>]
 //! mochy-exp dist-check --serve-bin <mochy-serve> [--json <path>]
-//!           [--shards <k>] [--workers <n>] [--nodes <n>] [--edges <n>]
-//!           [--seed <n>]
+//!           [--workers <n>] [--nodes <n>] [--edges <n>] [--seed <n>]
 //! mochy-exp evolve [--years <n>] [--window <n|none>] [--authors <n>]
 //!           [--papers <n>] [--growth <n>] [--seed <n>] [--no-verify]
 //! ```
@@ -50,10 +47,6 @@ fn main() {
     }
     if command == "convert" {
         run_convert(&args[1..]);
-        return;
-    }
-    if command == "shard" {
-        run_shard(&args[1..]);
         return;
     }
     if command == "shard-check" {
@@ -195,53 +188,9 @@ fn run_convert(args: &[String]) {
     }
 }
 
-fn run_shard(args: &[String]) {
-    let usage = "usage: mochy-exp shard <input> <out-stem> [--shards <k>] [--threads <n>] \
-                 [--verify]";
-    let mut options = shard::ShardSplitOptions::default();
-    let mut positional: Vec<&String> = Vec::new();
-    let mut iter = args.iter();
-    while let Some(argument) = iter.next() {
-        let mut take_value = |what: &str| -> String {
-            iter.next().cloned().unwrap_or_else(|| {
-                eprintln!("{what} requires a value");
-                std::process::exit(2);
-            })
-        };
-        let parse_count = |text: String, what: &str| -> usize {
-            text.parse().unwrap_or_else(|_| {
-                eprintln!("invalid {what} `{text}`");
-                std::process::exit(2);
-            })
-        };
-        match argument.as_str() {
-            "--shards" => options.shards = parse_count(take_value("--shards"), "shard count"),
-            "--threads" => options.threads = parse_count(take_value("--threads"), "thread count"),
-            "--verify" => options.verify = true,
-            other if other.starts_with("--") => {
-                eprintln!("unknown argument `{other}`");
-                eprintln!("{usage}");
-                std::process::exit(2);
-            }
-            _ => positional.push(argument),
-        }
-    }
-    let [input, stem] = positional.as_slice() else {
-        eprintln!("{usage}");
-        std::process::exit(2);
-    };
-    match shard::split(input, stem, &options) {
-        Ok(summary) => println!("{summary}"),
-        Err(error) => {
-            eprintln!("shard failed: {error}");
-            std::process::exit(1);
-        }
-    }
-}
-
 fn run_shard_check(args: &[String]) {
-    let usage = "usage: mochy-exp shard-check [--dir <path>] [--shards <k,k,...>] \
-                 [--threads <n>] [--json <path>]";
+    let usage = "usage: mochy-exp shard-check [--shards <k,k,...>] [--threads <n>] \
+                 [--json <path>]";
     let mut options = shard::ShardCheckOptions::default();
     let mut json_path: Option<String> = None;
     let mut iter = args.iter();
@@ -253,7 +202,6 @@ fn run_shard_check(args: &[String]) {
             })
         };
         match argument.as_str() {
-            "--dir" => options.dir = take_value("--dir"),
             "--json" => json_path = Some(take_value("--json")),
             "--threads" => {
                 options.threads = take_value("--threads").parse().unwrap_or_else(|_| {
@@ -570,7 +518,6 @@ fn run_dist_check(args: &[String]) {
         match argument.as_str() {
             "--serve-bin" => options.serve_bin = take_value("--serve-bin"),
             "--json" => json_path = Some(take_value("--json")),
-            "--shards" => options.shards = parse_count(take_value("--shards"), "shard count"),
             "--workers" => options.workers = parse_count(take_value("--workers"), "worker count"),
             "--nodes" => options.nodes = parse_count(take_value("--nodes"), "node count").max(1),
             "--edges" => options.edges = parse_count(take_value("--edges"), "edge count").max(1),
@@ -579,7 +526,7 @@ fn run_dist_check(args: &[String]) {
                 eprintln!("unknown argument `{other}`");
                 eprintln!(
                     "usage: mochy-exp dist-check --serve-bin <mochy-serve> [--json <path>] \
-                     [--shards <k>] [--workers <n>] [--nodes <n>] [--edges <n>] [--seed <n>]"
+                     [--workers <n>] [--nodes <n>] [--edges <n>] [--seed <n>]"
                 );
                 std::process::exit(2);
             }
@@ -677,11 +624,7 @@ fn print_usage() {
     eprintln!("       mochy-exp gen <domain> <nodes> <edges> <seed> <path>");
     eprintln!("       mochy-exp count <path> [e|a:<samples>|a+:<samples>] [threads]");
     eprintln!("       mochy-exp convert <input> [<simplices>] <out.mochy>");
-    eprintln!(
-        "       mochy-exp shard <input> <out-stem> [--shards <k>] [--threads <n>] [--verify]"
-    );
-    eprintln!("       mochy-exp shard-check [--dir <path>] [--shards <k,k,...>] [--threads <n>]");
-    eprintln!("                             [--json <path>]");
+    eprintln!("       mochy-exp shard-check [--shards <k,k,...>] [--threads <n>] [--json <path>]");
     eprintln!("       mochy-exp snapshot-check [--dir <path>] [--threads <n>] [--reps <n>]");
     eprintln!("       mochy-exp ci-budget <budget.json> <profile> <stage>=<ms>...");
     eprintln!("       mochy-exp perf [--json <path>] [--threads <n>] [--samples <n>]");

@@ -1,30 +1,20 @@
-//! `mochy-exp shard` and `mochy-exp shard-check` — dataset sharding and the
-//! CI shard-equivalence gate over it.
+//! `mochy-exp shard-check` — the CI shard-equivalence gate.
 //!
-//! `shard` splits any loadable dataset into K contiguous per-shard `.mochy`
-//! snapshots plus a checksummed `.shards` manifest (the layout of
-//! [`mochy_hypergraph::shard`]); `--verify` reloads the shard family,
-//! reassembles it, and requires both the hypergraph and the sharded
-//! [`MotifEngine`] report to be bit-identical to the unsharded input.
-//!
-//! `shard-check` is the CI stage: every [`mochy_bench::bench_datasets`]
-//! workload is persisted as a shard family at each requested shard count,
-//! reloaded through the untrusted-bytes manifest path, reassembled, and
-//! counted with scatter-gather MoCHy-E (`CountConfig::shards`). The merged
-//! report must be **bit-identical** to the unsharded run for every shard
-//! count — the same invariance the thread-count gates pin, extended to the
-//! shard axis. The outcome is rendered both as a table and as the
-//! `SHARD.json` artifact; divergences are reported in the JSON *and* fail
-//! the gate, so the artifact always records what CI saw.
+//! Every [`mochy_bench::bench_datasets`] workload is counted with
+//! scatter-gather MoCHy-E (`CountConfig::shards`) at each requested shard
+//! count. The merged [`MotifEngine`] report must be **bit-identical** to the
+//! unsharded run for every shard count — the same invariance the
+//! thread-count gates pin, extended to the shard axis. The outcome is
+//! rendered both as a table and as the `SHARD.json` artifact; divergences
+//! are reported in the JSON *and* fail the gate, so the artifact always
+//! records what CI saw.
 //!
 //! [`MotifEngine`]: mochy_core::engine::MotifEngine
 
 use std::fmt::Write as _;
-use std::path::Path;
 
 use mochy_core::engine::{CountConfig, CountReport, Method};
-use mochy_hypergraph::io as hio;
-use mochy_hypergraph::{load_sharded, manifest_file_path, write_shards, Hypergraph};
+use mochy_hypergraph::Hypergraph;
 
 use crate::json;
 
@@ -38,80 +28,9 @@ fn count(hypergraph: &Hypergraph, threads: usize, shards: usize) -> CountReport 
     config.build().count(hypergraph)
 }
 
-/// Options of the `shard` split subcommand.
-#[derive(Debug, Clone)]
-pub struct ShardSplitOptions {
-    /// Number of contiguous shards to split into.
-    pub shards: usize,
-    /// Reload the written family, reassemble, and require bit-identical
-    /// hypergraphs and counts before reporting success.
-    pub verify: bool,
-    /// Worker threads for the verification counts.
-    pub threads: usize,
-}
-
-impl Default for ShardSplitOptions {
-    fn default() -> Self {
-        Self {
-            shards: 4,
-            verify: false,
-            threads: 2,
-        }
-    }
-}
-
-/// Splits `input` (any loadable dataset: edge-list text, `.mochy` snapshot,
-/// or an existing shard manifest) into `options.shards` shards under `stem`,
-/// writing `{stem}.shard{k}.mochy` files and the `{stem}.shards` manifest.
-/// Returns a human-readable summary line.
-pub fn split(input: &str, stem: &str, options: &ShardSplitOptions) -> Result<String, String> {
-    let hypergraph =
-        hio::read_file_auto(input).map_err(|error| format!("failed to load `{input}`: {error}"))?;
-    let stem = Path::new(stem);
-    let manifest = write_shards(&hypergraph, stem, options.shards)
-        .map_err(|error| format!("failed to write shards under `{}`: {error}", stem.display()))?;
-    let mut summary = format!(
-        "wrote {} shard(s) under {}: {} nodes, {} hyperedges, {} incidences (manifest {})",
-        manifest.num_shards(),
-        stem.display(),
-        manifest.num_nodes,
-        manifest.num_edges,
-        manifest.num_incidences,
-        manifest_file_path(stem).display(),
-    );
-    if options.verify {
-        let reloaded = load_sharded(stem)
-            .map_err(|error| format!("verify: failed to reload shard family: {error}"))?;
-        let assembled = reloaded
-            .assemble()
-            .map_err(|error| format!("verify: failed to reassemble: {error}"))?;
-        if assembled != hypergraph {
-            return Err("verify: reassembled hypergraph differs from the input".to_string());
-        }
-        let baseline = count(&hypergraph, options.threads, 1);
-        let sharded = count(&assembled, options.threads, options.shards);
-        if baseline != sharded {
-            return Err(format!(
-                "verify: sharded counts diverge from unsharded (total {} vs {})",
-                sharded.counts.total(),
-                baseline.counts.total()
-            ));
-        }
-        let _ = write!(
-            summary,
-            "\nverified: round-trip and K={} counts bit-identical (total {})",
-            options.shards,
-            baseline.counts.total()
-        );
-    }
-    Ok(summary)
-}
-
 /// Options of the `shard-check` gate.
 #[derive(Debug, Clone)]
 pub struct ShardCheckOptions {
-    /// Directory the shard-family artifacts are written to.
-    pub dir: String,
     /// Shard counts to verify (each against the unsharded baseline).
     pub shards: Vec<usize>,
     /// Worker threads for every engine run.
@@ -121,7 +40,6 @@ pub struct ShardCheckOptions {
 impl Default for ShardCheckOptions {
     fn default() -> Self {
         Self {
-            dir: "snapshots".to_string(),
             shards: vec![1, 2, 4],
             threads: 2,
         }
@@ -156,26 +74,20 @@ pub struct ShardCheckOutcome {
     pub table: String,
     /// The `SHARD.json` document.
     pub json: String,
-    /// One line per divergence or per broken round-trip.
+    /// One line per divergence.
     pub violations: Vec<String>,
 }
 
 /// Runs the shard-equivalence gate over every bench dataset.
 ///
-/// For each dataset and each shard count: persist the shard family under
-/// `options.dir`, reload it through the validating manifest path, reassemble,
-/// and require (a) the reassembled hypergraph to equal the original and
-/// (b) the scatter-gather report at that shard count to be bit-identical to
-/// the unsharded baseline. Returns `Err` only on environment failures (e.g.
-/// an unwritable directory); counting divergences are reported in
+/// For each dataset and each shard count, the scatter-gather report at that
+/// shard count must be bit-identical to the unsharded baseline. Returns
+/// `Err` only for an empty shard list; counting divergences are reported in
 /// [`ShardCheckOutcome::violations`] so the JSON still gets written.
 pub fn shard_check(options: &ShardCheckOptions) -> Result<ShardCheckOutcome, String> {
     if options.shards.is_empty() {
         return Err("shard-check needs at least one shard count".to_string());
     }
-    let dir = Path::new(&options.dir);
-    std::fs::create_dir_all(dir)
-        .map_err(|error| format!("failed to create `{}`: {error}", dir.display()))?;
 
     let mut violations: Vec<String> = Vec::new();
     let mut blocks: Vec<DatasetBlock> = Vec::new();
@@ -190,15 +102,7 @@ pub fn shard_check(options: &ShardCheckOptions) -> Result<ShardCheckOutcome, Str
             runs: Vec::new(),
         };
         for &shards in &options.shards {
-            let stem = dir.join(format!("{name}.k{shards}"));
-            let assembled = match persist_and_reassemble(&original, &stem, shards) {
-                Ok(assembled) => assembled,
-                Err(error) => {
-                    violations.push(format!("{name}/K={shards}: {error}"));
-                    continue;
-                }
-            };
-            let run = count(&assembled, options.threads, shards);
+            let run = count(&original, options.threads, shards);
             let identical = run == baseline;
             if !identical {
                 violations.push(format!(
@@ -226,27 +130,6 @@ pub fn shard_check(options: &ShardCheckOptions) -> Result<ShardCheckOutcome, Str
         json: render_json(&blocks, options),
         violations,
     })
-}
-
-/// Writes the shard family for `original` under `stem`, reloads it through
-/// the validating manifest reader, reassembles it, and requires the result
-/// to equal the original bit-for-bit.
-fn persist_and_reassemble(
-    original: &Hypergraph,
-    stem: &Path,
-    shards: usize,
-) -> Result<Hypergraph, String> {
-    write_shards(original, stem, shards)
-        .map_err(|error| format!("failed to write shard family: {error}"))?;
-    let reloaded =
-        load_sharded(stem).map_err(|error| format!("failed to reload shard family: {error}"))?;
-    let assembled = reloaded
-        .assemble()
-        .map_err(|error| format!("failed to reassemble: {error}"))?;
-    if &assembled != original {
-        return Err("reassembled hypergraph differs from the original".to_string());
-    }
-    Ok(assembled)
 }
 
 fn render_table(blocks: &[DatasetBlock]) -> String {
@@ -358,68 +241,12 @@ mod tests {
     use super::*;
     use crate::json::JsonValue;
 
-    fn temp_dir(tag: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("mochy_exp_shard_{tag}"));
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
-    }
-
-    fn tiny_text_dataset(dir: &Path) -> std::path::PathBuf {
-        let path = dir.join("tiny.txt");
-        std::fs::write(&path, "0 1 2\n0 1 3\n2 4 5\n1 5 6\n3 6 7\n").unwrap();
-        path
-    }
-
-    #[test]
-    fn split_writes_a_loadable_family_and_verifies() {
-        let dir = temp_dir("split");
-        let input = tiny_text_dataset(&dir);
-        let stem = dir.join("tiny");
-        let options = ShardSplitOptions {
-            shards: 2,
-            verify: true,
-            threads: 1,
-        };
-        let summary = split(&input.to_string_lossy(), &stem.to_string_lossy(), &options).unwrap();
-        assert!(summary.contains("wrote 2 shard(s)"), "{summary}");
-        assert!(summary.contains("verified"), "{summary}");
-        assert!(dir.join("tiny.shards").exists());
-        assert!(dir.join("tiny.shard0.mochy").exists());
-        assert!(dir.join("tiny.shard1.mochy").exists());
-        // The family loads back through the generic auto-detecting path too.
-        let assembled = hio::read_file_auto(dir.join("tiny.shards")).unwrap();
-        assert_eq!(assembled.num_edges(), 5);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn split_rejects_missing_inputs_and_bad_shard_counts() {
-        let dir = temp_dir("split_bad");
-        let input = tiny_text_dataset(&dir);
-        let stem = dir.join("bad");
-        let error = split(
-            "/nonexistent/x.txt",
-            &stem.to_string_lossy(),
-            &Default::default(),
-        )
-        .unwrap_err();
-        assert!(error.contains("failed to load"), "{error}");
-        let options = ShardSplitOptions {
-            shards: 99,
-            ..Default::default()
-        };
-        let error = split(&input.to_string_lossy(), &stem.to_string_lossy(), &options).unwrap_err();
-        assert!(error.contains("failed to write shards"), "{error}");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    /// A down-scaled gate run over a synthetic workload: exercises the full
-    /// persist/reload/reassemble/count pipeline without the bench datasets'
-    /// runtime. `shard_check` itself always runs the bench workloads, so this
-    /// drives its pieces directly.
+    /// A down-scaled gate run over a synthetic workload: exercises the
+    /// sharded-count comparison without the bench datasets' runtime.
+    /// `shard_check` itself always runs the bench workloads, so this drives
+    /// its pieces directly.
     #[test]
     fn gate_pipeline_is_identical_on_a_tiny_dataset() {
-        let dir = temp_dir("gate_tiny");
         let hypergraph = mochy_datagen::generate(&mochy_datagen::GeneratorConfig::new(
             mochy_datagen::DomainKind::Email,
             60,
@@ -428,12 +255,9 @@ mod tests {
         ));
         let baseline = count(&hypergraph, 2, 1);
         for shards in [1usize, 2, 4] {
-            let stem = dir.join(format!("tiny.k{shards}"));
-            let assembled = persist_and_reassemble(&hypergraph, &stem, shards).unwrap();
-            let run = count(&assembled, 2, shards);
+            let run = count(&hypergraph, 2, shards);
             assert_eq!(run, baseline, "K={shards}");
         }
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

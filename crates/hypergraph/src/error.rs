@@ -28,8 +28,6 @@ pub enum HypergraphError {
     Io(std::io::Error),
     /// A binary `.mochy` snapshot could not be decoded.
     Snapshot(crate::snapshot::SnapshotError),
-    /// A sharded dataset (manifest or shard family) could not be used.
-    Sharded(crate::shard::ShardError),
 }
 
 impl fmt::Display for HypergraphError {
@@ -47,7 +45,6 @@ impl fmt::Display for HypergraphError {
             }
             HypergraphError::Io(err) => write!(f, "io error: {err}"),
             HypergraphError::Snapshot(err) => write!(f, "{err}"),
-            HypergraphError::Sharded(err) => write!(f, "{err}"),
         }
     }
 }
@@ -57,7 +54,6 @@ impl std::error::Error for HypergraphError {
         match self {
             HypergraphError::Io(err) => Some(err),
             HypergraphError::Snapshot(err) => Some(err),
-            HypergraphError::Sharded(err) => Some(err),
             _ => None,
         }
     }

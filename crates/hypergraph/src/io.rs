@@ -100,17 +100,12 @@ pub fn read_edge_list_file<P: AsRef<Path>>(path: P) -> Result<Hypergraph, Hyperg
 
 /// Reads a hypergraph from `path`, auto-detecting the format: files that
 /// start with the `.mochy` magic bytes are decoded as binary snapshots
-/// (bounds-checked `Vec` fill, no per-element parsing); files that start
-/// with the shard-manifest magic are loaded as a sharded dataset (every
-/// shard snapshot validated against the manifest) and reassembled;
-/// everything else is parsed as text edge-list.
+/// (bounds-checked `Vec` fill, no per-element parsing); everything else is
+/// parsed as text edge-list.
 ///
 /// Detection is by content, not extension, so a renamed snapshot still
-/// loads and a text file named `foo.mochy` is still parsed as text. (The
-/// sharded path does use the manifest's `.shards` file name to locate its
-/// sibling shard files.)
+/// loads and a text file named `foo.mochy` is still parsed as text.
 pub fn read_file_auto<P: AsRef<Path>>(path: P) -> Result<Hypergraph, HypergraphError> {
-    let path = path.as_ref();
     let mut file = std::fs::File::open(path)?;
     let mut prefix = [0u8; snapshot::MAGIC.len()];
     let mut read = 0usize;
@@ -125,11 +120,6 @@ pub fn read_file_auto<P: AsRef<Path>>(path: P) -> Result<Hypergraph, HypergraphE
         let mut bytes = prefix.to_vec();
         file.read_to_end(&mut bytes)?;
         return Ok(snapshot::read_snapshot_bytes(&bytes)?);
-    }
-    if read == prefix.len() && prefix == crate::shard::SHARD_MAGIC {
-        drop(file);
-        let sharded = crate::shard::load_sharded_manifest(path)?;
-        return Ok(sharded.assemble()?);
     }
     // Text: chain the already-consumed prefix back in front of the rest.
     let reader = std::io::BufReader::new((&prefix[..read]).chain(file));
@@ -336,26 +326,6 @@ mod tests {
         let h = read_file_auto(&path).unwrap();
         std::fs::remove_file(&path).ok();
         assert_eq!(h.num_edges(), 1);
-    }
-
-    #[test]
-    fn auto_detection_loads_sharded_datasets() {
-        let h = HypergraphBuilder::new()
-            .with_edge([0u32, 1, 2])
-            .with_edge([0u32, 3])
-            .with_edge([2u32, 3, 4])
-            .with_edge([1u32, 4])
-            .build()
-            .unwrap();
-        let stem = std::env::temp_dir().join("mochy_io_auto_sharded_test");
-        crate::shard::write_shards(&h, &stem, 2).unwrap();
-        let manifest_path = crate::shard::manifest_file_path(&stem);
-        let loaded = read_file_auto(&manifest_path).unwrap();
-        std::fs::remove_file(&manifest_path).ok();
-        for shard in 0..2 {
-            std::fs::remove_file(crate::shard::shard_file_path(&stem, shard)).ok();
-        }
-        assert_eq!(loaded, h);
     }
 
     #[test]

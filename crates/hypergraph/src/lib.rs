@@ -13,9 +13,6 @@
 //!   content-based format auto-detection ([`io::read_file_auto`]).
 //! - [`snapshot`]: the versioned, checksummed `.mochy` binary snapshot
 //!   format — cold-start loading proportional to I/O, not parsing.
-//! - [`shard`]: sharded storage — contiguous hyperedge slices persisted as
-//!   per-shard `.mochy` snapshots plus a checksummed manifest, the substrate
-//!   of scatter-gather counting.
 //! - [`stats`]: summary statistics used in Table 2 of the paper.
 //! - [`bipartite`]: the star expansion (bipartite incidence graph) `G'` used
 //!   by the null model and the network-motif baseline.
@@ -39,7 +36,6 @@ pub mod error;
 pub mod graph;
 pub mod io;
 pub mod parallel;
-pub mod shard;
 pub mod snapshot;
 pub mod stats;
 pub mod transform;
@@ -53,14 +49,9 @@ pub use dynamic::DynamicHypergraph;
 pub use error::HypergraphError;
 pub use graph::{EdgeId, Hypergraph, NodeId};
 pub use parallel::{default_chunk_size, map_reduce_chunks, ChunkQueue, PoolSaturated, WorkerPool};
-pub use shard::{
-    edge_slice, load_shard_slice, load_sharded, load_sharded_manifest, manifest_file_path,
-    manifest_stem, read_manifest_file, shard_boundaries, shard_file_path, write_shards, ShardError,
-    ShardManifest, ShardRecord, ShardedHypergraph,
-};
 pub use snapshot::{
-    read_snapshot, read_snapshot_bytes, read_snapshot_file, write_snapshot, write_snapshot_file,
-    SnapshotError,
+    read_snapshot, read_snapshot_bytes, read_snapshot_file, read_snapshot_file_with_checksum,
+    write_snapshot, write_snapshot_file, SnapshotError,
 };
 pub use stats::HypergraphStats;
 pub use transform::{clique_expansion, dual, WeightedGraph};

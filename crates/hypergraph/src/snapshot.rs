@@ -195,9 +195,8 @@ fn fnv1a64_update(mut hash: u64, bytes: &[u8]) -> u64 {
 }
 
 /// FNV-1a 64-bit of `bytes` in one shot (the read path has the whole file
-/// in memory anyway). Shared with the shard-manifest reader/writer
-/// ([`crate::shard`]), which uses the same trailer discipline.
-pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
+/// in memory anyway).
+fn fnv1a64(bytes: &[u8]) -> u64 {
     fnv1a64_update(FNV_OFFSET, bytes)
 }
 
@@ -405,6 +404,22 @@ fn decode_offsets(
 
 /// Decodes and fully validates a snapshot held in memory.
 pub fn read_snapshot_bytes(bytes: &[u8]) -> Result<Hypergraph, SnapshotError> {
+    decode(bytes).map(|(hypergraph, _)| hypergraph)
+}
+
+/// Reads and fully validates the snapshot at `path`, returning it together
+/// with its verified trailing FNV-1a 64 checksum. The checksum covers every
+/// byte before it, so two processes that report the same value hold the
+/// same bytes, barring an accidental 64-bit collision: the distributed
+/// roles compare it on every shard request.
+pub fn read_snapshot_file_with_checksum<P: AsRef<Path>>(
+    path: P,
+) -> Result<(Hypergraph, u64), SnapshotError> {
+    decode(&std::fs::read(path)?)
+}
+
+/// [`read_snapshot_bytes`], also returning the verified trailer checksum.
+fn decode(bytes: &[u8]) -> Result<(Hypergraph, u64), SnapshotError> {
     if bytes.len() < MIN_SNAPSHOT_LEN {
         return Err(SnapshotError::Truncated {
             needed: MIN_SNAPSHOT_LEN,
@@ -598,11 +613,12 @@ pub fn read_snapshot_bytes(bytes: &[u8]) -> Result<Hypergraph, SnapshotError> {
         }
     }
 
-    Ok(Hypergraph::from_validated_csr(
+    let hypergraph = Hypergraph::from_validated_csr(
         num_nodes,
         Csr::from_parts(edge_offsets, edge_values),
         Csr::from_parts(incidence_offsets, incidence_values),
-    ))
+    );
+    Ok((hypergraph, stored))
 }
 
 /// Reads a snapshot from an arbitrary reader (drains it to the end).
@@ -667,6 +683,21 @@ mod tests {
         let restored = read_snapshot_file(&path).unwrap();
         std::fs::remove_file(&path).ok();
         assert_eq!(original, restored);
+    }
+
+    #[test]
+    fn checksummed_file_read_returns_the_trailer() {
+        let original = figure2();
+        let path = std::env::temp_dir().join(format!(
+            "mochy_snapshot_checksum_test_{}.mochy",
+            std::process::id()
+        ));
+        write_snapshot_file(&original, &path).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        let (restored, checksum) = read_snapshot_file_with_checksum(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        assert_eq!(restored, original);
+        assert_eq!(checksum.to_le_bytes(), bytes[bytes.len() - CHECKSUM_LEN..]);
     }
 
     #[test]

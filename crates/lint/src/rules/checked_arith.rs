@@ -1,9 +1,8 @@
 //! `checked-untrusted-arith`: length arithmetic on untrusted input goes
 //! through the checked helpers.
 //!
-//! Three files parse bytes an attacker (or a corrupt disk) controls: the
-//! `.mochy` snapshot reader (`crates/hypergraph/src/snapshot.rs`), the
-//! shard-manifest reader (`crates/hypergraph/src/shard.rs`), and the
+//! Two files parse bytes an attacker (or a corrupt disk) controls: the
+//! `.mochy` snapshot reader (`crates/hypergraph/src/snapshot.rs`) and the
 //! HTTP request reader (`crates/serve/src/http.rs`). In those files, bare
 //! `+`/`-`/`*` (and their compound forms) over length-typed values can wrap
 //! in release builds — turning a hostile header into a bogus offset instead
@@ -29,7 +28,6 @@ pub struct CheckedUntrustedArith;
 
 /// The untrusted-byte parsers this rule guards.
 const SCOPE: &[&str] = &[
-    "crates/hypergraph/src/shard.rs",
     "crates/hypergraph/src/snapshot.rs",
     "crates/serve/src/http.rs",
 ];
@@ -57,7 +55,7 @@ impl Rule for CheckedUntrustedArith {
     }
 
     fn scope(&self) -> &'static str {
-        "crates/hypergraph/src/{snapshot,shard}.rs, crates/serve/src/http.rs"
+        "crates/hypergraph/src/snapshot.rs, crates/serve/src/http.rs"
     }
 
     fn check(&self, file: &SourceFile, out: &mut Vec<Diagnostic>) {

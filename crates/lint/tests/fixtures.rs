@@ -176,24 +176,23 @@ const CASES: &[Case] = &[
         source: "fn f(head_end: usize, content_length: usize) -> usize {\n    head_end + 4 + content_length\n}\n",
         expect: &[("checked-untrusted-arith", 2)],
     },
-    // The shard-manifest reader parses the same class of untrusted bytes as
-    // the snapshot reader and is held to the same idiom: record offsets and
-    // spans combine via checked helpers, shard counts narrow via try_from.
+    // Section spans of the snapshot reader: declared offsets combine via
+    // checked helpers and declared counts narrow via try_from.
     Case {
-        name: "bare record arithmetic in the shard-manifest reader is flagged",
-        path: "crates/hypergraph/src/shard.rs",
+        name: "bare span arithmetic in the snapshot reader is flagged",
+        path: "crates/hypergraph/src/snapshot.rs",
         source: "fn f(edge_start: usize, edge_end: usize) -> usize {\n    edge_end - edge_start\n}\n",
         expect: &[("checked-untrusted-arith", 2)],
     },
     Case {
-        name: "narrowing a declared shard count with `as` is flagged",
-        path: "crates/hypergraph/src/shard.rs",
+        name: "narrowing a declared count with `as` is flagged",
+        path: "crates/hypergraph/src/snapshot.rs",
         source: "fn f(declared: u64) -> usize {\n    declared as usize\n}\n",
         expect: &[("checked-untrusted-arith", 2)],
     },
     Case {
-        name: "the shard reader's checked/saturating span idiom is clean",
-        path: "crates/hypergraph/src/shard.rs",
+        name: "the snapshot reader's checked/saturating span idiom is clean",
+        path: "crates/hypergraph/src/snapshot.rs",
         source: "fn f(edge_start: u64, edge_end: u64, cursor: usize) -> Option<usize> {\n    let span = edge_end.saturating_sub(edge_start);\n    let span = usize::try_from(span).ok()?;\n    cursor.checked_add(span)\n}\n",
         expect: &[],
     },

@@ -17,7 +17,7 @@
 //! | `POST /v1/profile` | `{"dataset", "randomizations", …}` | characteristic profile (Eqs. 1–2) |
 //! | `POST /v1/mutate` | `{"dataset", "insert", "remove"}` | applies churn, publishes a new snapshot |
 //! | `POST /v1/admin/shutdown` | — | acknowledges, then stops the accept loop |
-//! | `POST /v1/internal/count-shard` | `{"dataset", "shard", "threads"}` | one [`ShardPartial`], worker role only (`/v1`-only, no alias) |
+//! | `POST /v1/internal/count-shard` | `{"dataset", "snapshot", "shards", "shard", "threads"}` | one [`ShardPartial`], worker role only (`/v1`-only, no alias) |
 //!
 //! (`POST /shutdown` aliases `/v1/admin/shutdown`; the other aliases drop
 //! the `/v1` prefix.)
@@ -59,13 +59,15 @@ use crate::b64;
 use crate::coordinator::{Coordinator, FanoutError};
 use crate::http::Request;
 use crate::registry::{MutateError, Registry, Snapshot, MAX_NODE_ID};
-use crate::worker::WorkerState;
+use crate::worker::{parse_snapshot_hex, snapshot_hex, WorkerState};
 
 /// Hard ceiling on per-request sample counts (keeps a single query bounded).
 const MAX_SAMPLES: usize = 1_000_000;
-/// Hard ceiling on the per-request `shards` parameter of exact counting
-/// (each shard carries its own projection, so the parameter is cost-bearing).
-const MAX_SHARDS: usize = 64;
+/// Hard ceiling on the shard count K: the `shards` parameter of `/v1/count`
+/// and of a worker's `count-shard` request, and a coordinator's peer count.
+/// Every shard walks the one projection, so K costs no memory, but each
+/// shard is one more partial to compute, ship and merge.
+pub(crate) const MAX_SHARDS: usize = 64;
 /// Hard ceiling on per-request null-model randomizations.
 const MAX_RANDOMIZATIONS: usize = 16;
 /// Longest accepted dataset name on the ingestion route.
@@ -269,11 +271,13 @@ pub fn error_body(status: u16, kind: &str, message: &str) -> String {
 pub enum Role {
     /// A self-contained server: every dataset is local, no fan-out.
     Standalone,
-    /// A shard worker: boots from one shard of a `MOCHYSHD` family and
-    /// answers `POST /v1/internal/count-shard` with serialized partials.
+    /// A shard worker: boots from one `.mochy` snapshot that never changes
+    /// and answers `POST /v1/internal/count-shard` with serialized partials
+    /// for requests that name that snapshot's checksum.
     Worker(Arc<WorkerState>),
-    /// A coordinator: owns the shard manifest and scatters `/v1/count`
-    /// queries for its distributed dataset across a worker set.
+    /// A coordinator: reads the same snapshot's sizes and checksum and
+    /// scatters `/v1/count` queries for its distributed dataset across a
+    /// worker set, one shard per worker.
     Coordinator(Arc<Coordinator>),
 }
 
@@ -466,20 +470,20 @@ fn healthz(ctx: &ApiContext) -> ApiResponse {
         Role::Standalone => {}
         Role::Worker(state) => {
             members.push((
-                "shard".to_string(),
+                "worker".to_string(),
                 JsonValue::Object(vec![
                     ("dataset".to_string(), JsonValue::string(state.dataset())),
                     (
-                        "primary_shard".to_string(),
-                        JsonValue::Number(state.primary_shard() as f64),
+                        "snapshot".to_string(),
+                        JsonValue::String(snapshot_hex(state.snapshot())),
                     ),
                     (
-                        "num_shards".to_string(),
-                        JsonValue::Number(state.num_shards() as f64),
+                        "num_nodes".to_string(),
+                        JsonValue::Number(state.num_nodes() as f64),
                     ),
                     (
-                        "assembled".to_string(),
-                        JsonValue::Bool(state.is_assembled()),
+                        "num_edges".to_string(),
+                        JsonValue::Number(state.num_edges() as f64),
                     ),
                 ]),
             ));
@@ -504,6 +508,10 @@ fn healthz(ctx: &ApiContext) -> ApiResponse {
                     (
                         "dataset".to_string(),
                         JsonValue::string(coordinator.dataset()),
+                    ),
+                    (
+                        "snapshot".to_string(),
+                        JsonValue::String(snapshot_hex(coordinator.snapshot())),
                     ),
                     (
                         "num_shards".to_string(),
@@ -970,11 +978,11 @@ fn render_count(query: &CountQuery, snapshot: &Snapshot) -> Result<String, ApiEr
 // POST /v1/count, coordinator fan-out path
 
 /// Answers `/v1/count` for the coordinator's distributed dataset: scatter
-/// the manifest's shards across the worker set, gather the partials, and
-/// merge them in fixed shard order ([`merge_partials`]).
+/// one shard per worker, gather the partials, and merge them in fixed shard
+/// order ([`merge_partials`]).
 ///
 /// The body is rendered with the same field set and the same exact-integer
-/// `f64` counts as a standalone `/count` on the assembled hypergraph, so
+/// `f64` counts as a standalone `/count` on the same snapshot, so
 /// `counts`/`total`/`num_hyperwedges` are **bit-identical** to the
 /// unsharded run (every contribution on both paths is a `+1.0` into an
 /// accumulator far below 2^53, and the shortest-round-trip JSON numbers
@@ -1000,7 +1008,7 @@ fn count_distributed(
     }
     if query.shards > 1 {
         return Err(ApiError::bad(format!(
-            "dataset `{}` is sharded by its manifest ({} shards); omit `shards`",
+            "dataset `{}` is split into one shard per worker ({} shards); omit `shards`",
             query.dataset,
             coordinator.num_shards()
         )));
@@ -1065,44 +1073,34 @@ fn count_distributed(
 /// Maps a failed fan-out to the error envelope: 502 with per-shard,
 /// per-worker outcomes under `detail` (partial-failure forensics belong in
 /// the response, not just the coordinator's stderr).
-fn fanout_error(error: FanoutError) -> ApiError {
-    match error {
-        FanoutError::NoWorkers => ApiError::new(
-            502,
-            "fanout-failed",
-            "the coordinator has no workers configured",
-        ),
-        FanoutError::ShardsFailed { failures, gathered } => {
-            let shards: Vec<JsonValue> = failures
+fn fanout_error(FanoutError { failures, gathered }: FanoutError) -> ApiError {
+    let shards: Vec<JsonValue> = failures
+        .iter()
+        .map(|failure| {
+            let attempts: Vec<JsonValue> = failure
+                .attempts
                 .iter()
-                .map(|failure| {
-                    let attempts: Vec<JsonValue> = failure
-                        .attempts
-                        .iter()
-                        .map(|attempt| {
-                            JsonValue::Object(vec![
-                                ("worker".to_string(), JsonValue::string(&attempt.worker)),
-                                ("error".to_string(), JsonValue::string(&attempt.error)),
-                            ])
-                        })
-                        .collect();
+                .map(|attempt| {
                     JsonValue::Object(vec![
-                        ("shard".to_string(), JsonValue::Number(failure.shard as f64)),
-                        ("attempts".to_string(), JsonValue::Array(attempts)),
+                        ("worker".to_string(), JsonValue::string(&attempt.worker)),
+                        ("error".to_string(), JsonValue::string(&attempt.error)),
                     ])
                 })
                 .collect();
-            let message = format!(
-                "distributed count failed: {} shard(s) unserved after retries \
-                 ({gathered} gathered)",
-                failures.len()
-            );
-            ApiError::new(502, "fanout-failed", message).with_detail(JsonValue::Object(vec![
-                ("gathered".to_string(), JsonValue::Number(gathered as f64)),
-                ("failed_shards".to_string(), JsonValue::Array(shards)),
-            ]))
-        }
-    }
+            JsonValue::Object(vec![
+                ("shard".to_string(), JsonValue::Number(failure.shard as f64)),
+                ("attempts".to_string(), JsonValue::Array(attempts)),
+            ])
+        })
+        .collect();
+    let message = format!(
+        "distributed count failed: {} shard(s) unserved after retries ({gathered} gathered)",
+        failures.len()
+    );
+    ApiError::new(502, "fanout-failed", message).with_detail(JsonValue::Object(vec![
+        ("gathered".to_string(), JsonValue::Number(gathered as f64)),
+        ("failed_shards".to_string(), JsonValue::Array(shards)),
+    ]))
 }
 
 // ---------------------------------------------------------------------------
@@ -1110,8 +1108,10 @@ fn fanout_error(error: FanoutError) -> ApiError {
 
 /// Computes one shard's [`ShardPartial`](mochy_core::shard::ShardPartial)
 /// and answers with its JSON wire form. Only a `--worker` instance routes
-/// here; any worker can serve any shard of its family (the coordinator
-/// relies on that for retry reassignment).
+/// here; any worker can serve any shard of any layout up to [`MAX_SHARDS`]
+/// (the coordinator relies on that for retry reassignment). The request's
+/// shape is checked before the snapshot, and both before any counting: a
+/// worker holding another snapshot answers 409 `conflict`.
 fn count_shard(ctx: &ApiContext, body: &str) -> Result<ApiResponse, ApiError> {
     let Role::Worker(state) = &ctx.role else {
         return Err(ApiError::not_found(
@@ -1126,20 +1126,44 @@ fn count_shard(ctx: &ApiContext, body: &str) -> Result<ApiResponse, ApiError> {
             state.dataset()
         )));
     }
+    let snapshot = parsed
+        .get("snapshot")
+        .and_then(JsonValue::as_str)
+        .and_then(parse_snapshot_hex)
+        .ok_or_else(|| ApiError::bad("missing or invalid `snapshot` (16 lowercase hex digits)"))?;
+    let shards = parsed
+        .get("shards")
+        .and_then(JsonValue::as_usize)
+        .filter(|shards| (1..=MAX_SHARDS).contains(shards))
+        .ok_or_else(|| {
+            ApiError::bad(format!(
+                "missing or invalid `shards` (an integer from 1 to {MAX_SHARDS})"
+            ))
+        })?;
     let shard = parsed
         .get("shard")
         .and_then(JsonValue::as_usize)
-        .ok_or_else(|| ApiError::bad("missing or invalid `shard` (a non-negative integer)"))?;
-    if shard >= state.num_shards() {
-        return Err(ApiError::bad(format!(
-            "shard {shard} is out of range (the manifest has {} shards)",
-            state.num_shards()
-        )));
-    }
+        .filter(|&shard| shard < shards)
+        .ok_or_else(|| {
+            ApiError::bad(format!(
+                "missing or invalid `shard` (an integer below `shards` = {shards})"
+            ))
+        })?;
     let threads = optional_usize(&parsed, "threads", 1, ctx.max_threads)?.max(1);
-    let partial = state
-        .count_shard(shard, threads)
-        .map_err(|error| ApiError::new(500, "shard-load", error))?;
+    if snapshot != state.snapshot() {
+        return Err(ApiError::new(
+            409,
+            "conflict",
+            format!(
+                "snapshot mismatch: the request names {}, this worker holds {}",
+                snapshot_hex(snapshot),
+                snapshot_hex(state.snapshot())
+            ),
+        ));
+    }
+    let partial = state.count_shard(shards, shard, threads).ok_or_else(|| {
+        ApiError::bad(format!("shard {shard} is outside a {shards}-shard layout"))
+    })?;
     Ok(ApiResponse::ok(partial.to_json().render()))
 }
 

@@ -1,44 +1,53 @@
 //! Coordinator-side scatter-gather over shard workers.
 //!
-//! The coordinator owns the `MOCHYSHD` manifest of a distributed dataset
-//! but none of its edges. A `POST /v1/count` for that dataset is fanned out
-//! as one `POST /v1/internal/count-shard` per shard across the configured
-//! worker set; the returned [`ShardPartial`]s are validated against the
-//! manifest and merged by the caller with
-//! [`merge_partials`](mochy_core::shard::merge_partials).
+//! The coordinator reads the same `.mochy` snapshot its workers boot from,
+//! but keeps only |V|, |E| and the snapshot's trailing FNV-1a 64 checksum.
+//! It splits the centre hyperedges into K = |peers| contiguous spans with
+//! [`shard_boundaries`]; there is no separate shard count to configure. A
+//! `POST /v1/count` for the dataset is fanned out as one
+//! `POST /v1/internal/count-shard` per span, each naming
+//! `{dataset, snapshot, shards, shard, threads}`. A worker that holds a
+//! different snapshot refuses before counting, which fails that attempt like
+//! any other, so the span is retried on another worker. The returned
+//! [`ShardPartial`]s are checked against the span layout and merged by the
+//! caller with [`merge_partials`](mochy_core::shard::merge_partials).
 //!
 //! # Why the merged answer is bit-identical to unsharded MoCHy-E
 //!
 //! Each partial is computed by the worker with
 //! [`mochy_core::shard::count_shard_partial`] — MoCHy-E over the centres in
-//! the shard's edge span, on the full assembled hypergraph — so a shard's
-//! partial does not depend on *which* worker computed it, when, or after how
-//! many retries. [`Coordinator::scatter_gather`] returns the partials sorted
-//! by shard index (`0..K-1`), and `merge_partials` folds them in that fixed
-//! order using exact `f64` integer additions; [`ShardPartial::from_json`]
-//! admits only exact integer counts below 2^53, so this holds for partials
-//! off the wire too. The merged counts equal the single-process sharded run
-//! bit for bit, which in turn equals plain MoCHy-E. Worker failures,
-//! reassignment, and retry order therefore cannot perturb a single bit of
-//! the result.
+//! the shard's edge span, on the full hypergraph of the named snapshot — so
+//! a shard's partial does not depend on *which* worker computed it, when, or
+//! after how many retries. [`Coordinator::scatter_gather`] returns the
+//! partials sorted by shard index (`0..K-1`), and `merge_partials` folds them
+//! in that fixed order using exact `f64` integer additions;
+//! [`ShardPartial::from_json`] admits only exact integer counts below 2^53,
+//! so this holds for partials off the wire too. The merged counts equal the
+//! single-process sharded run bit for bit, which in turn equals plain
+//! MoCHy-E. Worker failures, reassignment, and retry order therefore cannot
+//! perturb a single bit of the result.
 //!
 //! # Failure semantics
 //!
 //! Every worker request carries a whole-exchange deadline. A worker that
-//! errors or stalls is marked unhealthy and its remaining shards are
-//! reassigned to surviving workers, each shard getting at most `1 + retries`
-//! total attempts. Shards still unserved after that surface as
-//! [`FanoutError::ShardsFailed`] with the full per-worker attempt log, which
+//! errors, stalls, or holds another snapshot is marked unhealthy and its
+//! remaining shards are reassigned to surviving workers, each shard getting
+//! at most `1 + retries` total attempts. Shards still unserved after that
+//! surface as [`FanoutError`] with the full per-worker attempt log, which
 //! the API layer renders under the error envelope's `detail` field.
 
+use std::ops::Range;
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
-use mochy_core::shard::ShardPartial;
-use mochy_hypergraph::{read_manifest_file, ShardManifest};
+use mochy_core::shard::{shard_boundaries, ShardPartial};
+use mochy_hypergraph::read_snapshot_file_with_checksum;
 use mochy_json::JsonValue;
 
+use crate::api::MAX_SHARDS;
 use crate::client::HttpClient;
+use crate::worker::snapshot_hex;
 
 /// One worker in the coordinator's table.
 #[derive(Debug)]
@@ -68,30 +77,24 @@ pub struct ShardFailure {
     pub attempts: Vec<Attempt>,
 }
 
-/// Why a scatter-gather pass failed.
+/// Why a scatter-gather pass failed: one or more shards stayed unserved
+/// after retries.
 #[derive(Debug)]
-pub enum FanoutError {
-    /// The coordinator has an empty worker table.
-    NoWorkers,
-    /// One or more shards stayed unserved after retries.
-    ShardsFailed {
-        /// The unserved shards with their attempt logs.
-        failures: Vec<ShardFailure>,
-        /// How many shards *were* gathered successfully.
-        gathered: usize,
-    },
+pub struct FanoutError {
+    /// The unserved shards with their attempt logs.
+    pub failures: Vec<ShardFailure>,
+    /// How many shards *were* gathered successfully.
+    pub gathered: usize,
 }
 
 impl std::fmt::Display for FanoutError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            FanoutError::NoWorkers => write!(f, "no workers configured"),
-            FanoutError::ShardsFailed { failures, gathered } => write!(
-                f,
-                "{} shard(s) unserved after retries ({gathered} gathered)",
-                failures.len()
-            ),
-        }
+        write!(
+            f,
+            "{} shard(s) unserved after retries ({} gathered)",
+            self.failures.len(),
+            self.gathered
+        )
     }
 }
 
@@ -99,28 +102,44 @@ impl std::fmt::Display for FanoutError {
 #[derive(Debug)]
 pub struct Coordinator {
     dataset: String,
-    manifest: ShardManifest,
+    snapshot: u64,
+    num_nodes: usize,
+    num_edges: usize,
+    /// `shard_boundaries(num_edges, K)`, one span per worker.
+    spans: Vec<Range<usize>>,
     workers: Vec<WorkerEntry>,
     deadline: Duration,
     retries: usize,
 }
 
 impl Coordinator {
-    /// Boots a coordinator for `dataset`: reads (and fully validates) the
-    /// manifest — the coordinator never touches the shard files themselves —
-    /// and records the worker table.
+    /// Boots a coordinator for `dataset` from the `.mochy` snapshot at
+    /// `snapshot_path` — the same file its workers boot from — and splits
+    /// the centres into one span per worker. The snapshot is fully
+    /// validated, then only its sizes and checksum are kept. Refuses an
+    /// empty worker table and more than 64 workers, the `shards` cap of
+    /// `/v1/count`.
     pub fn boot(
         dataset: impl Into<String>,
-        manifest_path: &std::path::Path,
+        snapshot_path: &Path,
         workers: Vec<String>,
         deadline: Duration,
         retries: usize,
     ) -> Result<Self, String> {
-        let manifest = read_manifest_file(manifest_path)
-            .map_err(|error| format!("reading shard manifest: {error}"))?;
+        if workers.is_empty() || workers.len() > MAX_SHARDS {
+            return Err(format!(
+                "a coordinator needs 1 to {MAX_SHARDS} workers, got {}",
+                workers.len()
+            ));
+        }
+        let (hypergraph, snapshot) = read_snapshot_file_with_checksum(snapshot_path)
+            .map_err(|error| format!("reading snapshot: {error}"))?;
         Ok(Self {
             dataset: dataset.into(),
-            manifest,
+            snapshot,
+            num_nodes: hypergraph.num_nodes(),
+            num_edges: hypergraph.num_edges(),
+            spans: shard_boundaries(hypergraph.num_edges(), workers.len()),
             workers: workers
                 .into_iter()
                 .map(|addr| WorkerEntry {
@@ -138,19 +157,25 @@ impl Coordinator {
         &self.dataset
     }
 
-    /// The number of shards in the family.
+    /// The trailing FNV-1a 64 checksum of the snapshot every worker must
+    /// hold.
+    pub fn snapshot(&self) -> u64 {
+        self.snapshot
+    }
+
+    /// The number of shards: one per worker.
     pub fn num_shards(&self) -> usize {
-        self.manifest.num_shards()
+        self.spans.len()
     }
 
-    /// The node count recorded in the manifest.
+    /// The snapshot's node count.
     pub fn num_nodes(&self) -> usize {
-        self.manifest.num_nodes as usize
+        self.num_nodes
     }
 
-    /// The hyperedge count recorded in the manifest.
+    /// The snapshot's hyperedge count.
     pub fn num_edges(&self) -> usize {
-        self.manifest.num_edges as usize
+        self.num_edges
     }
 
     /// The per-request deadline, in milliseconds.
@@ -205,10 +230,7 @@ impl Coordinator {
     /// the *other* workers until the shard is served or its attempt budget
     /// (`1 + retries`) is spent.
     pub fn scatter_gather(&self, threads: usize) -> Result<Vec<ShardPartial>, FanoutError> {
-        if self.workers.is_empty() {
-            return Err(FanoutError::NoWorkers);
-        }
-        let num_shards = self.manifest.num_shards();
+        let num_shards = self.num_shards();
 
         // Assign shards round-robin over healthy workers.
         let mut eligible: Vec<usize> = (0..self.workers.len())
@@ -223,8 +245,9 @@ impl Coordinator {
         }
         let mut assignments: Vec<Vec<usize>> = vec![Vec::new(); self.workers.len()];
         for shard in 0..num_shards {
-            if let Some(slot) = eligible
-                .get(shard % eligible.len())
+            if let Some(slot) = shard
+                .checked_rem(eligible.len())
+                .and_then(|index| eligible.get(index))
                 .and_then(|&w| assignments.get_mut(w))
             {
                 slot.push(shard);
@@ -362,21 +385,22 @@ impl Coordinator {
                     attempts: Vec::new(),
                 })
                 .collect();
-            return Err(FanoutError::ShardsFailed {
+            return Err(FanoutError {
                 gathered: partials.len(),
                 failures: missing,
             });
         }
         failures.sort_by_key(|failure| failure.shard);
         let gathered_count = gathered.iter().filter(|slot| slot.is_some()).count();
-        Err(FanoutError::ShardsFailed {
+        Err(FanoutError {
             failures,
             gathered: gathered_count,
         })
     }
 
     /// One `count-shard` exchange with one worker, validated against the
-    /// manifest. Returns a human-readable error string for the attempt log.
+    /// span layout. Returns a human-readable error string for the attempt
+    /// log.
     fn request_shard(
         &self,
         client: &mut HttpClient,
@@ -387,6 +411,14 @@ impl Coordinator {
             (
                 "dataset".to_string(),
                 JsonValue::String(self.dataset.clone()),
+            ),
+            (
+                "snapshot".to_string(),
+                JsonValue::String(snapshot_hex(self.snapshot)),
+            ),
+            (
+                "shards".to_string(),
+                JsonValue::Number(self.num_shards() as f64),
             ),
             ("shard".to_string(), JsonValue::Number(shard as f64)),
             ("threads".to_string(), JsonValue::Number(threads as f64)),
@@ -413,14 +445,12 @@ impl Coordinator {
             ));
         }
         let expected = self
-            .manifest
-            .boundaries()
+            .spans
             .get(shard)
-            .cloned()
-            .ok_or_else(|| format!("shard {shard} outside the manifest"))?;
-        if partial.edges != expected {
+            .ok_or_else(|| format!("shard {shard} outside the span layout"))?;
+        if partial.edges != *expected {
             return Err(format!(
-                "worker's edge span {:?} disagrees with the manifest's {expected:?}",
+                "worker's edge span {:?} disagrees with the layout's {expected:?}",
                 partial.edges
             ));
         }

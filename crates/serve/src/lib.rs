@@ -43,14 +43,17 @@
 //!   per-connection request cap). When the queue is full the accept loop
 //!   answers `503 Service Unavailable` inline instead of blocking —
 //!   explicit backpressure, so overload never wedges accept.
-//! - [`worker`], [`coordinator`], [`client`] — multi-process shard fan-out:
-//!   a `--worker` boots from one slice of a `MOCHYSHD` family and answers
-//!   `POST /v1/internal/count-shard`; a `--coordinator` owns only the
-//!   manifest and scatters a `POST /v1/count` across its worker set over
-//!   keep-alive HTTP ([`client::HttpClient`]), gathering and merging the
+//! - [`worker`], [`coordinator`], [`client`] — multi-process shard fan-out
+//!   over one `.mochy` snapshot: a `--worker` loads and projects the whole
+//!   snapshot at boot and answers `POST /v1/internal/count-shard` for any
+//!   shard; a `--coordinator` reads the same file for its sizes and
+//!   checksum and scatters a `POST /v1/count` across its worker set, one
+//!   shard per worker, over keep-alive HTTP ([`client::HttpClient`]). Every
+//!   shard request names the snapshot checksum, and a worker holding a
+//!   different file refuses it. The coordinator gathers and merges the
 //!   [`ShardPartial`](mochy_core::shard::ShardPartial)s in fixed shard
 //!   order — bit-identical to the unsharded count, with deadline-bounded
-//!   requests and retry/reassignment around dead workers.
+//!   requests and retry/reassignment around dead or mismatched workers.
 //!
 //! ```no_run
 //! use mochy_hypergraph::HypergraphBuilder;

@@ -4,8 +4,8 @@
 //! mochy-serve [--addr HOST:PORT | --port N] [--workers N] [--queue N]
 //!             [--cache N] [--threads N] [--max-requests N] [--idle-ms N]
 //!             [--gen NAME=DOMAIN:NODES:EDGES:SEED]... [--load NAME=PATH]...
-//!             [--worker NAME=MANIFEST[:SHARD]]
-//!             [--coordinator NAME=MANIFEST --peers ADDR,ADDR,...]
+//!             [--worker NAME=PATH]
+//!             [--coordinator NAME=PATH --peers ADDR,ADDR,...]
 //!             [--fanout-deadline-ms N] [--fanout-retries N]
 //! ```
 //!
@@ -15,16 +15,18 @@
 //! scripts (the CI smoke stage) can scrape it. The process exits 0 after a
 //! clean `POST /v1/admin/shutdown`.
 //!
-//! `--worker` boots a shard worker from one slice of a `MOCHYSHD` family
-//! (`MANIFEST` is the `.shards` manifest path, `SHARD` the primary shard,
-//! default 0); `--coordinator` boots a fan-out coordinator that owns only
-//! the manifest and scatters `POST /v1/count` over the `--peers` worker
-//! addresses. The two are mutually exclusive.
+//! `--worker` boots a shard worker from one `.mochy` snapshot: it loads the
+//! whole file and projects it once, then counts any shard a coordinator
+//! asks for. `--coordinator` reads the same snapshot for its sizes and
+//! checksum and scatters `POST /v1/count` over the `--peers` worker
+//! addresses, one shard per peer (at most 64). Every shard request names
+//! the snapshot checksum, and a worker holding a different file refuses it.
+//! The two roles are mutually exclusive.
 
 #![forbid(unsafe_code)]
 
 use std::io::Write;
-
+use std::path::Path;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -34,7 +36,7 @@ use mochy_serve::api::Role;
 use mochy_serve::coordinator::Coordinator;
 use mochy_serve::registry::Registry;
 use mochy_serve::server::{Server, ServerConfig};
-use mochy_serve::worker::WorkerState;
+use mochy_serve::worker::{snapshot_hex, WorkerState};
 
 // `--load` accepts text edge-lists AND binary `.mochy` snapshots (format
 // auto-detected by content) — the snapshot path is what makes cold boots
@@ -142,39 +144,41 @@ fn main() {
         std::process::exit(2);
     }
     let role = if let Some(spec) = worker_spec {
-        let (name, manifest, shard) = parse_shard_spec(&spec, "--worker", true);
-        let state = WorkerState::boot(&name, std::path::Path::new(&manifest), shard)
-            .unwrap_or_else(|error| {
-                eprintln!("failed to boot worker from `{manifest}`: {error}");
-                std::process::exit(1);
-            });
+        let (name, path) = parse_role_spec(&spec, "--worker");
+        let state = WorkerState::boot(name, Path::new(path)).unwrap_or_else(|error| {
+            eprintln!("failed to boot worker from `{path}`: {error}");
+            std::process::exit(1);
+        });
         println!(
-            "worker for dataset {name}: shard {shard} of {} ({manifest})",
-            state.num_shards()
+            "worker for dataset {name}: {} nodes, {} hyperedges, snapshot {} ({path})",
+            state.num_nodes(),
+            state.num_edges(),
+            snapshot_hex(state.snapshot())
         );
-        have_datasets = true; // a worker serves its shard family, not the demo datasets
+        have_datasets = true; // a worker serves its snapshot, not the demo datasets
         Role::Worker(Arc::new(state))
     } else if let Some(spec) = coordinator_spec {
         if peers.is_empty() {
             eprintln!("--coordinator requires at least one worker address via --peers");
             std::process::exit(2);
         }
-        let (name, manifest, _) = parse_shard_spec(&spec, "--coordinator", false);
+        let (name, path) = parse_role_spec(&spec, "--coordinator");
         let coordinator = Coordinator::boot(
-            &name,
-            std::path::Path::new(&manifest),
+            name,
+            Path::new(path),
             peers.clone(),
             fanout_deadline,
             fanout_retries,
         )
         .unwrap_or_else(|error| {
-            eprintln!("failed to boot coordinator from `{manifest}`: {error}");
+            eprintln!("failed to boot coordinator from `{path}`: {error}");
             std::process::exit(1);
         });
         println!(
-            "coordinator for dataset {name}: {} shards over {} workers ({manifest})",
+            "coordinator for dataset {name}: {} shards over {} workers, snapshot {} ({path})",
             coordinator.num_shards(),
-            peers.len()
+            peers.len(),
+            snapshot_hex(coordinator.snapshot())
         );
         have_datasets = true; // the distributed dataset lives on the workers
         Role::Coordinator(Arc::new(coordinator))
@@ -218,28 +222,13 @@ fn main() {
     println!("mochy-serve: clean shutdown");
 }
 
-/// Parses `NAME=MANIFEST[:SHARD]` (the `:SHARD` suffix only when
-/// `with_shard`); exits with usage code 2 on malformed specs.
-fn parse_shard_spec(spec: &str, flag: &str, with_shard: bool) -> (String, String, usize) {
-    let Some((name, rest)) = spec.split_once('=') else {
-        eprintln!(
-            "bad {flag} `{spec}` (expected NAME=MANIFEST{})",
-            if with_shard { "[:SHARD]" } else { "" }
-        );
+/// Parses a `--worker`/`--coordinator` `NAME=PATH` spec; exits with
+/// usage code 2 on a malformed one.
+fn parse_role_spec<'a>(spec: &'a str, flag: &str) -> (&'a str, &'a str) {
+    spec.split_once('=').unwrap_or_else(|| {
+        eprintln!("bad {flag} `{spec}` (expected NAME=PATH, a .mochy snapshot)");
         std::process::exit(2);
-    };
-    if with_shard {
-        if let Some((path, shard)) = rest.rsplit_once(':') {
-            if !shard.is_empty() && shard.chars().all(|c| c.is_ascii_digit()) {
-                let shard = shard.parse().unwrap_or_else(|_| {
-                    eprintln!("bad {flag} shard index `{shard}`");
-                    std::process::exit(2);
-                });
-                return (name.to_string(), path.to_string(), shard);
-            }
-        }
-    }
-    (name.to_string(), rest.to_string(), 0)
+    })
 }
 
 fn parse_count(text: &str, what: &str) -> usize {
@@ -278,11 +267,13 @@ fn print_usage() {
     eprintln!("usage: mochy-serve [--addr HOST:PORT | --port N] [--workers N] [--queue N]");
     eprintln!("                   [--cache N] [--threads N] [--max-requests N] [--idle-ms N]");
     eprintln!("                   [--gen NAME=DOMAIN:NODES:EDGES:SEED]... [--load NAME=PATH]...");
-    eprintln!("                   [--worker NAME=MANIFEST[:SHARD]]");
-    eprintln!("                   [--coordinator NAME=MANIFEST --peers ADDR,ADDR,...]");
+    eprintln!("                   [--worker NAME=PATH]");
+    eprintln!("                   [--coordinator NAME=PATH --peers ADDR,ADDR,...]");
     eprintln!("                   [--fanout-deadline-ms N] [--fanout-retries N]");
-    eprintln!("(--load auto-detects text edge-lists and binary .mochy snapshots)");
+    eprintln!("(--load auto-detects text edge-lists and binary .mochy snapshots;");
+    eprintln!(" --worker and --coordinator take the same .mochy snapshot, one shard per peer)");
     eprintln!("routes: GET /v1/healthz, GET /v1/datasets, POST /v1/datasets, POST /v1/count,");
-    eprintln!("        POST /v1/profile, POST /v1/mutate, POST /v1/admin/shutdown (see README);");
+    eprintln!("        POST /v1/profile, POST /v1/mutate, POST /v1/admin/shutdown,");
+    eprintln!("        POST /v1/internal/count-shard (--worker only; see README);");
     eprintln!("        unversioned paths remain as deprecated aliases");
 }

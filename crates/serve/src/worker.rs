@@ -1,88 +1,82 @@
 //! Worker-side state for distributed shard counting.
 //!
-//! A worker boots from a single shard of a `MOCHYSHD` family: it reads the
-//! manifest, then loads **only its primary shard's edge span** via
-//! [`load_shard_slice`] — cold-start I/O proportional to one slice, not the
-//! dataset. It then answers `POST /v1/internal/count-shard` for *any* shard
-//! of the family (the coordinator reassigns shards of dead workers to
-//! survivors, so every worker must be able to serve every shard).
+//! A worker boots from one `.mochy` snapshot: it loads and fully validates
+//! the whole file, keeps the snapshot's trailing FNV-1a 64 checksum as its
+//! identity, and projects the hypergraph once. It then answers
+//! `POST /v1/internal/count-shard` for any shard of any layout: every
+//! request names the coordinator's shard count `shards` and one `shard`, and
+//! the coordinator reassigns the shards of dead workers to survivors, so
+//! every worker must be able to serve every shard. Every request also names
+//! the snapshot checksum the coordinator read from its own copy of the file;
+//! a worker holding a different snapshot refuses before counting (409
+//! `conflict`), so no partial of another dataset can reach a merge.
 //!
 //! # Why the answer is bit-identical to unsharded MoCHy-E
 //!
 //! The shard partial itself is computed by
 //! [`mochy_core::shard::count_shard_partial`]: MoCHy-E over the centre
-//! hyperedges in the shard's edge span, walked on the **full** projected
+//! hyperedges in the shard's edge span, walked on the full projected
 //! graph, since an instance centred in the span reaches hyperedges of any
 //! shard. Every instance has exactly one centre, so the shards' partials
 //! are disjoint and together complete. Each adds exact `+1.0`
 //! contributions into `f64` accumulators, and real-world totals sit far
 //! below 2^53, so addition is exact integer arithmetic — no grouping of the
 //! work (by shard, by worker, by thread) can change a bit of the merged
-//! counts. The first request therefore lazily assembles the full hypergraph
-//! from the family's slices and projects it once (both cached afterwards);
-//! the assembled edge order is the manifest order, i.e. exactly the
-//! unsharded snapshot's order.
+//! counts.
 
-use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::path::Path;
 
 use mochy_core::shard::{count_shard_partial, ShardPartial};
-use mochy_hypergraph::{
-    load_shard_slice, load_sharded, manifest_stem, read_manifest_file, Hypergraph, ShardError,
-    ShardManifest,
-};
-use mochy_projection::{project, project_parallel, ProjectedGraph};
+use mochy_hypergraph::{read_snapshot_file_with_checksum, Hypergraph, SnapshotError};
+use mochy_projection::{project, ProjectedGraph};
 
-/// The lazily-assembled full dataset every shard's centre walk reads.
-struct FullDataset {
-    hypergraph: Hypergraph,
-    projected: ProjectedGraph,
+/// Renders a snapshot checksum in its wire form: 16 lowercase hex digits.
+/// A `u64` does not fit a JSON number exactly, so it travels as a string.
+pub fn snapshot_hex(checksum: u64) -> String {
+    format!("{checksum:016x}")
 }
 
-/// Everything a `--worker` instance knows about its shard family.
+/// Parses the [`snapshot_hex`] wire form; any other spelling is `None`.
+pub(crate) fn parse_snapshot_hex(text: &str) -> Option<u64> {
+    let canonical =
+        text.len() == 16 && text.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f'));
+    if !canonical {
+        return None;
+    }
+    u64::from_str_radix(text, 16).ok()
+}
+
+/// Everything a `--worker` instance knows: one snapshot, projected once.
 pub struct WorkerState {
     dataset: String,
-    stem: PathBuf,
-    manifest: ShardManifest,
-    primary_shard: usize,
-    full: Mutex<Option<Arc<FullDataset>>>,
+    snapshot: u64,
+    hypergraph: Hypergraph,
+    projected: ProjectedGraph,
 }
 
 impl std::fmt::Debug for WorkerState {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("WorkerState")
             .field("dataset", &self.dataset)
-            .field("stem", &self.stem)
-            .field("primary_shard", &self.primary_shard)
-            .field("num_shards", &self.manifest.num_shards())
-            .field("assembled", &self.is_assembled())
+            .field("snapshot", &snapshot_hex(self.snapshot))
+            .field("num_nodes", &self.num_nodes())
+            .field("num_edges", &self.num_edges())
             .finish()
     }
 }
 
 impl WorkerState {
-    /// Boots a worker for `dataset` from `manifest_path`, eagerly loading
-    /// (and fully validating) only the `primary_shard` slice.
-    ///
-    /// The slice itself is not retained: counting always needs the full
-    /// hypergraph and its projection, so the load here is a cheap
-    /// boot-time proof that this worker's shard file is present and intact
-    /// before the coordinator is told the worker is healthy.
-    pub fn boot(
-        dataset: impl Into<String>,
-        manifest_path: &Path,
-        primary_shard: usize,
-    ) -> Result<Self, ShardError> {
-        let manifest = read_manifest_file(manifest_path)?;
-        let stem = manifest_stem(manifest_path)?;
-        // Validates checksum, edge span, and node universe of the one slice.
-        let _slice = load_shard_slice(&stem, &manifest, primary_shard)?;
+    /// Boots a worker for `dataset` from the `.mochy` snapshot at `path`:
+    /// loads and validates the whole file, then projects it once, so the
+    /// worker is ready to count before it answers its first health check.
+    pub fn boot(dataset: impl Into<String>, path: &Path) -> Result<Self, SnapshotError> {
+        let (hypergraph, snapshot) = read_snapshot_file_with_checksum(path)?;
+        let projected = project(&hypergraph);
         Ok(Self {
             dataset: dataset.into(),
-            stem,
-            manifest,
-            primary_shard,
-            full: Mutex::new(None),
+            snapshot,
+            hypergraph,
+            projected,
         })
     }
 
@@ -91,96 +85,43 @@ impl WorkerState {
         &self.dataset
     }
 
-    /// The shard this worker booted from.
-    pub fn primary_shard(&self) -> usize {
-        self.primary_shard
+    /// The trailing FNV-1a 64 checksum of the snapshot this worker booted
+    /// from.
+    pub fn snapshot(&self) -> u64 {
+        self.snapshot
     }
 
-    /// The number of shards in the family.
-    pub fn num_shards(&self) -> usize {
-        self.manifest.num_shards()
+    /// The snapshot's node count.
+    pub fn num_nodes(&self) -> usize {
+        self.hypergraph.num_nodes()
     }
 
-    /// The shard-family manifest.
-    pub fn manifest(&self) -> &ShardManifest {
-        &self.manifest
+    /// The snapshot's hyperedge count.
+    pub fn num_edges(&self) -> usize {
+        self.hypergraph.num_edges()
     }
 
-    /// Whether the full hypergraph has been assembled yet.
-    pub fn is_assembled(&self) -> bool {
-        self.full
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .is_some()
-    }
-
-    /// Computes the [`ShardPartial`] for `shard` with `threads` threads.
-    ///
-    /// The first call assembles the full hypergraph from the family's shard
-    /// files and projects it; both are cached, so subsequent calls (for any
-    /// shard) reuse them. Assembly runs outside the state lock; concurrent
-    /// first requests may each build, but the first to publish wins and the
-    /// rest adopt it, so every caller sees the same [`FullDataset`].
-    pub fn count_shard(&self, shard: usize, threads: usize) -> Result<ShardPartial, String> {
-        let full = self.assemble(threads)?;
-        count_shard_partial(
-            &full.hypergraph,
-            &full.projected,
-            self.manifest.num_shards(),
-            shard,
-            threads,
-        )
-        .ok_or_else(|| {
-            format!(
-                "shard {shard} out of range for a {}-shard family",
-                self.manifest.num_shards()
-            )
-        })
-    }
-
-    /// The cached full dataset, if one has been published.
-    fn cached(&self) -> Option<Arc<FullDataset>> {
-        self.full
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .as_ref()
-            .map(Arc::clone)
-    }
-
-    fn assemble(&self, threads: usize) -> Result<Arc<FullDataset>, String> {
-        if let Some(full) = self.cached() {
-            return Ok(full);
-        }
-        // Load and project with no lock held — this is seconds of IO and CPU
-        // on a large family, and a held guard would stall health checks. If
-        // two first requests race, both build, the first to publish wins and
-        // the loser adopts the published copy.
-        let sharded = load_sharded(&self.stem)
-            .map_err(|error| format!("assembling shard family: {error}"))?;
-        let hypergraph = sharded
-            .assemble()
-            .map_err(|error| format!("assembling shard family: {error}"))?;
-        let projected = if threads > 1 {
-            project_parallel(&hypergraph, threads)
-        } else {
-            project(&hypergraph)
-        };
-        let built = Arc::new(FullDataset {
-            hypergraph,
-            projected,
-        });
-        let mut slot = self.full.lock().unwrap_or_else(PoisonError::into_inner);
-        let full = slot.get_or_insert_with(|| Arc::clone(&built));
-        Ok(Arc::clone(full))
+    /// Computes shard `shard` of the `shards`-span layout with `threads`
+    /// threads; `None` when `shard` is outside the layout.
+    pub fn count_shard(&self, shards: usize, shard: usize, threads: usize) -> Option<ShardPartial> {
+        count_shard_partial(&self.hypergraph, &self.projected, shards, shard, threads)
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::path::PathBuf;
+    use std::sync::Arc;
+    use std::time::Instant;
+
     use super::*;
+    use crate::api::{handle, ApiContext, QueryCache, Role};
+    use crate::http::Request;
+    use crate::registry::Registry;
     use mochy_core::shard::{count_sharded, merge_partials};
     use mochy_core::{mochy_e, MotifCounts};
-    use mochy_hypergraph::{write_shards, HypergraphBuilder};
+    use mochy_hypergraph::{write_snapshot_file, HypergraphBuilder};
+    use mochy_json::{self as json, JsonValue};
 
     fn sample_hypergraph() -> Hypergraph {
         let mut builder = HypergraphBuilder::new();
@@ -191,68 +132,180 @@ mod tests {
         builder.build().expect("sample hypergraph builds")
     }
 
-    fn temp_stem(tag: &str) -> PathBuf {
-        std::env::temp_dir().join(format!("mochy-worker-{tag}-{}", std::process::id()))
+    fn temp_path(tag: &str) -> PathBuf {
+        std::env::temp_dir().join(format!("mochy-worker-{tag}-{}.mochy", std::process::id()))
+    }
+
+    /// A worker booted from a fresh snapshot of [`sample_hypergraph`].
+    fn booted(tag: &str) -> WorkerState {
+        let path = temp_path(tag);
+        write_snapshot_file(&sample_hypergraph(), &path).expect("write snapshot");
+        let state = WorkerState::boot("sample", &path).expect("boot worker");
+        let _ = std::fs::remove_file(&path);
+        state
+    }
+
+    fn worker_context(state: WorkerState) -> ApiContext {
+        ApiContext {
+            registry: Registry::new(),
+            cache: QueryCache::new(8),
+            max_threads: 2,
+            num_workers: 1,
+            queue_depth: 4,
+            max_requests_per_connection: 128,
+            idle_timeout_ms: 5_000,
+            started: Instant::now(),
+            role: Role::Worker(Arc::new(state)),
+        }
+    }
+
+    fn count_shard_request(body: &str) -> Request {
+        Request {
+            method: "POST".to_string(),
+            path: "/v1/internal/count-shard".to_string(),
+            body: body.to_string(),
+            keep_alive: true,
+        }
+    }
+
+    fn error_kind(body: &str) -> String {
+        json::parse(body)
+            .ok()
+            .and_then(|doc| {
+                doc.get("error")
+                    .and_then(|error| error.get("kind"))
+                    .and_then(JsonValue::as_str)
+                    .map(str::to_string)
+            })
+            .unwrap_or_default()
+    }
+
+    #[test]
+    fn snapshot_hex_round_trips_and_rejects_other_spellings() {
+        for checksum in [0u64, 1, 0xdead_beef, u64::MAX] {
+            let text = snapshot_hex(checksum);
+            assert_eq!(text.len(), 16);
+            assert_eq!(parse_snapshot_hex(&text), Some(checksum));
+        }
+        for bad in [
+            "",
+            "0",
+            "00000000DEADBEEF",
+            "+000000000000001",
+            "0x00000000000001",
+            "00000000000000001",
+        ] {
+            assert_eq!(parse_snapshot_hex(bad), None, "{bad:?}");
+        }
     }
 
     #[test]
     fn a_worker_counts_every_shard_bit_identically() {
         let h = sample_hypergraph();
-        let stem = temp_stem("counts");
-        write_shards(&h, &stem, 3).expect("write shards");
-
-        let manifest_path = mochy_hypergraph::manifest_file_path(&stem);
-        let state = WorkerState::boot("sample", &manifest_path, 1).expect("boot worker");
+        let state = booted("counts");
         assert_eq!(state.dataset(), "sample");
-        assert_eq!(state.primary_shard(), 1);
-        assert_eq!(state.num_shards(), 3);
-        assert!(!state.is_assembled());
+        assert_eq!(state.num_edges(), h.num_edges());
+        assert_eq!(state.num_nodes(), h.num_nodes());
 
         // Reference: in-process sharded counting over the original graph.
         let projected = project(&h);
-        let expected = count_sharded(&h, &projected, 3, 1);
-
-        let mut partials = Vec::new();
-        for shard in 0..3 {
-            partials.push(state.count_shard(shard, 1).expect("count shard"));
-        }
-        assert!(state.is_assembled());
-        for (ours, reference) in partials.iter().zip(expected.iter()) {
-            assert_eq!(ours.to_json().render(), reference.to_json().render());
-        }
-
-        // And the merge equals plain MoCHy-E.
-        let (merged, hyperwedges) = merge_partials(&partials);
         let direct: MotifCounts = mochy_e(&h, &projected);
-        assert_eq!(merged.as_slice(), direct.as_slice());
-        assert_eq!(hyperwedges, projected.num_hyperwedges());
-
-        let _ = std::fs::remove_file(&manifest_path);
-        for shard in 0..3 {
-            let _ = std::fs::remove_file(mochy_hypergraph::shard_file_path(&stem, shard));
+        for shards in [1usize, 3, 5] {
+            let expected = count_sharded(&h, &projected, shards, 1);
+            let partials: Vec<ShardPartial> = (0..shards)
+                .map(|shard| state.count_shard(shards, shard, 1).expect("shard in range"))
+                .collect();
+            assert_eq!(partials, expected, "K={shards}");
+            let (merged, hyperwedges) = merge_partials(&partials);
+            assert_eq!(merged.as_slice(), direct.as_slice(), "K={shards}");
+            assert_eq!(hyperwedges, projected.num_hyperwedges(), "K={shards}");
+            assert!(state.count_shard(shards, shards, 1).is_none());
         }
     }
 
     #[test]
-    fn out_of_range_shards_and_broken_families_are_errors() {
-        let h = sample_hypergraph();
-        let stem = temp_stem("errors");
-        write_shards(&h, &stem, 2).expect("write shards");
-        let manifest_path = mochy_hypergraph::manifest_file_path(&stem);
+    fn boot_rejects_missing_text_and_corrupt_snapshots() {
+        let missing = temp_path("missing");
+        let _ = std::fs::remove_file(&missing);
+        assert!(matches!(
+            WorkerState::boot("sample", &missing),
+            Err(SnapshotError::Io(_))
+        ));
 
-        assert!(WorkerState::boot("sample", &manifest_path, 9).is_err());
+        let text = temp_path("text");
+        std::fs::write(&text, "0 1 2\n1 2 3\n2 3 4\n").expect("write text");
+        let booted = WorkerState::boot("sample", &text);
+        let _ = std::fs::remove_file(&text);
+        assert!(booted.is_err(), "a text edge-list is not a snapshot");
 
-        let state = WorkerState::boot("sample", &manifest_path, 0).expect("boot worker");
-        let error = state.count_shard(7, 1).expect_err("out of range");
-        assert!(error.contains("out of range"), "{error}");
+        let flipped = temp_path("flipped");
+        write_snapshot_file(&sample_hypergraph(), &flipped).expect("write snapshot");
+        let mut bytes = std::fs::read(&flipped).expect("read snapshot");
+        let middle = bytes.len() / 2;
+        bytes[middle] ^= 0x01;
+        std::fs::write(&flipped, &bytes).expect("rewrite snapshot");
+        let booted = WorkerState::boot("sample", &flipped);
+        let _ = std::fs::remove_file(&flipped);
+        assert!(
+            matches!(booted, Err(SnapshotError::ChecksumMismatch { .. })),
+            "{booted:?}"
+        );
+    }
 
-        // Deleting a sibling slice breaks lazy assembly with a typed message.
-        let fresh = WorkerState::boot("sample", &manifest_path, 0).expect("boot worker");
-        let _ = std::fs::remove_file(mochy_hypergraph::shard_file_path(&stem, 1));
-        let error = fresh.count_shard(0, 1).expect_err("missing sibling slice");
-        assert!(error.contains("assembling shard family"), "{error}");
+    #[test]
+    fn a_request_for_another_snapshot_is_a_conflict() {
+        let state = booted("conflict");
+        let held = state.snapshot();
+        let ctx = worker_context(state);
+        let body = |snapshot: u64| {
+            format!(
+                r#"{{"dataset": "sample", "snapshot": "{}", "shards": 2, "shard": 0}}"#,
+                snapshot_hex(snapshot)
+            )
+        };
 
-        let _ = std::fs::remove_file(&manifest_path);
-        let _ = std::fs::remove_file(mochy_hypergraph::shard_file_path(&stem, 0));
+        let wrong = handle(&ctx, &count_shard_request(&body(held ^ 1)));
+        assert_eq!(wrong.status, 409, "{}", wrong.body);
+        assert_eq!(error_kind(&wrong.body), "conflict");
+        assert!(wrong.body.contains(&snapshot_hex(held)), "{}", wrong.body);
+
+        let right = handle(&ctx, &count_shard_request(&body(held)));
+        assert_eq!(right.status, 200, "{}", right.body);
+        let partial = ShardPartial::from_json(&json::parse(&right.body).unwrap()).unwrap();
+        assert_eq!(partial.shard, 0);
+    }
+
+    #[test]
+    fn invalid_shard_layouts_are_rejected_before_counting() {
+        let state = booted("layouts");
+        let snapshot = snapshot_hex(state.snapshot());
+        let ctx = worker_context(state);
+        for (layout, needle) in [
+            (r#""shards": 0, "shard": 0"#, "`shards`"),
+            (r#""shards": 65, "shard": 0"#, "`shards`"),
+            (r#""shards": 1.5, "shard": 0"#, "`shards`"),
+            (r#""shard": 0"#, "`shards`"),
+            (r#""shards": 3, "shard": 3"#, "`shard`"),
+            (r#""shards": 3, "shard": 7"#, "`shard`"),
+            (r#""shards": 3"#, "`shard`"),
+        ] {
+            let body = format!(r#"{{"dataset": "sample", "snapshot": "{snapshot}", {layout}}}"#);
+            let response = handle(&ctx, &count_shard_request(&body));
+            assert_eq!(response.status, 400, "{layout} → {}", response.body);
+            assert_eq!(error_kind(&response.body), "bad-request");
+            assert!(
+                response.body.contains(needle),
+                "{layout} → {}",
+                response.body
+            );
+        }
+        for snapshot in ["", "DEADBEEFDEADBEEF", "12"] {
+            let body = format!(
+                r#"{{"dataset": "sample", "snapshot": "{snapshot}", "shards": 1, "shard": 0}}"#
+            );
+            let response = handle(&ctx, &count_shard_request(&body));
+            assert_eq!(response.status, 400, "{snapshot:?} → {}", response.body);
+            assert!(response.body.contains("`snapshot`"), "{}", response.body);
+        }
     }
 }

@@ -1,16 +1,17 @@
 //! Distributed scatter-gather, end to end over real TCP: a coordinator and
-//! three shard workers on ephemeral ports, exercising bit-identity against
-//! the unsharded count, retry after a worker dies mid-sequence,
-//! deadline-triggered reassignment around a stalling worker, the uniform
-//! fan-out error envelope, and byte-identical cache hits through the
-//! coordinator.
+//! three shard workers on ephemeral ports, all booted from one `.mochy`
+//! snapshot, exercising bit-identity against the unsharded count, retry
+//! after a worker dies mid-sequence, deadline-triggered reassignment around
+//! a stalling worker, refusal by a worker holding a different snapshot, the
+//! uniform fan-out error envelope, and byte-identical cache hits through
+//! the coordinator.
 
 use std::net::TcpListener;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
-use mochy_hypergraph::{manifest_file_path, write_shards, Hypergraph, HypergraphBuilder};
+use mochy_hypergraph::{write_snapshot_file, Hypergraph, HypergraphBuilder};
 use mochy_json::{self as json, JsonValue};
 use mochy_serve::api::Role;
 use mochy_serve::client::HttpClient;
@@ -22,30 +23,40 @@ use mochy_serve::worker::WorkerState;
 const DEADLINE: Duration = Duration::from_secs(30);
 const NUM_SHARDS: usize = 3;
 
-/// A hypergraph big enough that every shard holds edges and motifs cross
-/// shard boundaries.
-fn dataset() -> Hypergraph {
+/// The first `num_edges` hyperedges of one fixed sequence, so a smaller
+/// count is exactly the larger dataset minus its last hyperedges.
+fn dataset_of(num_edges: u32) -> Hypergraph {
     let mut builder = HypergraphBuilder::new();
-    for e in 0u32..60 {
+    for e in 0..num_edges {
         let base = e % 13;
         builder.add_edge(vec![base, base + 2, (base * 5) % 17, (e / 3) % 9 + 1]);
     }
     builder.build().expect("dataset builds")
 }
 
-/// Writes the shard family to a unique temp stem; returns (stem, manifest).
-fn write_family(tag: &str) -> (PathBuf, PathBuf) {
-    let stem = std::env::temp_dir().join(format!("mochy-distributed-{tag}-{}", std::process::id()));
-    write_shards(&dataset(), &stem, NUM_SHARDS).expect("write shard family");
-    let manifest = manifest_file_path(&stem);
-    (stem, manifest)
+/// A hypergraph big enough that every shard holds edges and motifs cross
+/// shard boundaries.
+fn dataset() -> Hypergraph {
+    dataset_of(60)
 }
 
-fn cleanup_family(stem: &Path, manifest: &Path) {
-    let _ = std::fs::remove_file(manifest);
-    for shard in 0..NUM_SHARDS {
-        let _ = std::fs::remove_file(mochy_hypergraph::shard_file_path(stem, shard));
-    }
+/// Writes `hypergraph` as a `.mochy` snapshot at a unique temp path.
+fn write_dataset(tag: &str, hypergraph: &Hypergraph) -> PathBuf {
+    let path = std::env::temp_dir().join(format!(
+        "mochy-distributed-{tag}-{}.mochy",
+        std::process::id()
+    ));
+    write_snapshot_file(hypergraph, &path).expect("write snapshot");
+    path
+}
+
+/// Writes [`dataset`] as the snapshot every role of a test boots from.
+fn write_snapshot(tag: &str) -> PathBuf {
+    write_dataset(tag, &dataset())
+}
+
+fn cleanup(snapshot: &Path) {
+    let _ = std::fs::remove_file(snapshot);
 }
 
 fn quiet_config() -> ServerConfig {
@@ -56,8 +67,8 @@ fn quiet_config() -> ServerConfig {
     }
 }
 
-fn boot_worker(manifest: &Path, shard: usize) -> Server {
-    let state = WorkerState::boot("dist", manifest, shard).expect("boot worker state");
+fn boot_worker(snapshot: &Path) -> Server {
+    let state = WorkerState::boot("dist", snapshot).expect("boot worker state");
     Server::start_with_role(
         quiet_config(),
         Registry::new(),
@@ -67,13 +78,13 @@ fn boot_worker(manifest: &Path, shard: usize) -> Server {
 }
 
 fn boot_coordinator(
-    manifest: &Path,
+    snapshot: &Path,
     peers: Vec<String>,
     deadline: Duration,
     retries: usize,
 ) -> Server {
     let coordinator =
-        Coordinator::boot("dist", manifest, peers, deadline, retries).expect("boot coordinator");
+        Coordinator::boot("dist", snapshot, peers, deadline, retries).expect("boot coordinator");
     Server::start_with_role(
         quiet_config(),
         Registry::new(),
@@ -93,10 +104,10 @@ fn count_fingerprint(body: &str) -> (String, String, String) {
 
 #[test]
 fn coordinator_counts_are_bit_identical_to_unsharded() {
-    let (stem, manifest) = write_family("identity");
-    let workers: Vec<Server> = (0..NUM_SHARDS).map(|s| boot_worker(&manifest, s)).collect();
+    let snapshot = write_snapshot("identity");
+    let workers: Vec<Server> = (0..NUM_SHARDS).map(|_| boot_worker(&snapshot)).collect();
     let peers: Vec<String> = workers.iter().map(|w| w.local_addr().to_string()).collect();
-    let coordinator = boot_coordinator(&manifest, peers, DEADLINE, 2);
+    let coordinator = boot_coordinator(&snapshot, peers, DEADLINE, 2);
 
     // Reference: the same hypergraph served unsharded by a standalone server.
     let registry = Registry::new();
@@ -122,7 +133,7 @@ fn coordinator_counts_are_bit_identical_to_unsharded() {
         "distributed counts must be bit-identical to the unsharded run"
     );
 
-    // The distributed body reports the family's topology.
+    // The distributed body reports the topology: one shard per worker.
     let parsed = json::parse(&distributed.body).expect("body parses");
     assert_eq!(parsed.get("shards").and_then(JsonValue::as_u64), Some(3));
 
@@ -151,7 +162,8 @@ fn coordinator_counts_are_bit_identical_to_unsharded() {
         Some(3)
     );
 
-    // And a worker's healthz reports its shard view.
+    // And a worker's healthz reports its role and the snapshot it holds,
+    // the same checksum the coordinator reports.
     let mut via_worker = HttpClient::new(
         workers
             .first()
@@ -167,6 +179,16 @@ fn coordinator_counts_are_bit_identical_to_unsharded() {
         worker_body.get("role").and_then(JsonValue::as_str),
         Some("worker")
     );
+    let held = worker_body
+        .get("worker")
+        .and_then(|worker| worker.get("snapshot"))
+        .and_then(JsonValue::as_str)
+        .expect("worker snapshot");
+    assert_eq!(held.len(), 16);
+    assert_eq!(
+        fanout.get("snapshot").and_then(JsonValue::as_str),
+        Some(held)
+    );
 
     drop(via_coordinator);
     coordinator.shutdown();
@@ -174,15 +196,15 @@ fn coordinator_counts_are_bit_identical_to_unsharded() {
         worker.shutdown();
     }
     standalone.shutdown();
-    cleanup_family(&stem, &manifest);
+    cleanup(&snapshot);
 }
 
 #[test]
 fn a_killed_worker_is_retried_on_survivors_bit_identically() {
-    let (stem, manifest) = write_family("retry");
-    let workers: Vec<Server> = (0..NUM_SHARDS).map(|s| boot_worker(&manifest, s)).collect();
+    let snapshot = write_snapshot("retry");
+    let workers: Vec<Server> = (0..NUM_SHARDS).map(|_| boot_worker(&snapshot)).collect();
     let peers: Vec<String> = workers.iter().map(|w| w.local_addr().to_string()).collect();
-    let coordinator = boot_coordinator(&manifest, peers, DEADLINE, 2);
+    let coordinator = boot_coordinator(&snapshot, peers, DEADLINE, 2);
     let mut client = HttpClient::new(coordinator.local_addr().to_string());
 
     // Baseline with all workers alive.
@@ -213,12 +235,12 @@ fn a_killed_worker_is_retried_on_survivors_bit_identically() {
     for worker in survivors {
         worker.shutdown();
     }
-    cleanup_family(&stem, &manifest);
+    cleanup(&snapshot);
 }
 
 #[test]
 fn a_stalling_worker_hits_the_deadline_and_is_reassigned() {
-    let (stem, manifest) = write_family("stall");
+    let snapshot = write_snapshot("stall");
     // A "worker" that accepts connections and then never answers.
     let stall = TcpListener::bind("127.0.0.1:0").expect("bind stall listener");
     let stall_addr = stall.local_addr().expect("stall addr").to_string();
@@ -235,10 +257,10 @@ fn a_stalling_worker_hits_the_deadline_and_is_reassigned() {
         }
     });
 
-    let live = boot_worker(&manifest, 0);
+    let live = boot_worker(&snapshot);
     let peers = vec![stall_addr, live.local_addr().to_string()];
     // Short fan-out deadline so the stalled exchange fails fast.
-    let coordinator = boot_coordinator(&manifest, peers, Duration::from_millis(500), 2);
+    let coordinator = boot_coordinator(&snapshot, peers, Duration::from_millis(500), 2);
     let mut client = HttpClient::new(coordinator.local_addr().to_string());
 
     let query = r#"{"dataset": "dist", "method": "mochy-e"}"#;
@@ -253,19 +275,101 @@ fn a_stalling_worker_hits_the_deadline_and_is_reassigned() {
     live.shutdown();
     drop(client);
     drop(stall_thread); // detach: it exits when its listener errors at teardown
-    cleanup_family(&stem, &manifest);
+    cleanup(&snapshot);
+}
+
+#[test]
+fn a_worker_holding_another_snapshot_is_refused_and_retried() {
+    // 61 hyperedges: dropping the last one leaves shard 0 of a 2-shard
+    // layout spanning 0..30 either way, so the span check alone cannot tell
+    // the two snapshots apart — only the snapshot check can.
+    let full = dataset_of(61);
+    let snapshot = write_dataset("mismatch-full", &full);
+    let other = write_dataset("mismatch-other", &dataset_of(60));
+    let stale = boot_worker(&other);
+    let matching = boot_worker(&snapshot);
+    let stale_addr = stale.local_addr().to_string();
+
+    let registry = Registry::new();
+    registry.insert("dist", full);
+    let standalone = Server::start(quiet_config(), registry).expect("bind standalone");
+    let query = r#"{"dataset": "dist", "method": "mochy-e"}"#;
+    let unsharded = HttpClient::new(standalone.local_addr().to_string())
+        .post("/v1/count", query, DEADLINE)
+        .expect("unsharded count");
+    assert_eq!(unsharded.status, 200, "{}", unsharded.body);
+
+    // Shards are dealt round-robin, so the stale worker is asked for shard 0
+    // first; it refuses and the matching worker serves the retry.
+    let coordinator = boot_coordinator(
+        &snapshot,
+        vec![stale_addr.clone(), matching.local_addr().to_string()],
+        DEADLINE,
+        2,
+    );
+    let distributed = HttpClient::new(coordinator.local_addr().to_string())
+        .post("/v1/count", query, DEADLINE)
+        .expect("distributed count");
+    assert_eq!(distributed.status, 200, "{}", distributed.body);
+    assert_eq!(
+        count_fingerprint(&distributed.body),
+        count_fingerprint(&unsharded.body),
+        "a partial of another snapshot must never reach the merge"
+    );
+
+    // With the stale worker as the only peer there is nobody to retry on.
+    let lonely = boot_coordinator(&snapshot, vec![stale_addr.clone()], DEADLINE, 2);
+    let response = HttpClient::new(lonely.local_addr().to_string())
+        .post("/v1/count", query, DEADLINE)
+        .expect("exchange completes");
+    assert_eq!(response.status, 502, "{}", response.body);
+    let parsed = json::parse(&response.body).expect("error body parses");
+    let error = parsed.get("error").expect("error envelope");
+    assert_eq!(
+        error.get("kind").and_then(JsonValue::as_str),
+        Some("fanout-failed")
+    );
+    let attempt = error
+        .get("detail")
+        .and_then(|detail| detail.get("failed_shards"))
+        .and_then(JsonValue::as_array)
+        .and_then(|failed| failed.first())
+        .and_then(|failure| failure.get("attempts"))
+        .and_then(JsonValue::as_array)
+        .and_then(|attempts| attempts.first())
+        .expect("one logged attempt");
+    assert_eq!(
+        attempt.get("worker").and_then(JsonValue::as_str),
+        Some(stale_addr.as_str())
+    );
+    let logged = attempt
+        .get("error")
+        .and_then(JsonValue::as_str)
+        .unwrap_or_default();
+    assert!(
+        logged.contains("409") && logged.contains("snapshot mismatch"),
+        "the attempt log must name the snapshot mismatch: {logged}"
+    );
+
+    lonely.shutdown();
+    coordinator.shutdown();
+    standalone.shutdown();
+    stale.shutdown();
+    matching.shutdown();
+    cleanup(&snapshot);
+    cleanup(&other);
 }
 
 #[test]
 fn total_fanout_failure_is_a_structured_502() {
-    let (stem, manifest) = write_family("fail");
+    let snapshot = write_snapshot("fail");
     // Reserve a port, then close the listener so the address refuses.
     let dead_addr = {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         listener.local_addr().expect("addr").to_string()
     };
     let coordinator = boot_coordinator(
-        &manifest,
+        &snapshot,
         vec![dead_addr.clone()],
         Duration::from_millis(500),
         1,
@@ -293,7 +397,8 @@ fn total_fanout_failure_is_a_structured_502() {
     let JsonValue::Array(failed) = failed else {
         panic!("failed_shards must be an array: {failed:?}");
     };
-    assert_eq!(failed.len(), NUM_SHARDS);
+    // One peer, so one shard.
+    assert_eq!(failed.len(), 1);
     let first = failed.first().expect("one failure");
     assert_eq!(first.get("shard").and_then(JsonValue::as_u64), Some(0));
     let attempts = first.get("attempts").expect("attempt log");
@@ -308,15 +413,15 @@ fn total_fanout_failure_is_a_structured_502() {
     assert!(attempt.get("error").is_some());
 
     coordinator.shutdown();
-    cleanup_family(&stem, &manifest);
+    cleanup(&snapshot);
 }
 
 #[test]
 fn the_distributed_dataset_rejects_unsupported_query_shapes() {
-    let (stem, manifest) = write_family("shapes");
-    let worker = boot_worker(&manifest, 0);
+    let snapshot = write_snapshot("shapes");
+    let worker = boot_worker(&snapshot);
     let coordinator = boot_coordinator(
-        &manifest,
+        &snapshot,
         vec![worker.local_addr().to_string()],
         DEADLINE,
         1,
@@ -334,7 +439,7 @@ fn the_distributed_dataset_rejects_unsupported_query_shapes() {
         ),
         (
             r#"{"dataset": "dist", "method": "mochy-e", "shards": 2}"#,
-            "sharded by its manifest",
+            "one shard per worker",
         ),
     ] {
         let response = client.post("/v1/count", body, DEADLINE).expect("exchange");
@@ -351,5 +456,5 @@ fn the_distributed_dataset_rejects_unsupported_query_shapes() {
 
     coordinator.shutdown();
     worker.shutdown();
-    cleanup_family(&stem, &manifest);
+    cleanup(&snapshot);
 }
