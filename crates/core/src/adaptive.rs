@@ -15,7 +15,7 @@ use mochy_projection::ProjectedGraph;
 use rand::Rng;
 
 use crate::count::MotifCounts;
-use crate::sample::mochy_a_plus_impl;
+use crate::sample::{mochy_a_plus_impl, WedgeSampler, WedgeWalk};
 
 /// Configuration of the adaptive estimator.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -100,11 +100,13 @@ pub(crate) fn mochy_a_plus_adaptive_impl<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> AdaptiveOutcome {
     let config = config.normalized();
+    let mut walk = WedgeWalk::new(hypergraph);
+    let sampler = WedgeSampler::new(projected);
     let mut batch_estimates: Vec<MotifCounts> = Vec::with_capacity(config.min_batches);
     let mut converged = false;
 
     while batch_estimates.len() < config.max_batches {
-        let batch = mochy_a_plus_impl(hypergraph, projected, config.batch_size, rng);
+        let batch = mochy_a_plus_impl(&mut walk, &sampler, projected, config.batch_size, rng);
         batch_estimates.push(batch);
         if batch_estimates.len() < config.min_batches {
             continue;

@@ -7,13 +7,18 @@
 //! ([`MotifCatalog::classify_from_intersections`]).
 //!
 //! The functions here classify one triple at a time and compute its triple
-//! intersection by scanning the smallest of the three hyperedges; the
-//! sampling and on-the-fly counters use them. The exact counters classify
-//! whole neighbourhoods at once: their pair walk (`exact::CentreWalk`) reads
-//! every `ω_jk` of a centre `e_i` from one sorted merge per neighbour and
-//! every triple intersection as a popcount over bitmasks of `e_i`'s nodes,
-//! then classifies through the same catalog call, so both routes give the
-//! same motif for the same triple.
+//! intersection by scanning the smallest of the three hyperedges. They are
+//! the public single-triple API and the samplers' test oracle; no counter
+//! calls them. The counters classify many triples around one hyperedge or
+//! hyperwedge at once and pass each triple's intersection sizes to the same
+//! catalog call, so every route gives the same motif for the same triple:
+//! - the exact pair walk (`exact::CentreWalk`) reads every `ω_jk` of a
+//!   centre `e_i` from one sorted merge per neighbour and every triple
+//!   intersection as a popcount over bitmasks of `e_i`'s nodes;
+//! - the sampling kernel (`sample::WedgeWalk`) counts, per sampled
+//!   hyperwedge `∧_ij`, how many nodes of `e_i ∩ e_j` each hyperedge
+//!   contains, and reads a closed triple's `|e_i ∩ e_j ∩ e_k|` from that
+//!   counter.
 
 use mochy_hypergraph::{EdgeId, Hypergraph};
 use mochy_motif::{MotifCatalog, MotifId};

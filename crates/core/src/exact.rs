@@ -274,7 +274,7 @@ pub fn brute_force_counts(hypergraph: &Hypergraph) -> MotifCounts {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use mochy_hypergraph::HypergraphBuilder;
     use mochy_projection::project;
@@ -397,7 +397,7 @@ mod tests {
     /// straddle the 64-bit word boundaries of the pair walk's masks, mixed
     /// in random id order with small ones. All edges draw from 160 nodes, so
     /// the large edges overlap one another heavily.
-    fn word_boundary_hypergraph(seed: u64) -> Hypergraph {
+    pub(crate) fn word_boundary_hypergraph(seed: u64) -> Hypergraph {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut sizes = vec![63usize, 64, 65, 127, 128, 129];
         sizes.extend((0..20).map(|_| rng.gen_range(1..=6)));

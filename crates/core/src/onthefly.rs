@@ -12,9 +12,8 @@ use mochy_motif::MotifCatalog;
 use mochy_projection::{LazyProjection, MemoPolicy, MemoStats};
 use rand::Rng;
 
-use crate::classify::classify_triple_with_weights;
 use crate::count::MotifCounts;
-use crate::sample::for_each_union_neighbor;
+use crate::sample::{rescale_wedge_estimates, WedgeWalk};
 
 /// Configuration of the on-the-fly MoCHy-A+ run.
 #[derive(Debug, Clone, Copy)]
@@ -54,7 +53,6 @@ pub(crate) fn mochy_a_plus_onthefly_impl<R: Rng + ?Sized>(
     config: OnTheFlyConfig,
     rng: &mut R,
 ) -> OnTheFlyOutcome {
-    let catalog = MotifCatalog::new();
     let mut lazy = LazyProjection::new(hypergraph, config.budget_entries, config.policy);
 
     // Degree pass: O(|E|) extra memory, warms the cache as a side effect.
@@ -76,6 +74,7 @@ pub(crate) fn mochy_a_plus_onthefly_impl<R: Rng + ?Sized>(
         };
     }
 
+    let mut walk = WedgeWalk::new(hypergraph);
     for _ in 0..config.num_samples {
         let target = rng.gen_range(0..total_entries);
         let i = (prefix.partition_point(|&p| p <= target) - 1) as EdgeId;
@@ -83,26 +82,22 @@ pub(crate) fn mochy_a_plus_onthefly_impl<R: Rng + ?Sized>(
         let neighbors_i = lazy.neighborhood(i);
         let (j, w_ij) = neighbors_i[offset];
         let neighbors_j = lazy.neighborhood(j);
-        for_each_union_neighbor(&neighbors_i, &neighbors_j, i, j, |k, w_ik, w_jk| {
-            if let Some(motif) = classify_triple_with_weights(
-                hypergraph,
-                &catalog,
-                i,
-                j,
-                k,
-                w_ij as usize,
-                w_jk as usize,
-                w_ik as usize,
-            ) {
-                raw.increment(motif);
-            }
-        });
+        walk.count_pair(
+            i,
+            (j, w_ij),
+            &neighbors_i,
+            &neighbors_j,
+            |_, _| true,
+            &mut raw,
+        );
     }
 
-    let open_factor = num_hyperwedges as f64 / (2.0 * config.num_samples as f64);
-    let closed_factor = num_hyperwedges as f64 / (3.0 * config.num_samples as f64);
-    raw.scale_motifs(&catalog.open_motif_ids(), open_factor);
-    raw.scale_motifs(&catalog.closed_motif_ids(), closed_factor);
+    rescale_wedge_estimates(
+        &MotifCatalog::new(),
+        &mut raw,
+        num_hyperwedges,
+        config.num_samples,
+    );
 
     OnTheFlyOutcome {
         counts: raw,

@@ -4,15 +4,22 @@
 //! Both estimators are unbiased (Theorems 2 and 4); MoCHy-A+ has lower
 //! variance for the same expected work (Section 3.3), which Figure 8 of the
 //! paper and the `fig8_tradeoff` bench of this repository confirm.
+//!
+//! Every sampler — MoCHy-A, parallel and sequential MoCHy-A+ (and through
+//! the latter adaptive sampling) and on-the-fly MoCHy-A+
+//! ([`crate::onthefly`]) — classifies the hyperedges around each sampled
+//! hyperwedge through one kernel, `WedgeWalk`: it counts, once per
+//! hyperwedge `∧_ij`, how many nodes of `e_i ∩ e_j` every hyperedge
+//! contains, and reads each closed triple's `|e_i ∩ e_j ∩ e_k|` from that
+//! counter during the merge of `N(e_i)` and `N(e_j)`.
 
 use mochy_hypergraph::{default_chunk_size, map_reduce_chunks, EdgeId, Hypergraph};
 use mochy_motif::MotifCatalog;
-use mochy_projection::ProjectedGraph;
+use mochy_projection::{ProjectedGraph, WeightedNeighbor};
 use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
 
-use crate::classify::classify_triple_with_weights;
 use crate::count::MotifCounts;
 
 /// Deterministic per-sample RNG: sample `index` under `seed` always draws
@@ -36,7 +43,7 @@ fn mochy_a_impl<R: Rng + ?Sized>(
     num_samples: usize,
     rng: &mut R,
 ) -> MotifCounts {
-    let catalog = MotifCatalog::new();
+    let mut walk = WedgeWalk::new(hypergraph);
     let mut raw = MotifCounts::zero();
     let num_edges = hypergraph.num_edges();
     if num_edges == 0 || num_samples == 0 {
@@ -44,7 +51,7 @@ fn mochy_a_impl<R: Rng + ?Sized>(
     }
     for _ in 0..num_samples {
         let sample = rng.gen_range(0..num_edges) as EdgeId;
-        count_from_sampled_edge(hypergraph, projected, &catalog, sample, &mut raw);
+        walk.count_edge(projected, sample, &mut raw);
     }
     raw.scale(num_edges as f64 / (3.0 * num_samples as f64));
     raw
@@ -69,12 +76,12 @@ pub fn mochy_a_parallel(
         num_samples,
         num_threads,
         default_chunk_size(num_samples, num_threads.max(1)),
-        || (MotifCatalog::new(), MotifCounts::zero()),
-        |(catalog, raw), range| {
+        || (WedgeWalk::new(hypergraph), MotifCounts::zero()),
+        |(walk, raw), range| {
             for index in range {
                 let mut rng = sample_rng(seed, index);
                 let sample = rng.gen_range(0..num_edges) as EdgeId;
-                count_from_sampled_edge(hypergraph, projected, catalog, sample, raw);
+                walk.count_edge(projected, sample, raw);
             }
         },
     );
@@ -90,25 +97,31 @@ pub fn mochy_a_parallel(
 /// MoCHy-A+ (Algorithm 5): samples `r` hyperwedges uniformly at random with
 /// replacement, counts the instances containing each sampled hyperwedge, and
 /// rescales open motifs by `|∧| / (2r)` and closed motifs by `|∧| / (3r)`.
-/// The public entry points are [`mochy_a_plus_parallel`] and
+/// `walk` and `sampler` belong to `projected` and its hypergraph; the caller
+/// builds them once, so repeated runs (the batches of adaptive sampling)
+/// share them. The public entry points are [`mochy_a_plus_parallel`] and
 /// [`crate::engine::Method::WedgeSample`], which derive the RNG from a seed.
 pub(crate) fn mochy_a_plus_impl<R: Rng + ?Sized>(
-    hypergraph: &Hypergraph,
+    walk: &mut WedgeWalk<'_>,
+    sampler: &WedgeSampler,
     projected: &ProjectedGraph,
     num_samples: usize,
     rng: &mut R,
 ) -> MotifCounts {
-    let catalog = MotifCatalog::new();
-    let sampler = WedgeSampler::new(projected);
     let mut raw = MotifCounts::zero();
     if sampler.num_hyperwedges() == 0 || num_samples == 0 {
         return raw;
     }
     for _ in 0..num_samples {
-        let (i, j) = sampler.sample(rng);
-        count_from_sampled_wedge(hypergraph, projected, &catalog, i, j, &mut raw);
+        let (i, offset) = sampler.sample(rng);
+        walk.count_wedge(projected, i, offset, &mut raw);
     }
-    rescale_wedge_estimates(&catalog, &mut raw, sampler.num_hyperwedges(), num_samples);
+    rescale_wedge_estimates(
+        &walk.catalog,
+        &mut raw,
+        sampler.num_hyperwedges(),
+        num_samples,
+    );
     raw
 }
 
@@ -133,12 +146,12 @@ pub fn mochy_a_plus_parallel(
         num_samples,
         num_threads,
         default_chunk_size(num_samples, num_threads.max(1)),
-        || (MotifCatalog::new(), MotifCounts::zero()),
-        |(catalog, raw), range| {
+        || (WedgeWalk::new(hypergraph), MotifCounts::zero()),
+        |(walk, raw), range| {
             for index in range {
                 let mut rng = sample_rng(seed, index);
-                let (i, j) = sampler_ref.sample(&mut rng);
-                count_from_sampled_wedge(hypergraph, projected, catalog, i, j, raw);
+                let (i, offset) = sampler_ref.sample(&mut rng);
+                walk.count_wedge(projected, i, offset, raw);
             }
         },
     );
@@ -157,7 +170,7 @@ pub fn mochy_a_plus_parallel(
 }
 
 /// Applies the rescaling of lines 6–10 of Algorithm 5.
-fn rescale_wedge_estimates(
+pub(crate) fn rescale_wedge_estimates(
     catalog: &MotifCatalog,
     counts: &mut MotifCounts,
     num_hyperwedges: usize,
@@ -196,9 +209,11 @@ impl WedgeSampler {
         (*self.prefix.last().unwrap() / 2) as usize
     }
 
-    /// Samples a hyperwedge uniformly at random, returning it as an ordered
-    /// pair `(i, j)` where `i` is the endpoint whose adjacency entry was
-    /// drawn. Requires at least one hyperwedge; call sites guard for that.
+    /// Samples a hyperwedge uniformly at random, returning it as
+    /// `(i, offset)`: `i` is the endpoint whose adjacency entry was drawn and
+    /// `offset` is the position of the other endpoint `e_j` in `N(e_i)`
+    /// ([`WedgeSampler::resolve`] turns the pair into `(i, j)`). Requires at
+    /// least one hyperwedge; call sites guard for that.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> (EdgeId, EdgeId) {
         let total = *self.prefix.last().unwrap();
         debug_assert!(total > 0, "cannot sample from an empty hyperwedge set");
@@ -219,78 +234,161 @@ impl WedgeSampler {
     }
 }
 
-/// Counts the raw (un-rescaled) contributions of a sampled hyperedge `e_i`
-/// (lines 4–7 of Algorithm 4).
-pub(crate) fn count_from_sampled_edge(
-    hypergraph: &Hypergraph,
-    projected: &ProjectedGraph,
-    catalog: &MotifCatalog,
-    i: EdgeId,
-    raw: &mut MotifCounts,
-) {
-    let neighbors_i = projected.neighbors(i);
-    for &(j, w_ij) in neighbors_i {
-        for_each_union_neighbor(
-            neighbors_i,
-            projected.neighbors(j),
-            i,
-            j,
-            |k, w_ik, w_jk| {
-                // Deduplicate within this sample: when e_k is also a neighbour of
-                // e_i, the same instance will be seen again with j and k swapped,
-                // so keep only the ordered occurrence (j < k).
-                if w_ik != 0 && j >= k {
-                    return;
-                }
-                if let Some(motif) = classify_triple_with_weights(
-                    hypergraph,
-                    catalog,
-                    i,
-                    j,
-                    k,
-                    w_ij as usize,
-                    w_jk as usize,
-                    w_ik as usize,
-                ) {
-                    raw.increment(motif);
-                }
-            },
-        );
-    }
+/// One worker's state for the per-sample work of Algorithms 4 and 5: the
+/// motif catalog, an `|E|`-long shared-node counter and the list of counter
+/// entries the current hyperwedge touched, so that classifying a hyperwedge
+/// allocates nothing once the list has grown. Every sampler builds one per
+/// worker (sequential MoCHy-A+ one per run, across adaptive batches) and
+/// classifies each hyperwedge through [`WedgeWalk::count_pair`]: the
+/// sampling counterpart of [`crate::exact`]'s `CentreWalk`.
+///
+/// **Cost.** Classifying hyperwedge `∧_ij` costs one merge of `e_i` and
+/// `e_j`, `Σ_{v∈e_i∩e_j} |E_v|` counter increments, one merge of `N(i)` and
+/// `N(j)`, and one reset per touched entry. A closed `e_k` accounts for
+/// `|e_i ∩ e_j ∩ e_k| ≤ min(|e_i|, |e_j|, |e_k|)` of the increments, where a
+/// per-triple intersection pays that many pairs of binary searches.
+///
+/// **Bit-identity.** Once the shared nodes are counted, `shared[k]` is the
+/// number of nodes of `e_i ∩ e_j` that `e_k` contains: `|e_i ∩ e_j ∩ e_k|`.
+/// The union merge reports the same `e_k` in the same order with the same
+/// weights, and the Lemma 2 classification
+/// ([`MotifCatalog::classify_from_intersections`]) gets the same seven
+/// numbers that [`crate::classify::classify_triple_with_weights`] computes,
+/// so every sample adds the same `+1.0` increments to the same motifs.
+pub(crate) struct WedgeWalk<'g> {
+    hypergraph: &'g Hypergraph,
+    catalog: MotifCatalog,
+    /// `shared[k] = |e_i ∩ e_j ∩ e_k|` while hyperwedge `∧_ij` is being
+    /// classified; all zero in between.
+    shared: Vec<u32>,
+    /// The entries of `shared` the current hyperwedge made non-zero.
+    touched: Vec<EdgeId>,
 }
 
-/// Counts the raw (un-rescaled) contributions of a sampled hyperwedge
-/// `∧_ij` (lines 4–5 of Algorithm 5). `j_offset` is the index of `j` within
-/// `i`'s neighbourhood as produced by [`WedgeSampler::sample`].
-pub(crate) fn count_from_sampled_wedge(
-    hypergraph: &Hypergraph,
-    projected: &ProjectedGraph,
-    catalog: &MotifCatalog,
-    i: EdgeId,
-    j_offset: EdgeId,
-    raw: &mut MotifCounts,
-) {
-    let (j, w_ij) = projected.neighbors(i)[j_offset as usize];
-    for_each_union_neighbor(
-        projected.neighbors(i),
-        projected.neighbors(j),
-        i,
-        j,
-        |k, w_ik, w_jk| {
-            if let Some(motif) = classify_triple_with_weights(
-                hypergraph,
-                catalog,
-                i,
-                j,
-                k,
+impl<'g> WedgeWalk<'g> {
+    /// A walk over the hyperwedges of `hypergraph`.
+    pub(crate) fn new(hypergraph: &'g Hypergraph) -> Self {
+        Self {
+            hypergraph,
+            catalog: MotifCatalog::new(),
+            shared: vec![0; hypergraph.num_edges()],
+            touched: Vec::new(),
+        }
+    }
+
+    /// Adds the raw (un-rescaled) contributions of a sampled hyperedge `e_i`
+    /// (lines 4–7 of Algorithm 4) to `raw`: one hyperwedge per neighbour
+    /// `e_j`. When `e_k` is also a neighbour of `e_i`, the same instance is
+    /// seen again with `j` and `k` swapped, so only the occurrence with
+    /// `j < k` is kept.
+    pub(crate) fn count_edge(
+        &mut self,
+        projected: &ProjectedGraph,
+        i: EdgeId,
+        raw: &mut MotifCounts,
+    ) {
+        let neighbors_i = projected.neighbors(i);
+        for &(j, w_ij) in neighbors_i {
+            let keep = |k, w_ik| w_ik == 0 || j < k;
+            self.count_pair(i, (j, w_ij), neighbors_i, projected.neighbors(j), keep, raw);
+        }
+    }
+
+    /// Adds the raw (un-rescaled) contributions of a sampled hyperwedge
+    /// `∧_ij` (lines 4–5 of Algorithm 5) to `raw`, where `e_j` is the
+    /// neighbour at position `offset` of `N(e_i)`, as drawn by
+    /// [`WedgeSampler::sample`].
+    pub(crate) fn count_wedge(
+        &mut self,
+        projected: &ProjectedGraph,
+        i: EdgeId,
+        offset: EdgeId,
+        raw: &mut MotifCounts,
+    ) {
+        let neighbors_i = projected.neighbors(i);
+        let (j, w_ij) = neighbors_i[offset as usize];
+        let neighbors_j = projected.neighbors(j);
+        self.count_pair(i, (j, w_ij), neighbors_i, neighbors_j, |_, _| true, raw);
+    }
+
+    /// Classifies every `e_k ∈ N(e_i) ∪ N(e_j) \ {e_i, e_j}` of the
+    /// hyperwedge `∧_ij` with `ω(∧_ij) = w_ij` for which `keep(k, ω(∧_ik))`
+    /// holds, adding 1 to its motif in `raw`. `list_i` and `list_j` are
+    /// `N(e_i)` and `N(e_j)`, passed explicitly so the on-the-fly sampler can
+    /// supply lazily computed neighbourhoods.
+    ///
+    /// 1. One merge of the sorted member lists of `e_i` and `e_j` finds their
+    ///    shared nodes.
+    /// 2. Each shared node `v` adds 1 to `shared[e]` for every `e ∈ E_v`.
+    /// 3. The union merge ([`for_each_union_neighbor`]) reads a closed
+    ///    triple's `|e_i ∩ e_j ∩ e_k|` as `shared[k]`.
+    /// 4. Only the touched entries are reset to zero.
+    pub(crate) fn count_pair<F>(
+        &mut self,
+        i: EdgeId,
+        (j, w_ij): WeightedNeighbor,
+        list_i: &[WeightedNeighbor],
+        list_j: &[WeightedNeighbor],
+        keep: F,
+        raw: &mut MotifCounts,
+    ) where
+        F: Fn(EdgeId, u32) -> bool,
+    {
+        let Self {
+            hypergraph,
+            catalog,
+            shared,
+            touched,
+        } = self;
+        let hypergraph = *hypergraph;
+
+        let (mut members_i, mut members_j) = (hypergraph.edge(i), hypergraph.edge(j));
+        while let (Some(&u), Some(&v)) = (members_i.first(), members_j.first()) {
+            if u <= v {
+                members_i = &members_i[1..];
+            }
+            if v <= u {
+                members_j = &members_j[1..];
+            }
+            if u == v {
+                for &e in hypergraph.edges_of_node(u) {
+                    let count = &mut shared[e as usize];
+                    if *count == 0 {
+                        touched.push(e);
+                    }
+                    *count += 1;
+                }
+            }
+        }
+
+        let (size_i, size_j) = (hypergraph.edge_size(i), hypergraph.edge_size(j));
+        for_each_union_neighbor(list_i, list_j, i, j, |k, w_ik, w_jk| {
+            if !keep(k, w_ik) {
+                return;
+            }
+            // Only a closed triple can have a non-zero triple intersection.
+            let triple = if w_ik != 0 && w_jk != 0 {
+                shared[k as usize] as usize
+            } else {
+                0
+            };
+            if let Some(motif) = catalog.classify_from_intersections(
+                size_i,
+                size_j,
+                hypergraph.edge_size(k),
                 w_ij as usize,
                 w_jk as usize,
                 w_ik as usize,
+                triple,
             ) {
                 raw.increment(motif);
             }
-        },
-    );
+        });
+
+        for e in touched.drain(..) {
+            shared[e as usize] = 0;
+        }
+    }
 }
 
 /// Iterates over `N(e_i) ∪ N(e_j) \ {e_i, e_j}` by merging the two sorted
@@ -299,8 +397,8 @@ pub(crate) fn count_from_sampled_wedge(
 /// explicitly so the on-the-fly variant can supply lazily computed
 /// neighbourhoods.
 pub(crate) fn for_each_union_neighbor<F>(
-    list_i: &[mochy_projection::WeightedNeighbor],
-    list_j: &[mochy_projection::WeightedNeighbor],
+    list_i: &[WeightedNeighbor],
+    list_j: &[WeightedNeighbor],
     i: EdgeId,
     j: EdgeId,
     mut visit: F,
@@ -345,6 +443,7 @@ pub(crate) fn for_each_union_neighbor<F>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::classify::classify_triple_with_weights;
     use crate::exact::{brute_force_counts, mochy_e};
     use mochy_hypergraph::HypergraphBuilder;
     use mochy_projection::project;
@@ -371,6 +470,133 @@ mod tests {
             .unwrap()
     }
 
+    /// Sequential MoCHy-A+ with a kernel and a sampler of its own.
+    fn sequential_a_plus(
+        h: &Hypergraph,
+        proj: &ProjectedGraph,
+        num_samples: usize,
+        rng: &mut StdRng,
+    ) -> MotifCounts {
+        let mut walk = WedgeWalk::new(h);
+        mochy_a_plus_impl(&mut walk, &WedgeSampler::new(proj), proj, num_samples, rng)
+    }
+
+    /// Test oracle: the raw contributions of a sampled hyperedge `e_i`
+    /// (Algorithm 4), each triple classified on its own by
+    /// [`classify_triple_with_weights`], which intersects the three member
+    /// lists by binary search.
+    fn oracle_edge(
+        h: &Hypergraph,
+        proj: &ProjectedGraph,
+        catalog: &MotifCatalog,
+        i: EdgeId,
+        raw: &mut MotifCounts,
+    ) {
+        let neighbors_i = proj.neighbors(i);
+        for &(j, w_ij) in neighbors_i {
+            for_each_union_neighbor(neighbors_i, proj.neighbors(j), i, j, |k, w_ik, w_jk| {
+                if w_ik != 0 && j >= k {
+                    return;
+                }
+                if let Some(motif) = classify_triple_with_weights(
+                    h,
+                    catalog,
+                    i,
+                    j,
+                    k,
+                    w_ij as usize,
+                    w_jk as usize,
+                    w_ik as usize,
+                ) {
+                    raw.increment(motif);
+                }
+            });
+        }
+    }
+
+    /// Test oracle: the raw contributions of the sampled hyperwedge
+    /// `(i, offset)` (Algorithm 5), classified triple by triple like
+    /// [`oracle_edge`].
+    fn oracle_wedge(
+        h: &Hypergraph,
+        proj: &ProjectedGraph,
+        catalog: &MotifCatalog,
+        i: EdgeId,
+        offset: EdgeId,
+        raw: &mut MotifCounts,
+    ) {
+        let (j, w_ij) = proj.neighbors(i)[offset as usize];
+        for_each_union_neighbor(
+            proj.neighbors(i),
+            proj.neighbors(j),
+            i,
+            j,
+            |k, w_ik, w_jk| {
+                if let Some(motif) = classify_triple_with_weights(
+                    h,
+                    catalog,
+                    i,
+                    j,
+                    k,
+                    w_ij as usize,
+                    w_jk as usize,
+                    w_ik as usize,
+                ) {
+                    raw.increment(motif);
+                }
+            },
+        );
+    }
+
+    /// A random hypergraph in which every hyperedge appears twice.
+    fn duplicated_hypergraph(seed: u64) -> Hypergraph {
+        let base = random_hypergraph(seed, 12, 9, 4);
+        let mut builder = HypergraphBuilder::new();
+        for e in base.edge_ids() {
+            builder.add_edge(base.edge(e).to_vec());
+            builder.add_edge(base.edge(e).to_vec());
+        }
+        builder.build().unwrap()
+    }
+
+    /// The kernel's raw counts equal the per-triple oracle's for every
+    /// directed hyperwedge `(i, offset)` and every hyperedge `i`, with one
+    /// kernel reused across all samples of an input. The inputs cover random
+    /// hypergraphs, hyperedges of 63–65 and 127–129 nodes, and duplicate
+    /// hyperedges (which form no instance with each other).
+    #[test]
+    fn kernel_matches_the_per_triple_oracle_on_every_sample() {
+        let mut inputs: Vec<Hypergraph> = [0u64, 4, 8, 12]
+            .into_iter()
+            .map(|seed| random_hypergraph(seed, 14, 18, 5))
+            .collect();
+        inputs.push(crate::exact::tests::word_boundary_hypergraph(1));
+        inputs.push(duplicated_hypergraph(3));
+        let catalog = MotifCatalog::new();
+        for (n, h) in inputs.iter().enumerate() {
+            let proj = project(h);
+            let mut walk = WedgeWalk::new(h);
+            let mut closed_with_core = 0.0;
+            for i in h.edge_ids() {
+                for offset in 0..proj.degree(i) as EdgeId {
+                    let (mut actual, mut expected) = (MotifCounts::zero(), MotifCounts::zero());
+                    walk.count_wedge(&proj, i, offset, &mut actual);
+                    oracle_wedge(h, &proj, &catalog, i, offset, &mut expected);
+                    assert_eq!(actual, expected, "input {n}, hyperwedge ({i}, {offset})");
+                    closed_with_core += (1..=26u8)
+                        .filter(|&id| catalog.motif(id).has_triple_core)
+                        .map(|id| expected.get(id))
+                        .sum::<f64>();
+                }
+                let (mut actual, mut expected) = (MotifCounts::zero(), MotifCounts::zero());
+                walk.count_edge(&proj, i, &mut actual);
+                oracle_edge(h, &proj, &catalog, i, &mut expected);
+                assert_eq!(actual, expected, "input {n}, hyperedge {i}");
+            }
+            assert!(closed_with_core > 0.0, "input {n} has no triple core");
+        }
+    }
+
     /// MoCHy-A is *exactly* unbiased: averaging the estimator over the full
     /// sample space (every hyperedge sampled once, s = |E|) multiplied by the
     /// rescaling factor must reproduce the exact counts.
@@ -379,10 +605,10 @@ mod tests {
         for seed in [1u64, 5, 9] {
             let h = random_hypergraph(seed, 14, 18, 5);
             let proj = project(&h);
-            let catalog = MotifCatalog::new();
+            let mut walk = WedgeWalk::new(&h);
             let mut raw = MotifCounts::zero();
             for i in h.edge_ids() {
-                count_from_sampled_edge(&h, &proj, &catalog, i, &mut raw);
+                walk.count_edge(&proj, i, &mut raw);
             }
             // Expectation with s = |E| deterministic passes: scale by |E|/(3·|E|).
             raw.scale(1.0 / 3.0);
@@ -405,11 +631,12 @@ mod tests {
             let h = random_hypergraph(seed, 14, 18, 5);
             let proj = project(&h);
             let catalog = MotifCatalog::new();
+            let mut walk = WedgeWalk::new(&h);
             let mut raw = MotifCounts::zero();
             let mut num_wedges = 0usize;
             for i in h.edge_ids() {
                 for offset in 0..proj.degree(i) {
-                    count_from_sampled_wedge(&h, &proj, &catalog, i, offset as EdgeId, &mut raw);
+                    walk.count_wedge(&proj, i, offset as EdgeId, &mut raw);
                     num_wedges += 1;
                 }
             }
@@ -435,7 +662,7 @@ mod tests {
         let exact = brute_force_counts(&h);
         let mut rng = StdRng::seed_from_u64(100);
         let estimate_a = mochy_a_impl(&h, &proj, 4000, &mut rng);
-        let estimate_a_plus = mochy_a_plus_impl(&h, &proj, 4000, &mut rng);
+        let estimate_a_plus = sequential_a_plus(&h, &proj, 4000, &mut rng);
         assert!(
             exact.relative_error(&estimate_a) < 0.15,
             "MoCHy-A error {}",
@@ -497,7 +724,7 @@ mod tests {
         let proj = project(&h);
         let mut rng = StdRng::seed_from_u64(1);
         assert_eq!(mochy_a_impl(&h, &proj, 0, &mut rng).total(), 0.0);
-        assert_eq!(mochy_a_plus_impl(&h, &proj, 0, &mut rng).total(), 0.0);
+        assert_eq!(sequential_a_plus(&h, &proj, 0, &mut rng).total(), 0.0);
 
         let disconnected = HypergraphBuilder::new()
             .with_edge([0u32])
@@ -506,7 +733,7 @@ mod tests {
             .unwrap();
         let proj_disconnected = project(&disconnected);
         assert_eq!(
-            mochy_a_plus_impl(&disconnected, &proj_disconnected, 10, &mut rng).total(),
+            sequential_a_plus(&disconnected, &proj_disconnected, 10, &mut rng).total(),
             0.0
         );
         assert_eq!(

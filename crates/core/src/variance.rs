@@ -139,7 +139,7 @@ pub fn variance_mochy_a_plus(
 mod tests {
     use super::*;
     use crate::count::MotifCounts;
-    use crate::sample::{count_from_sampled_edge, count_from_sampled_wedge};
+    use crate::sample::WedgeWalk;
     use mochy_hypergraph::HypergraphBuilder;
     use mochy_projection::project;
     use rand::prelude::*;
@@ -164,15 +164,15 @@ mod tests {
         for seed in [0u64, 3, 12] {
             let h = random_hypergraph(seed, 12, 14, 4);
             let proj = project(&h);
-            let catalog = MotifCatalog::new();
             let stats = instance_overlap_stats(&h, &proj);
             let num_edges = h.num_edges();
+            let mut walk = WedgeWalk::new(&h);
 
             // Estimator value for each possible sampled hyperedge.
             let mut per_sample: Vec<MotifCounts> = Vec::with_capacity(num_edges);
             for i in h.edge_ids() {
                 let mut raw = MotifCounts::zero();
-                count_from_sampled_edge(&h, &proj, &catalog, i, &mut raw);
+                walk.count_edge(&proj, i, &mut raw);
                 raw.scale(num_edges as f64 / 3.0);
                 per_sample.push(raw);
             }
@@ -203,6 +203,7 @@ mod tests {
             if num_wedges == 0 {
                 continue;
             }
+            let mut walk = WedgeWalk::new(&h);
 
             // Estimator value for each possible sampled hyperwedge (sample
             // each direction once; both give the same counts, so using the
@@ -215,7 +216,7 @@ mod tests {
                         continue; // visit each wedge once
                     }
                     let mut raw = MotifCounts::zero();
-                    count_from_sampled_wedge(&h, &proj, &catalog, i, offset as EdgeId, &mut raw);
+                    walk.count_wedge(&proj, i, offset as EdgeId, &mut raw);
                     raw.scale_motifs(&catalog.open_motif_ids(), num_wedges as f64 / 2.0);
                     raw.scale_motifs(&catalog.closed_motif_ids(), num_wedges as f64 / 3.0);
                     per_sample.push(raw);

@@ -17,12 +17,13 @@
 //! [`check`] turns the matrix into a regression gate: the current run is
 //! compared against a committed baseline (`BENCH_BASELINE.json`), failing on
 //! **any** count/shape mismatch (those are deterministic — a mismatch is a
-//! correctness bug or an unacknowledged behaviour change) and on timing
-//! regressions beyond a configurable tolerance (those are noisy — the
-//! tolerance is generous and rows faster than a floor are skipped).
+//! correctness bug or an unacknowledged behaviour change; every method row
+//! pins all 26 counts bit for bit through its `counts_fnv` fingerprint) and
+//! on timing regressions beyond a configurable tolerance (those are noisy —
+//! the tolerance is generous and rows faster than a floor are skipped).
 
 use mochy_core::engine::{CountConfig, Method};
-use mochy_core::AdaptiveConfig;
+use mochy_core::{AdaptiveConfig, MotifCounts};
 use mochy_hypergraph::Hypergraph;
 use mochy_projection::MemoPolicy;
 
@@ -83,7 +84,7 @@ struct MethodRow {
     counting_ms: f64,
     total_ms: f64,
     samples_drawn: Option<usize>,
-    total_count: f64,
+    counts: MotifCounts,
 }
 
 /// One dataset block in the output.
@@ -146,7 +147,7 @@ fn run_dataset(name: &str, hypergraph: &Hypergraph, options: &PerfOptions) -> Da
             counting_ms: report.counting_time.as_secs_f64() * 1e3,
             total_ms: report.elapsed.as_secs_f64() * 1e3,
             samples_drawn: report.samples_drawn,
-            total_count: report.counts.total(),
+            counts: report.counts,
         });
     }
     // Sharded-exact row: the same Method::Exact split into K centre spans
@@ -166,7 +167,7 @@ fn run_dataset(name: &str, hypergraph: &Hypergraph, options: &PerfOptions) -> Da
         counting_ms: report.counting_time.as_secs_f64() * 1e3,
         total_ms: report.elapsed.as_secs_f64() * 1e3,
         samples_drawn: report.samples_drawn,
-        total_count: report.counts.total(),
+        counts: report.counts,
     });
     block
 }
@@ -258,8 +259,12 @@ fn render_json(blocks: &[DatasetBlock], options: &PerfOptions) -> String {
                     .map_or_else(|| "null".to_string(), |s| s.to_string())
             ));
             out.push_str(&format!(
+                "          \"counts_fnv\": \"{}\",\n",
+                counts_fnv(&row.counts)
+            ));
+            out.push_str(&format!(
                 "          \"total_count\": {}\n",
-                json_number(row.total_count)
+                json_number(row.counts.total())
             ));
             out.push_str(if m + 1 < block.rows.len() {
                 "        },\n"
@@ -313,6 +318,12 @@ fn number_field(value: &JsonValue, key: &str, context: &str) -> Result<f64, Stri
         .ok_or_else(|| format!("{context}: key `{key}` is not a number"))
 }
 
+fn string_field<'a>(value: &'a JsonValue, key: &str, context: &str) -> Result<&'a str, String> {
+    field(value, key, context)?
+        .as_str()
+        .ok_or_else(|| format!("{context}: key `{key}` is not a string"))
+}
+
 /// `samples_drawn` is a number or `null`; normalize for comparison.
 fn optional_number(value: &JsonValue, key: &str, context: &str) -> Result<Option<f64>, String> {
     let value = field(value, key, context)?;
@@ -332,7 +343,8 @@ fn optional_number(value: &JsonValue, key: &str, context: &str) -> Result<Option
 ///   counts are only comparable under identical configuration;
 /// - any dataset or method present in the baseline but missing now;
 /// - any mismatch in the deterministic fields (`num_nodes`, `num_edges`,
-///   `num_hyperwedges`, `total_count`, `samples_drawn`);
+///   `num_hyperwedges`, `total_count`, `counts_fnv`, `samples_drawn`), and a
+///   method row without `counts_fnv` on either side;
 /// - any method whose `total_ms` exceeds the baseline by more than
 ///   [`CheckOptions::tolerance_pct`] percent (rows under
 ///   [`CheckOptions::min_ms`] in the baseline are skipped).
@@ -481,6 +493,21 @@ pub fn check(baseline: &str, current: &str, options: &CheckOptions) -> Result<St
                 }
                 (Err(error), _) | (_, Err(error)) => violations.push(error),
             }
+            // `total_count` is a rounded sum: instances moved between two
+            // motifs with the same rescale factor leave it unchanged.
+            match (
+                string_field(base_row, "counts_fnv", &row_context),
+                string_field(current_row, "counts_fnv", &row_context),
+            ) {
+                (Ok(b), Ok(c)) => {
+                    if b != c {
+                        violations.push(format!(
+                            "{row_context}: counts_fnv changed: baseline {b} vs current {c}"
+                        ));
+                    }
+                }
+                (Err(error), _) | (_, Err(error)) => violations.push(error),
+            }
             match (
                 optional_number(base_row, "samples_drawn", &row_context),
                 optional_number(current_row, "samples_drawn", &row_context),
@@ -553,6 +580,21 @@ fn json_number(value: f64) -> String {
     }
 }
 
+/// FNV-1a 64 over the 26 counts' `f64::to_bits` in little-endian bytes, as 16
+/// lowercase hex digits (a string: a `u64` does not fit a JSON number
+/// exactly). Equal fingerprints mean bit-identical counts with overwhelming
+/// likelihood, where equal `total_count`s only mean equal rounded sums.
+fn counts_fnv(counts: &MotifCounts) -> String {
+    let hash = counts
+        .as_slice()
+        .iter()
+        .flat_map(|count| count.to_bits().to_le_bytes())
+        .fold(0xcbf2_9ce4_8422_2325_u64, |hash, byte| {
+            (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+    format!("{hash:016x}")
+}
+
 /// Escapes a string for embedding in a JSON document (shared with the serve
 /// layer through [`mochy_json`]).
 fn escape_json(text: &str) -> String {
@@ -602,6 +644,7 @@ mod tests {
             "\"total_ms\"",
             "\"num_hyperwedges\"",
             "\"samples_drawn\"",
+            "\"counts_fnv\"",
             "\"total_count\"",
             "\"load\"",
             "\"text_ms\"",
@@ -679,17 +722,19 @@ mod tests {
             .as_array()
             .unwrap()
             .to_vec();
-        let total = |name: &str| {
+        let row = |name: &str| {
             methods
                 .iter()
                 .find(|r| r.get("method").and_then(JsonValue::as_str) == Some(name))
-                .and_then(|r| r.get("total_count"))
-                .and_then(JsonValue::as_f64)
                 .unwrap()
         };
+        let total = |name: &str| row(name).get("total_count").and_then(JsonValue::as_f64);
+        let fnv = |name: &str| row(name).get("counts_fnv").and_then(JsonValue::as_str);
         assert_eq!(total("mochy-e"), total("incremental"));
+        assert_eq!(fnv("mochy-e"), fnv("incremental"));
         // The scatter-gather row is exact too: bit-identical to MoCHy-E.
         assert_eq!(total("mochy-e"), total("mochy-e-sharded"));
+        assert_eq!(fnv("mochy-e"), fnv("mochy-e-sharded"));
     }
 
     #[test]
@@ -707,6 +752,56 @@ mod tests {
         assert!(error.contains("total_count changed"), "{error}");
     }
 
+    /// Swapping two closed-motif counts keeps `total_count` but not
+    /// `counts_fnv`, and a row without `counts_fnv` fails on either side.
+    #[test]
+    fn check_pins_every_count_not_only_their_sum() {
+        let closed = mochy_motif::MotifCatalog::new().closed_motif_ids();
+        let (a, b) = (closed[0], closed[1]);
+        let mut counts = MotifCounts::zero();
+        counts.set(a, 3.0);
+        counts.set(b, 5.0);
+        let mut swapped = counts.clone();
+        swapped.set(a, 5.0);
+        swapped.set(b, 3.0);
+        let document = |counts: MotifCounts| {
+            let row = MethodRow {
+                method_name: "mochy-e",
+                projection_ms: 0.2,
+                counting_ms: 0.8,
+                total_ms: 1.0,
+                samples_drawn: None,
+                counts,
+            };
+            let block = DatasetBlock {
+                name: "d".to_string(),
+                num_nodes: 4,
+                num_edges: 3,
+                num_hyperwedges: Some(3),
+                load: None,
+                rows: vec![row],
+            };
+            render_json(&[block], &tiny_options())
+        };
+        let baseline = document(counts);
+        let current = document(swapped);
+        let options = CheckOptions::default();
+        assert!(check(&baseline, &baseline, &options).is_ok());
+        let error = check(&baseline, &current, &options).unwrap_err();
+        assert!(error.contains("counts_fnv changed"), "{error}");
+        assert!(!error.contains("total_count"), "{error}");
+
+        let unpinned: String = baseline
+            .lines()
+            .filter(|line| !line.contains("counts_fnv"))
+            .collect::<Vec<_>>()
+            .join("\n");
+        for (base, cur) in [(&unpinned, &baseline), (&baseline, &unpinned)] {
+            let error = check(base, cur, &options).unwrap_err();
+            assert!(error.contains("missing key `counts_fnv`"), "{error}");
+        }
+    }
+
     #[test]
     fn check_catches_timing_regressions_beyond_tolerance_only() {
         let baseline = r#"{
@@ -715,7 +810,8 @@ mod tests {
                 "name": "d", "num_nodes": 1, "num_edges": 1, "num_hyperwedges": 0,
                 "methods": [{
                     "method": "mochy-e", "projection_ms": 1.0, "counting_ms": 99.0,
-                    "total_ms": 100.0, "samples_drawn": null, "total_count": 5
+                    "total_ms": 100.0, "samples_drawn": null,
+                    "counts_fnv": "5ca1ab1e5ca1ab1e", "total_count": 5
                 }]
             }]
         }"#;
@@ -746,7 +842,8 @@ mod tests {
                 "name": "d", "num_nodes": 4, "num_edges": 3, "num_hyperwedges": 9,
                 "methods": [{
                     "method": "mochy-e", "projection_ms": 0.2, "counting_ms": 0.8,
-                    "total_ms": 1.0, "samples_drawn": null, "total_count": 5
+                    "total_ms": 1.0, "samples_drawn": null,
+                    "counts_fnv": "5ca1ab1e5ca1ab1e", "total_count": 5
                 }]
             }]
         }"#
@@ -788,7 +885,8 @@ mod tests {
                 },
                 "methods": [{
                     "method": "mochy-e", "projection_ms": 0.2, "counting_ms": 0.8,
-                    "total_ms": 1.0, "samples_drawn": null, "total_count": 5
+                    "total_ms": 1.0, "samples_drawn": null,
+                    "counts_fnv": "5ca1ab1e5ca1ab1e", "total_count": 5
                 }]
             }]
         }"#
