@@ -3,7 +3,7 @@
 //!
 //! Both estimators are unbiased (Theorems 2 and 4); MoCHy-A+ has lower
 //! variance for the same expected work (Section 3.3), which Figure 8 of the
-//! paper and the `fig8_tradeoff` bench of this repository confirm.
+//! paper and `mochy-exp fig8` of this repository confirm.
 //!
 //! Every sampler — MoCHy-A, parallel and sequential MoCHy-A+ (and through
 //! the latter adaptive sampling) and on-the-fly MoCHy-A+
@@ -187,14 +187,14 @@ pub(crate) fn rescale_wedge_estimates(
 /// Every hyperwedge appears exactly twice among the directed adjacency
 /// entries, so sampling a directed entry uniformly yields a uniform
 /// hyperwedge.
-pub struct WedgeSampler {
+pub(crate) struct WedgeSampler {
     /// Prefix sums of projected-graph degrees; length `num_edges + 1`.
     prefix: Vec<u64>,
 }
 
 impl WedgeSampler {
     /// Builds a sampler over the hyperwedges of `projected`.
-    pub fn new(projected: &ProjectedGraph) -> Self {
+    pub(crate) fn new(projected: &ProjectedGraph) -> Self {
         let mut prefix = Vec::with_capacity(projected.num_edges() + 1);
         prefix.push(0u64);
         for e in 0..projected.num_edges() {
@@ -205,16 +205,15 @@ impl WedgeSampler {
     }
 
     /// Number of hyperwedges `|∧|`.
-    pub fn num_hyperwedges(&self) -> usize {
+    pub(crate) fn num_hyperwedges(&self) -> usize {
         (*self.prefix.last().unwrap() / 2) as usize
     }
 
     /// Samples a hyperwedge uniformly at random, returning it as
     /// `(i, offset)`: `i` is the endpoint whose adjacency entry was drawn and
-    /// `offset` is the position of the other endpoint `e_j` in `N(e_i)`
-    /// ([`WedgeSampler::resolve`] turns the pair into `(i, j)`). Requires at
-    /// least one hyperwedge; call sites guard for that.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> (EdgeId, EdgeId) {
+    /// `offset` is the position of the other endpoint `e_j` in `N(e_i)`.
+    /// Requires at least one hyperwedge; call sites guard for that.
+    pub(crate) fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> (EdgeId, usize) {
         let total = *self.prefix.last().unwrap();
         debug_assert!(total > 0, "cannot sample from an empty hyperwedge set");
         let target = rng.gen_range(0..total);
@@ -222,15 +221,7 @@ impl WedgeSampler {
         // hyperedges, which create repeated prefix values).
         let i = self.prefix.partition_point(|&p| p <= target) - 1;
         let offset = (target - self.prefix[i]) as usize;
-        (i as EdgeId, offset as EdgeId)
-    }
-
-    /// Resolves the neighbour offset returned by [`WedgeSampler::sample`]
-    /// into the neighbour's hyperedge id.
-    pub fn resolve(projected: &ProjectedGraph, pair: (EdgeId, EdgeId)) -> (EdgeId, EdgeId) {
-        let (i, offset) = pair;
-        let (j, _) = projected.neighbors(i)[offset as usize];
-        (i, j)
+        (i as EdgeId, offset)
     }
 }
 
@@ -302,11 +293,11 @@ impl<'g> WedgeWalk<'g> {
         &mut self,
         projected: &ProjectedGraph,
         i: EdgeId,
-        offset: EdgeId,
+        offset: usize,
         raw: &mut MotifCounts,
     ) {
         let neighbors_i = projected.neighbors(i);
-        let (j, w_ij) = neighbors_i[offset as usize];
+        let (j, w_ij) = neighbors_i[offset];
         let neighbors_j = projected.neighbors(j);
         self.count_pair(i, (j, w_ij), neighbors_i, neighbors_j, |_, _| true, raw);
     }
@@ -522,10 +513,10 @@ mod tests {
         proj: &ProjectedGraph,
         catalog: &MotifCatalog,
         i: EdgeId,
-        offset: EdgeId,
+        offset: usize,
         raw: &mut MotifCounts,
     ) {
-        let (j, w_ij) = proj.neighbors(i)[offset as usize];
+        let (j, w_ij) = proj.neighbors(i)[offset];
         for_each_union_neighbor(
             proj.neighbors(i),
             proj.neighbors(j),
@@ -578,7 +569,7 @@ mod tests {
             let mut walk = WedgeWalk::new(h);
             let mut closed_with_core = 0.0;
             for i in h.edge_ids() {
-                for offset in 0..proj.degree(i) as EdgeId {
+                for offset in 0..proj.degree(i) {
                     let (mut actual, mut expected) = (MotifCounts::zero(), MotifCounts::zero());
                     walk.count_wedge(&proj, i, offset, &mut actual);
                     oracle_wedge(h, &proj, &catalog, i, offset, &mut expected);
@@ -636,7 +627,7 @@ mod tests {
             let mut num_wedges = 0usize;
             for i in h.edge_ids() {
                 for offset in 0..proj.degree(i) {
-                    walk.count_wedge(&proj, i, offset as EdgeId, &mut raw);
+                    walk.count_wedge(&proj, i, offset, &mut raw);
                     num_wedges += 1;
                 }
             }
@@ -685,7 +676,8 @@ mod tests {
         let mut histogram = std::collections::HashMap::new();
         let trials = 40_000usize;
         for _ in 0..trials {
-            let (i, j) = WedgeSampler::resolve(&proj, sampler.sample(&mut rng));
+            let (i, offset) = sampler.sample(&mut rng);
+            let (j, _) = proj.neighbors(i)[offset];
             let key = (i.min(j), i.max(j));
             *histogram.entry(key).or_insert(0usize) += 1;
         }

@@ -216,7 +216,7 @@ mod tests {
                         continue; // visit each wedge once
                     }
                     let mut raw = MotifCounts::zero();
-                    walk.count_wedge(&proj, i, offset as EdgeId, &mut raw);
+                    walk.count_wedge(&proj, i, offset, &mut raw);
                     raw.scale_motifs(&catalog.open_motif_ids(), num_wedges as f64 / 2.0);
                     raw.scale_motifs(&catalog.closed_motif_ids(), num_wedges as f64 / 3.0);
                     per_sample.push(raw);

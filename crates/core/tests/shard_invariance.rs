@@ -92,7 +92,7 @@ fn exact_counting_is_shard_count_invariant_on_every_bench_dataset() {
     // sharded_runs_cross_thread_counts_bit_identically covers the combined
     // shard×thread matrix on one dataset — repeating the full matrix on all
     // five here would only add debug-lane minutes, not coverage.
-    for (name, hypergraph) in mochy_bench::bench_datasets() {
+    for (name, hypergraph) in mochy_datagen::bench_datasets() {
         assert_shard_invariant(&hypergraph, name, &[pooled_threads()]);
     }
 }
@@ -105,7 +105,7 @@ fn sharded_runs_cross_thread_counts_bit_identically() {
     // across thread counts, so this test compares the counted quantities
     // rather than whole reports (assert_shard_invariant covers those at
     // fixed thread counts).
-    let (_, hypergraph) = mochy_bench::bench_datasets().swap_remove(0);
+    let (_, hypergraph) = mochy_datagen::bench_datasets().swap_remove(0);
     let baseline = exact(1, 1, &hypergraph);
     for shards in SHARD_COUNTS {
         for threads in [1usize, 2, pooled_threads()] {
@@ -124,7 +124,7 @@ fn sharded_runs_cross_thread_counts_bit_identically() {
 
 #[test]
 fn repeated_sharded_runs_are_deterministic() {
-    let (_, hypergraph) = mochy_bench::bench_datasets().swap_remove(1);
+    let (_, hypergraph) = mochy_datagen::bench_datasets().swap_remove(1);
     let config = CountConfig::new(Method::Exact)
         .threads(pooled_threads())
         .shards(4)

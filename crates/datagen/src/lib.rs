@@ -11,7 +11,7 @@
 //! - [`domains`] — one generator per domain with a shared configuration type.
 //! - [`temporal`] — yearly co-authorship snapshots (Figure 7).
 //! - [`suite`] — the "11 datasets / 5 domains" standard suite used by the
-//!   experiment binaries.
+//!   experiment binaries, and the five [`bench_datasets`] the CI gates run.
 //! - [`corrupt`] — fake-hyperedge generation for the hyperedge-prediction
 //!   task (Table 4).
 
@@ -26,7 +26,7 @@ pub mod util;
 
 pub use corrupt::corrupt_hyperedge;
 pub use domains::{generate, DomainKind, GeneratorConfig};
-pub use suite::{standard_suite, DatasetSpec, SuiteScale};
+pub use suite::{bench_datasets, standard_suite, DatasetSpec, SuiteScale};
 pub use temporal::{
     temporal_coauthorship, temporal_event_stream, EdgeEvent, EventStreamConfig, TemporalConfig,
     YearlySnapshot,

@@ -109,9 +109,52 @@ pub fn standard_suite(scale: SuiteScale) -> Vec<DatasetSpec> {
     ]
 }
 
+/// The gated workload: one moderately sized dataset per domain.
+///
+/// `mochy-exp perf`, `snapshot-check` and `shard-check` run on it, and so
+/// does the shard-invariance suite. Sizes keep a single MoCHy-E run in the
+/// hundreds of milliseconds even on the densest domains.
+pub fn bench_datasets() -> Vec<(&'static str, Hypergraph)> {
+    vec![
+        (
+            "coauth",
+            generate(&GeneratorConfig::new(
+                DomainKind::Coauthorship,
+                600,
+                1200,
+                11,
+            )),
+        ),
+        (
+            "contact",
+            generate(&GeneratorConfig::new(DomainKind::Contact, 240, 1000, 12)),
+        ),
+        (
+            "email",
+            generate(&GeneratorConfig::new(DomainKind::Email, 300, 900, 13)),
+        ),
+        (
+            "tags",
+            generate(&GeneratorConfig::new(DomainKind::Tags, 800, 800, 14)),
+        ),
+        (
+            "threads",
+            generate(&GeneratorConfig::new(DomainKind::Threads, 2400, 450, 15)),
+        ),
+    ]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn bench_datasets_build_one_per_domain() {
+        let datasets = bench_datasets();
+        let names: Vec<_> = datasets.iter().map(|(name, _)| *name).collect();
+        assert_eq!(names, ["coauth", "contact", "email", "tags", "threads"]);
+        assert!(datasets.iter().all(|(_, h)| h.num_edges() > 0));
+    }
 
     #[test]
     fn suite_has_eleven_datasets_from_five_domains() {

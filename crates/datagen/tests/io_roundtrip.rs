@@ -5,7 +5,7 @@
 
 use std::io::Cursor;
 
-use mochy_bench::bench_datasets;
+use mochy_datagen::bench_datasets;
 use mochy_hypergraph::io::{
     read_edge_list_file, read_edge_list_with, write_edge_list, write_edge_list_file, ReadOptions,
 };
@@ -42,7 +42,7 @@ fn one_bench_dataset_round_trips_through_a_file() {
     // File IO goes through the same reader; exercising every dataset would
     // only re-test the filesystem. `coauth` has the largest edges.
     let (name, hypergraph) = bench_datasets().swap_remove(0);
-    let path = std::env::temp_dir().join(format!("mochy_bench_roundtrip_{name}.txt"));
+    let path = std::env::temp_dir().join(format!("mochy_io_roundtrip_{name}.txt"));
     write_edge_list_file(&hypergraph, &path).unwrap();
     let file = std::fs::File::open(&path).unwrap();
     let restored = read_edge_list_with(std::io::BufReader::new(file), exact_options());

@@ -3,8 +3,8 @@
 //! Each module produces the rows/series of one table or figure of the
 //! evaluation section (Section 4) as a plain-text table, so results can be
 //! diffed, plotted, or pasted into EXPERIMENTS.md. The `mochy-exp` binary
-//! dispatches to these modules; the library form exists so integration tests
-//! and benches can call the same code.
+//! dispatches to these modules; the library form exists so tests can call
+//! the same code.
 //!
 //! | Module | Paper artefact |
 //! |---|---|
@@ -25,24 +25,23 @@
 //! In addition, [`perf`] implements the `mochy-exp perf` subcommand — the
 //! deterministic perf-smoke harness that times projection vs counting for
 //! every method on the bench workloads, emits `BENCH.json`, and (with
-//! `--check`) gates against a committed baseline — and [`evolve`] implements
-//! `mochy-exp evolve`, which drives the streaming engine over a temporal
-//! hyperedge event stream with per-checkpoint verification (both run by
-//! `ci.sh`). The `.mochy` binary-snapshot tooling lives in [`snapshot`]
-//! (`mochy-exp convert` and the `snapshot-check` round-trip gate), [`shard`]
-//! implements `shard-check`, the CI shard-equivalence gate behind
-//! `SHARD.json`, [`cibudget`] implements `mochy-exp ci-budget`, the
-//! per-stage wall-clock gate of the CI pipeline, and [`loadtest`] implements
-//! `mochy-exp loadtest`
-//! — the closed-loop HTTP load harness that proves keep-alive serving beats
-//! connection-per-request and (with `--check`) gates throughput and latency
-//! quantiles against `LOADTEST_BASELINE.json`. [`dist`] implements
+//! `--check`) gates against a committed baseline through [`gate`] — and
+//! [`evolve`] implements `mochy-exp evolve`, which drives the streaming
+//! engine over a temporal hyperedge event stream with per-checkpoint
+//! verification (both run by `ci.sh`). The `.mochy` binary-snapshot tooling
+//! lives in [`snapshot`] (`mochy-exp convert` and the `snapshot-check`
+//! round-trip gate), [`shard`] implements `shard-check`, the CI
+//! shard-equivalence gate behind `SHARD.json`, [`cibudget`] implements
+//! `mochy-exp ci-budget`, the per-stage wall-clock gate of the CI pipeline,
+//! and [`loadtest`] implements `mochy-exp loadtest` — the closed-loop HTTP
+//! load harness that proves keep-alive serving beats connection-per-request
+//! and (with `--check`) gates throughput and latency quantiles against
+//! `LOADTEST_BASELINE.json`, through the same [`gate`]. [`dist`] implements
 //! `mochy-exp dist-check`, the distributed-equivalence gate: it boots real
 //! `mochy-serve --worker`/`--coordinator` processes over one `.mochy`
-//! snapshot,
-//! verifies the scatter-gathered count is bit-identical to the unsharded
-//! one (including after a worker is killed mid-sequence), and emits
-//! `DIST.json`.
+//! snapshot, verifies the scatter-gathered count is bit-identical to the
+//! unsharded one (including after a worker is killed mid-sequence), and
+//! emits `DIST.json`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -58,6 +57,7 @@ pub mod fig6;
 pub mod fig7;
 pub mod fig8;
 pub mod fig9;
+pub mod gate;
 pub mod loadtest;
 pub mod nullmodels;
 pub mod pairwise;

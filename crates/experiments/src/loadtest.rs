@@ -1,5 +1,5 @@
 //! `mochy-exp loadtest` — a deterministic closed-loop load harness for
-//! `mochy-serve`, and the CI throughput gate behind `--check`.
+//! `mochy-serve`, and the table of the CI throughput gate behind `--check`.
 //!
 //! Boots an in-process [`Server`](mochy_serve::server::Server) on an
 //! ephemeral port (tiny fixed datasets, fixed seeds) and drives it with
@@ -28,9 +28,10 @@
 //! throughput, best ratio over paired back-to-back repeats — is the
 //! machine-independent headline: both halves of a pair run on the same box
 //! under the same ambient load, so the ratio gates cleanly where absolute
-//! throughput would drift across machines. [`check`] fails CI on
-//! deterministic drift, throughput/latency regressions beyond tolerance,
-//! and a speedup below [`CheckOptions::min_speedup`].
+//! throughput would drift across machines. [`GATE`] describes the document
+//! to [`crate::gate`], which fails CI on deterministic drift,
+//! throughput/latency regressions beyond tolerance, and a speedup below its
+//! floor.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -44,7 +45,7 @@ use mochy_serve::server::{Server, ServerConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::json::{self, JsonValue};
+use crate::gate::{Block, Class, Document, Nested, Rows};
 
 /// Configuration of a loadtest run. Everything is fixed/deterministic
 /// except wall-clock timings.
@@ -552,63 +553,15 @@ fn render_json(
     out
 }
 
-/// Options of the loadtest gate (`mochy-exp loadtest --check`).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CheckOptions {
-    /// Maximum tolerated throughput drop / latency growth over the baseline,
-    /// in percent. Wall-clock rates are noisy (shared CI hosts), so the
-    /// default is generous — the gate targets collapse, not jitter.
-    pub tolerance_pct: f64,
-    /// Baseline latency quantiles below this floor are exempt from the drift
-    /// comparison (sub-floor latencies are dominated by scheduler noise).
-    pub min_ms: f64,
-    /// Hard floor on the current run's `keepalive_speedup`: machine-
-    /// independent (both scenarios run on the same box in the same process),
-    /// so it is gated absolutely rather than against the baseline.
-    pub min_speedup: f64,
-}
-
-impl Default for CheckOptions {
-    fn default() -> Self {
-        Self {
-            tolerance_pct: 400.0,
-            min_ms: 20.0,
-            min_speedup: 2.0,
-        }
-    }
-}
-
-fn number_field(value: &JsonValue, key: &str, context: &str) -> Result<f64, String> {
-    value
-        .get(key)
-        .ok_or_else(|| format!("{context}: missing key `{key}`"))?
-        .as_f64()
-        .ok_or_else(|| format!("{context}: key `{key}` is not a number"))
-}
-
-/// Compares a current loadtest document against a baseline document.
-///
-/// Fails (returns `Err` with one line per violation) on:
-/// - differing run configuration (`schema`, `clients`, `requests_per_client`,
-///   `seed`, `workers`, `queue_depth`);
-/// - any scenario present in the baseline but missing now;
-/// - drift in the deterministic counters (`requests`, `responses_200`,
-///   `responses_other`, `errors`) — the closed loop sends an exact number of
-///   requests and the pool is sized to shed none, so any drift is a behaviour
-///   change, not noise;
-/// - throughput below `baseline / (1 + tolerance)` or latency quantiles
-///   above `baseline * (1 + tolerance)` (quantiles under
-///   [`CheckOptions::min_ms`] in the baseline are skipped);
-/// - a current `keepalive_speedup` below [`CheckOptions::min_speedup`].
-///
-/// On success returns a one-paragraph summary of what was compared.
-pub fn check(baseline: &str, current: &str, options: &CheckOptions) -> Result<String, String> {
-    let baseline = json::parse(baseline).map_err(|e| format!("baseline is not valid JSON: {e}"))?;
-    let current =
-        json::parse(current).map_err(|e| format!("current run is not valid JSON: {e}"))?;
-    let mut violations: Vec<String> = Vec::new();
-
-    for key in [
+/// The loadtest gate's table for `LOADTEST.json`: request and response
+/// counters are exact, throughput and latency quantiles are gated with a 400%
+/// tolerance, and `keepalive_speedup` must be at least 2.0 on the current run.
+/// The speedup is machine-independent (both scenarios run on the same box in
+/// the same process), so it is gated absolutely rather than against the
+/// baseline.
+pub const GATE: Document = Document {
+    name: "loadtest",
+    config: &[
         "schema",
         "clients",
         "requests_per_client",
@@ -616,140 +569,52 @@ pub fn check(baseline: &str, current: &str, options: &CheckOptions) -> Result<St
         "seed",
         "workers",
         "queue_depth",
-    ] {
-        let b = baseline.get(key);
-        let c = current.get(key);
-        if b != c {
-            violations.push(format!(
-                "configuration mismatch on `{key}`: baseline {b:?} vs current {c:?}"
-            ));
-        }
-    }
-
-    match number_field(&current, "keepalive_speedup", "current run") {
-        Ok(speedup) => {
-            if speedup < options.min_speedup {
-                violations.push(format!(
-                    "keepalive_speedup {speedup:.2}x is below the {:.2}x floor — keep-alive \
-                     serving no longer beats connection-per-request",
-                    options.min_speedup
-                ));
-            }
-        }
-        Err(error) => violations.push(error),
-    }
-
-    let empty = Vec::new();
-    let baseline_scenarios = baseline
-        .get("scenarios")
-        .and_then(JsonValue::as_array)
-        .unwrap_or(&empty);
-    let current_scenarios = current
-        .get("scenarios")
-        .and_then(JsonValue::as_array)
-        .unwrap_or(&empty);
-    let mut compared = 0usize;
-    let mut skipped_fast_quantiles = 0usize;
-
-    for base in baseline_scenarios {
-        let Some(name) = base.get("name").and_then(JsonValue::as_str) else {
-            violations.push("baseline scenario: missing or non-string `name`".to_string());
-            continue;
-        };
-        let context = format!("scenario `{name}`");
-        let Some(now) = current_scenarios
-            .iter()
-            .find(|s| s.get("name").and_then(JsonValue::as_str) == Some(name))
-        else {
-            violations.push(format!("{context}: missing from current run"));
-            continue;
-        };
-        compared += 1;
-
-        // Deterministic counters: any drift is a hard failure.
-        for key in ["requests", "responses_200", "responses_other", "errors"] {
-            if base.get(key) != now.get(key) {
-                violations.push(format!(
-                    "{context}: `{key}` changed: baseline {:?} vs current {:?}",
-                    base.get(key),
-                    now.get(key)
-                ));
-            }
-        }
-
-        // Throughput: a drop beyond tolerance fails.
-        match (
-            number_field(base, "throughput_rps", &context),
-            number_field(now, "throughput_rps", &context),
-        ) {
-            (Ok(b), Ok(c)) => {
-                if c < b / (1.0 + options.tolerance_pct / 100.0) {
-                    violations.push(format!(
-                        "{context}: throughput regression: baseline {b:.1} rps vs current \
-                         {c:.1} rps (tolerance {:.0}%)",
-                        options.tolerance_pct
-                    ));
-                }
-            }
-            (Err(error), _) | (_, Err(error)) => violations.push(error),
-        }
-
-        // Latency quantiles: growth beyond tolerance fails, with the same
-        // noise floor as the perf gate.
-        let base_latency = base.get("latency_ms");
-        let now_latency = now.get("latency_ms");
-        match (base_latency, now_latency) {
-            (Some(base_latency), Some(now_latency)) => {
-                for key in ["p50", "p95", "p99"] {
-                    let quantile_context = format!("{context}, latency `{key}`");
-                    match (
-                        number_field(base_latency, key, &quantile_context),
-                        number_field(now_latency, key, &quantile_context),
-                    ) {
-                        (Ok(b), Ok(c)) => {
-                            if b < options.min_ms {
-                                skipped_fast_quantiles += 1;
-                            } else if c > b * (1.0 + options.tolerance_pct / 100.0) {
-                                violations.push(format!(
-                                    "{quantile_context}: regression: baseline {b:.3} ms vs \
-                                     current {c:.3} ms (tolerance {:.0}%)",
-                                    options.tolerance_pct
-                                ));
-                            }
-                        }
-                        (Err(error), _) | (_, Err(error)) => violations.push(error),
-                    }
-                }
-            }
-            _ => violations.push(format!("{context}: missing `latency_ms` block")),
-        }
-    }
-
-    // A gate that compared nothing must not report success (mirrors the perf
-    // gate's anti-vacuous stance).
-    if compared == 0 {
-        violations.push(
-            "baseline contains no scenarios to compare; the gate would pass vacuously \
-             (is the baseline file truncated or its `scenarios` array empty?)"
-                .to_string(),
-        );
-    }
-
-    if violations.is_empty() {
-        Ok(format!(
-            "loadtest gate passed: {compared} scenario(s) compared; deterministic counters \
-             identical; {skipped_fast_quantiles} quantile(s) under the {:.0} ms floor skipped; \
-             tolerance {:.0}%, speedup floor {:.2}x",
-            options.min_ms, options.tolerance_pct, options.min_speedup
-        ))
-    } else {
-        Err(violations.join("\n"))
-    }
-}
+    ],
+    tolerance_pct: 400.0,
+    top: Block {
+        fields: &[("keepalive_speedup", Class::Floor(2.0))],
+        blocks: &[],
+        rows: &[Rows {
+            key: "scenarios",
+            kind: "scenario",
+            id: "name",
+            row: Block {
+                fields: &[
+                    ("requests", Class::Exact),
+                    ("responses_200", Class::Exact),
+                    ("responses_other", Class::Exact),
+                    ("errors", Class::Exact),
+                    ("throughput_rps", Class::Throughput),
+                ],
+                blocks: &[Nested {
+                    key: "latency_ms",
+                    optional: false,
+                    block: Block {
+                        fields: &[
+                            ("p50", Class::Timing),
+                            ("p95", Class::Timing),
+                            ("p99", Class::Timing),
+                        ],
+                        blocks: &[],
+                        rows: &[],
+                    },
+                }],
+                rows: &[],
+            },
+        }],
+    },
+};
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gate;
+    use crate::json::{self, JsonValue};
+
+    /// The loadtest gate, as `mochy-exp loadtest --check` runs it.
+    fn check(baseline: &str, current: &str) -> Result<String, String> {
+        gate::check(&GATE, baseline, current)
+    }
 
     fn tiny_options() -> LoadtestOptions {
         LoadtestOptions {
@@ -805,21 +670,27 @@ mod tests {
 
     #[test]
     fn check_passes_against_itself_and_catches_counter_drift() {
-        let report = run(&tiny_options()).expect("loadtest runs");
+        let measured = run(&tiny_options()).expect("loadtest runs");
         // Identical documents always pass, whatever this machine's timings
         // were — modulo the speedup floor, which this test must not depend
-        // on, so disable it.
-        let options = CheckOptions {
-            min_speedup: 0.0,
-            ..CheckOptions::default()
-        };
-        let summary = check(&report, &report, &options).expect("self-check must pass");
+        // on, so the document states a speedup above it.
+        let document = json::parse(&measured).unwrap();
+        let speedup = document
+            .get("keepalive_speedup")
+            .and_then(JsonValue::as_f64);
+        let report = measured.replacen(
+            &format!("\"keepalive_speedup\": {:.3}", speedup.unwrap()),
+            "\"keepalive_speedup\": 3.0",
+            1,
+        );
+        assert_ne!(report, measured, "{measured}");
+        let summary = check(&report, &report).expect("self-check must pass");
         assert!(summary.contains("loadtest gate passed"), "{summary}");
 
         // Counter drift is fatal regardless of tolerance.
         let drifted = report.replacen("\"responses_200\": 16", "\"responses_200\": 15", 1);
         assert_ne!(drifted, report);
-        let error = check(&report, &drifted, &options).unwrap_err();
+        let error = check(&report, &drifted).unwrap_err();
         assert!(error.contains("`responses_200` changed"), "{error}");
     }
 
@@ -847,57 +718,58 @@ mod tests {
     #[test]
     fn check_gates_speedup_throughput_and_latency() {
         let baseline = synthetic_report();
-        let options = CheckOptions {
-            tolerance_pct: 100.0,
-            min_ms: 20.0,
-            min_speedup: 2.0,
-        };
-        assert!(check(baseline, baseline, &options).is_ok());
+        assert!(check(baseline, baseline).is_ok());
 
         // Speedup below the floor fails even when the baseline agreed.
         let slow = baseline.replace("\"keepalive_speedup\": 3.0", "\"keepalive_speedup\": 1.4");
-        let error = check(baseline, &slow, &options).unwrap_err();
-        assert!(error.contains("below the 2.00x floor"), "{error}");
+        let error = check(baseline, &slow).unwrap_err();
+        assert!(error.contains("below the 2.00 floor"), "{error}");
 
-        // Throughput collapse beyond tolerance fails (100% => halving is
+        // Throughput collapse beyond tolerance fails (400% => a fifth is
         // the limit; 16x under is far out).
         let collapsed = baseline.replace("\"throughput_rps\": 1600.0", "\"throughput_rps\": 100.0");
-        let error = check(baseline, &collapsed, &options).unwrap_err();
-        assert!(error.contains("throughput regression"), "{error}");
+        let error = check(baseline, &collapsed).unwrap_err();
+        assert!(error.contains("`throughput_rps` regression"), "{error}");
         // …while a within-tolerance dip passes.
         let dipped = baseline.replace("\"throughput_rps\": 1600.0", "\"throughput_rps\": 900.0");
-        assert!(check(baseline, &dipped, &options).is_ok());
+        assert!(check(baseline, &dipped).is_ok());
 
         // Latency quantile drift beyond tolerance fails — but only above the
         // noise floor (p50 of 0.4 ms is exempt, p95 of 30 ms is not).
         let slower = baseline.replace(
             "\"p95\": 30.0, \"p99\": 40.0",
-            "\"p95\": 90.0, \"p99\": 40.0",
+            "\"p95\": 200.0, \"p99\": 40.0",
         );
-        let error = check(baseline, &slower, &options).unwrap_err();
-        assert!(error.contains("latency `p95`"), "{error}");
+        let error = check(baseline, &slower).unwrap_err();
+        assert!(error.contains("`latency_ms`: `p95` regression"), "{error}");
         let jittery = baseline.replace("\"p50\": 0.4", "\"p50\": 5.0");
         assert!(
-            check(baseline, &jittery, &options).is_ok(),
+            check(baseline, &jittery).is_ok(),
             "sub-floor quantiles must not gate"
         );
 
         // Config drift and missing scenarios fail.
         let reconfigured = baseline.replace("\"clients\": 2,", "\"clients\": 4,");
-        let error = check(baseline, &reconfigured, &options).unwrap_err();
-        assert!(error.contains("configuration mismatch"), "{error}");
+        let error = check(baseline, &reconfigured).unwrap_err();
+        assert!(
+            error.contains("configuration: `clients` changed"),
+            "{error}"
+        );
         let renamed = baseline.replace("\"name\": \"cache-hit-per-request\"", "\"name\": \"gone\"");
-        let error = check(baseline, &renamed, &options).unwrap_err();
+        let error = check(baseline, &renamed).unwrap_err();
         assert!(error.contains("missing from current run"), "{error}");
+        assert!(
+            error.contains("scenario `gone`: not in the baseline"),
+            "{error}"
+        );
     }
 
     #[test]
     fn vacuous_baselines_fail_the_gate() {
-        let options = CheckOptions::default();
         let empty = r#"{"schema": "mochy-loadtest/1", "clients": 2, "requests_per_client": 8,
                         "seed": 0, "workers": 4, "queue_depth": 8,
                         "keepalive_speedup": 3.0, "scenarios": []}"#;
-        let error = check(empty, empty, &options).unwrap_err();
+        let error = check(empty, empty).unwrap_err();
         assert!(error.contains("vacuously"), "{error}");
     }
 }

@@ -12,10 +12,9 @@
 //! mochy-exp snapshot-check [--dir <path>] [--threads <n>] [--reps <n>]
 //! mochy-exp ci-budget <budget.json> <profile> <stage>=<ms>...
 //! mochy-exp perf [--json <path>] [--threads <n>] [--samples <n>]
-//!           [--check <baseline.json>] [--tolerance <pct>] [--min-ms <ms>]
+//!           [--check <baseline.json>]
 //! mochy-exp loadtest [--json <path>] [--clients <n>] [--requests <n>]
 //!           [--repeats <n>] [--seed <n>] [--check <baseline.json>]
-//!           [--tolerance <pct>] [--min-ms <ms>] [--min-speedup <x>]
 //! mochy-exp dist-check --serve-bin <mochy-serve> [--json <path>]
 //!           [--workers <n>] [--nodes <n>] [--edges <n>] [--seed <n>]
 //! mochy-exp evolve [--years <n>] [--window <n|none>] [--authors <n>]
@@ -26,7 +25,7 @@
 
 use mochy_experiments::tool::{self, CountAlgorithm};
 use mochy_experiments::{
-    cibudget, dist, evolve, loadtest, perf, run_experiment, shard, snapshot, ExperimentScale,
+    cibudget, dist, evolve, gate, loadtest, perf, run_experiment, shard, snapshot, ExperimentScale,
     ALL_EXPERIMENTS,
 };
 
@@ -318,7 +317,6 @@ fn run_ci_budget(args: &[String]) {
 
 fn run_perf(args: &[String]) {
     let mut options = perf::PerfOptions::default();
-    let mut check_options = perf::CheckOptions::default();
     let mut json_path: Option<String> = None;
     let mut baseline_path: Option<String> = None;
     let mut iter = args.iter();
@@ -329,19 +327,9 @@ fn run_perf(args: &[String]) {
                 std::process::exit(2);
             })
         };
-        let parse_number = |text: String, what: &str| -> f64 {
-            text.parse().unwrap_or_else(|_| {
-                eprintln!("invalid {what} `{text}`");
-                std::process::exit(2);
-            })
-        };
         match argument.as_str() {
             "--json" => json_path = Some(take_value("--json")),
             "--check" => baseline_path = Some(take_value("--check")),
-            "--tolerance" => {
-                check_options.tolerance_pct = parse_number(take_value("--tolerance"), "tolerance")
-            }
-            "--min-ms" => check_options.min_ms = parse_number(take_value("--min-ms"), "floor"),
             "--threads" => {
                 options.threads = take_value("--threads").parse().unwrap_or_else(|_| {
                     eprintln!("invalid thread count");
@@ -358,7 +346,7 @@ fn run_perf(args: &[String]) {
                 eprintln!("unknown argument `{other}`");
                 eprintln!(
                     "usage: mochy-exp perf [--json <path>] [--threads <n>] [--samples <n>] \
-                     [--check <baseline.json>] [--tolerance <pct>] [--min-ms <ms>]"
+                     [--check <baseline.json>]"
                 );
                 std::process::exit(2);
             }
@@ -383,27 +371,12 @@ fn run_perf(args: &[String]) {
         }
     }
     if let Some(path) = baseline_path {
-        let baseline = std::fs::read_to_string(&path).unwrap_or_else(|error| {
-            eprintln!("failed to read baseline {path}: {error}");
-            std::process::exit(1);
-        });
-        match perf::check(&baseline, &json, &check_options) {
-            Ok(summary) => println!("{summary}"),
-            Err(violations) => {
-                eprintln!("perf gate FAILED against {path}:\n{violations}");
-                eprintln!(
-                    "(if this change legitimately moves timings or counts, refresh the baseline: \
-                     mochy-exp perf --json {path} --threads <as before>)"
-                );
-                std::process::exit(1);
-            }
-        }
+        check_baseline(&perf::GATE, &path, &json);
     }
 }
 
 fn run_loadtest(args: &[String]) {
     let mut options = loadtest::LoadtestOptions::default();
-    let mut check_options = loadtest::CheckOptions::default();
     let mut json_path: Option<String> = None;
     let mut baseline_path: Option<String> = None;
     let mut iter = args.iter();
@@ -411,12 +384,6 @@ fn run_loadtest(args: &[String]) {
         let mut take_value = |what: &str| -> String {
             iter.next().cloned().unwrap_or_else(|| {
                 eprintln!("{what} requires a value");
-                std::process::exit(2);
-            })
-        };
-        let parse_number = |text: String, what: &str| -> f64 {
-            text.parse().unwrap_or_else(|_| {
-                eprintln!("invalid {what} `{text}`");
                 std::process::exit(2);
             })
         };
@@ -429,13 +396,6 @@ fn run_loadtest(args: &[String]) {
         match argument.as_str() {
             "--json" => json_path = Some(take_value("--json")),
             "--check" => baseline_path = Some(take_value("--check")),
-            "--tolerance" => {
-                check_options.tolerance_pct = parse_number(take_value("--tolerance"), "tolerance")
-            }
-            "--min-ms" => check_options.min_ms = parse_number(take_value("--min-ms"), "floor"),
-            "--min-speedup" => {
-                check_options.min_speedup = parse_number(take_value("--min-speedup"), "speedup")
-            }
             "--clients" => {
                 options.clients = parse_count(take_value("--clients"), "client count").max(1)
             }
@@ -451,8 +411,7 @@ fn run_loadtest(args: &[String]) {
                 eprintln!("unknown argument `{other}`");
                 eprintln!(
                     "usage: mochy-exp loadtest [--json <path>] [--clients <n>] [--requests <n>] \
-                     [--repeats <n>] [--seed <n>] [--check <baseline.json>] [--tolerance <pct>] \
-                     [--min-ms <ms>] [--min-speedup <x>]"
+                     [--repeats <n>] [--seed <n>] [--check <baseline.json>]"
                 );
                 std::process::exit(2);
             }
@@ -480,20 +439,27 @@ fn run_loadtest(args: &[String]) {
         }
     }
     if let Some(path) = baseline_path {
-        let baseline = std::fs::read_to_string(&path).unwrap_or_else(|error| {
-            eprintln!("failed to read baseline {path}: {error}");
+        check_baseline(&loadtest::GATE, &path, &json);
+    }
+}
+
+/// Gates `current` against the baseline at `path` through `document`'s
+/// table, exiting non-zero on any violation.
+fn check_baseline(document: &gate::Document, path: &str, current: &str) {
+    let baseline = std::fs::read_to_string(path).unwrap_or_else(|error| {
+        eprintln!("failed to read baseline {path}: {error}");
+        std::process::exit(1);
+    });
+    match gate::check(document, &baseline, current) {
+        Ok(summary) => println!("{summary}"),
+        Err(violations) => {
+            let name = document.name;
+            eprintln!("{name} gate FAILED against {path}:\n{violations}");
+            eprintln!(
+                "(if this change legitimately moves them, refresh the baseline: \
+                 mochy-exp {name} --json {path}, with the baseline's configuration)"
+            );
             std::process::exit(1);
-        });
-        match loadtest::check(&baseline, &json, &check_options) {
-            Ok(summary) => println!("{summary}"),
-            Err(violations) => {
-                eprintln!("loadtest gate FAILED against {path}:\n{violations}");
-                eprintln!(
-                    "(if serving legitimately changed, refresh the baseline: \
-                     mochy-exp loadtest --json {path} --clients <as before>)"
-                );
-                std::process::exit(1);
-            }
         }
     }
 }
@@ -628,12 +594,9 @@ fn print_usage() {
     eprintln!("       mochy-exp snapshot-check [--dir <path>] [--threads <n>] [--reps <n>]");
     eprintln!("       mochy-exp ci-budget <budget.json> <profile> <stage>=<ms>...");
     eprintln!("       mochy-exp perf [--json <path>] [--threads <n>] [--samples <n>]");
-    eprintln!(
-        "                      [--check <baseline.json>] [--tolerance <pct>] [--min-ms <ms>]"
-    );
+    eprintln!("                      [--check <baseline.json>]");
     eprintln!("       mochy-exp loadtest [--json <path>] [--clients <n>] [--requests <n>]");
     eprintln!("                          [--repeats <n>] [--seed <n>] [--check <baseline.json>]");
-    eprintln!("                          [--tolerance <pct>] [--min-ms <ms>] [--min-speedup <x>]");
     eprintln!("       mochy-exp evolve [--years <n>] [--window <n|none>] [--authors <n>]");
     eprintln!("                        [--papers <n>] [--growth <n>] [--seed <n>] [--no-verify]");
     eprintln!("experiments: {}", ALL_EXPERIMENTS.join(", "));

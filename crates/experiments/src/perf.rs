@@ -1,12 +1,12 @@
 //! `mochy-exp perf` — the deterministic perf-smoke harness behind
-//! `BENCH.json`, and the CI perf-regression gate behind `--check`.
+//! `BENCH.json`, and the table of the perf-regression gate behind `--check`.
 //!
 //! Times projection and counting separately (via the engine's per-stage
 //! [`CountReport`](mochy_core::CountReport) timings) for all six counting
 //! methods — MoCHy-E, streamed-incremental, MoCHy-A, MoCHy-A+, adaptive
 //! MoCHy-A+, and on-the-fly MoCHy-A+ — plus a sharded-exact row
 //! (`mochy-e-sharded`, MoCHy-E over K = 4 centre spans, merged) on every
-//! [`mochy_bench::bench_datasets`] workload, and renders the result as
+//! [`mochy_datagen::bench_datasets`] workload, and renders the result as
 //! machine-readable JSON. Seeds are fixed, so the *counts* in the output are
 //! bit-reproducible; the timings are what CI tracks over time as the
 //! `BENCH_*.json` trajectory. Each dataset block also carries a `load`
@@ -14,20 +14,20 @@
 //! decoding the `.mochy` binary snapshot — so the snapshot speedup is
 //! measured on every run, not asserted once.
 //!
-//! [`check`] turns the matrix into a regression gate: the current run is
-//! compared against a committed baseline (`BENCH_BASELINE.json`), failing on
-//! **any** count/shape mismatch (those are deterministic — a mismatch is a
-//! correctness bug or an unacknowledged behaviour change; every method row
-//! pins all 26 counts bit for bit through its `counts_fnv` fingerprint) and
-//! on timing regressions beyond a configurable tolerance (those are noisy —
-//! the tolerance is generous and rows faster than a floor are skipped).
+//! [`GATE`] describes the document to [`crate::gate`], which compares the
+//! current run against the committed `BENCH_BASELINE.json`: any count or
+//! shape mismatch fails (those are deterministic — a mismatch is a
+//! correctness bug or an unacknowledged behaviour change), and so does a
+//! timing regression beyond the tolerance (those are noisy — the tolerance is
+//! generous and timings under the noise floor are skipped).
 
 use mochy_core::engine::{CountConfig, Method};
 use mochy_core::{AdaptiveConfig, MotifCounts};
 use mochy_hypergraph::Hypergraph;
 use mochy_projection::MemoPolicy;
 
-use crate::json::{self, JsonValue};
+use crate::gate::{Block, Class, Document, Nested, Rows};
+use crate::json;
 use crate::snapshot::{measure_load, LoadTiming};
 
 /// Configuration of a perf run. Everything is fixed/deterministic except
@@ -182,10 +182,10 @@ pub fn run_on(datasets: &[(&str, Hypergraph)], options: &PerfOptions) -> String 
     render_json(&blocks, options)
 }
 
-/// Runs the perf matrix on the [`mochy_bench::bench_datasets`] workloads and
+/// Runs the perf matrix on the [`mochy_datagen::bench_datasets`] workloads and
 /// returns the `BENCH.json` document.
 pub fn run(options: &PerfOptions) -> String {
-    let datasets = mochy_bench::bench_datasets();
+    let datasets = mochy_datagen::bench_datasets();
     run_on(&datasets, options)
 }
 
@@ -283,292 +283,61 @@ fn render_json(blocks: &[DatasetBlock], options: &PerfOptions) -> String {
     out
 }
 
-/// Options of the perf-regression gate (`mochy-exp perf --check`).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CheckOptions {
-    /// Maximum tolerated slowdown of `total_ms` over the baseline, in
-    /// percent. Timings are noisy across machines and runs, so the default
-    /// is deliberately generous — the gate is meant to catch order-of-
-    /// magnitude regressions, not 10% jitter. Count mismatches are always
-    /// fatal regardless of this setting.
-    pub tolerance_pct: f64,
-    /// Baseline rows whose `total_ms` is below this floor are exempt from
-    /// the timing comparison (sub-floor timings are dominated by noise).
-    pub min_ms: f64,
-}
-
-impl Default for CheckOptions {
-    fn default() -> Self {
-        Self {
-            tolerance_pct: 400.0,
-            min_ms: 20.0,
-        }
-    }
-}
-
-fn field<'a>(value: &'a JsonValue, key: &str, context: &str) -> Result<&'a JsonValue, String> {
-    value
-        .get(key)
-        .ok_or_else(|| format!("{context}: missing key `{key}`"))
-}
-
-fn number_field(value: &JsonValue, key: &str, context: &str) -> Result<f64, String> {
-    field(value, key, context)?
-        .as_f64()
-        .ok_or_else(|| format!("{context}: key `{key}` is not a number"))
-}
-
-fn string_field<'a>(value: &'a JsonValue, key: &str, context: &str) -> Result<&'a str, String> {
-    field(value, key, context)?
-        .as_str()
-        .ok_or_else(|| format!("{context}: key `{key}` is not a string"))
-}
-
-/// `samples_drawn` is a number or `null`; normalize for comparison.
-fn optional_number(value: &JsonValue, key: &str, context: &str) -> Result<Option<f64>, String> {
-    let value = field(value, key, context)?;
-    if value.is_null() {
-        return Ok(None);
-    }
-    value
-        .as_f64()
-        .map(Some)
-        .ok_or_else(|| format!("{context}: key `{key}` is neither number nor null"))
-}
-
-/// Compares a current perf matrix against a baseline matrix.
-///
-/// Fails (returns `Err` with one line per violation) on:
-/// - differing run configuration (`schema`, `threads`, `samples`, `seed`) —
-///   counts are only comparable under identical configuration;
-/// - any dataset or method present in the baseline but missing now;
-/// - any mismatch in the deterministic fields (`num_nodes`, `num_edges`,
-///   `num_hyperwedges`, `total_count`, `counts_fnv`, `samples_drawn`), and a
-///   method row without `counts_fnv` on either side;
-/// - any method whose `total_ms` exceeds the baseline by more than
-///   [`CheckOptions::tolerance_pct`] percent (rows under
-///   [`CheckOptions::min_ms`] in the baseline are skipped).
-///
-/// On success returns a one-paragraph summary of what was compared.
-pub fn check(baseline: &str, current: &str, options: &CheckOptions) -> Result<String, String> {
-    let baseline = json::parse(baseline).map_err(|e| format!("baseline is not valid JSON: {e}"))?;
-    let current =
-        json::parse(current).map_err(|e| format!("current run is not valid JSON: {e}"))?;
-    let mut violations: Vec<String> = Vec::new();
-
-    for key in ["schema", "threads", "samples", "seed"] {
-        let b = baseline.get(key);
-        let c = current.get(key);
-        if b != c {
-            violations.push(format!(
-                "configuration mismatch on `{key}`: baseline {b:?} vs current {c:?}"
-            ));
-        }
-    }
-
-    let empty = Vec::new();
-    let baseline_datasets = baseline
-        .get("datasets")
-        .and_then(JsonValue::as_array)
-        .unwrap_or(&empty);
-    let current_datasets = current
-        .get("datasets")
-        .and_then(JsonValue::as_array)
-        .unwrap_or(&empty);
-    let mut compared_rows = 0usize;
-    let mut skipped_fast_rows = 0usize;
-
-    for base_dataset in baseline_datasets {
-        let context = "baseline dataset";
-        let name = match field(base_dataset, "name", context).and_then(|v| {
-            v.as_str()
-                .ok_or_else(|| format!("{context}: `name` is not a string"))
-        }) {
-            Ok(name) => name,
-            Err(error) => {
-                violations.push(error);
-                continue;
-            }
-        };
-        let Some(current_dataset) = current_datasets
-            .iter()
-            .find(|d| d.get("name").and_then(JsonValue::as_str) == Some(name))
-        else {
-            violations.push(format!("dataset `{name}` missing from current run"));
-            continue;
-        };
-        for key in ["num_nodes", "num_edges", "num_hyperwedges"] {
-            if base_dataset.get(key) != current_dataset.get(key) {
-                violations.push(format!(
-                    "dataset `{name}`: `{key}` changed: baseline {:?} vs current {:?}",
-                    base_dataset.get(key),
-                    current_dataset.get(key)
-                ));
-            }
-        }
-
-        // Load rows: the node/edge counts read back are deterministic
-        // (drift means the loader, not the machine, changed — fatal), while
-        // the text/snapshot load timings are tolerance-gated like every
-        // other timing, with the same noise floor.
-        match (base_dataset.get("load"), current_dataset.get("load")) {
-            (None | Some(JsonValue::Null), _) => {}
-            (Some(base_load), Some(current_load)) if !current_load.is_null() => {
-                let load_context = format!("dataset `{name}`, load");
-                for key in ["loaded_nodes", "loaded_edges"] {
-                    if base_load.get(key) != current_load.get(key) {
-                        violations.push(format!(
-                            "{load_context}: `{key}` changed: baseline {:?} vs current {:?}",
-                            base_load.get(key),
-                            current_load.get(key)
-                        ));
-                    }
-                }
-                for key in ["text_ms", "snapshot_ms"] {
-                    match (
-                        number_field(base_load, key, &load_context),
-                        number_field(current_load, key, &load_context),
-                    ) {
-                        (Ok(b), Ok(c)) => {
-                            if b < options.min_ms {
-                                skipped_fast_rows += 1;
-                            } else if c > b * (1.0 + options.tolerance_pct / 100.0) {
-                                violations.push(format!(
-                                    "{load_context}: `{key}` regression: baseline {b:.3} ms vs \
-                                     current {c:.3} ms (tolerance {:.0}%)",
-                                    options.tolerance_pct
-                                ));
-                            }
-                        }
-                        (Err(error), _) | (_, Err(error)) => violations.push(error),
-                    }
-                }
-            }
-            (Some(_), _) => violations.push(format!(
-                "dataset `{name}`: load rows missing from current run"
-            )),
-        }
-
-        let base_methods = base_dataset
-            .get("methods")
-            .and_then(JsonValue::as_array)
-            .unwrap_or(&empty);
-        let current_methods = current_dataset
-            .get("methods")
-            .and_then(JsonValue::as_array)
-            .unwrap_or(&empty);
-        for base_row in base_methods {
-            let context = format!("dataset `{name}`");
-            let method = match field(base_row, "method", &context).and_then(|v| {
-                v.as_str()
-                    .ok_or_else(|| format!("{context}: `method` is not a string"))
-            }) {
-                Ok(method) => method,
-                Err(error) => {
-                    violations.push(error);
-                    continue;
-                }
-            };
-            let row_context = format!("dataset `{name}`, method `{method}`");
-            let Some(current_row) = current_methods
-                .iter()
-                .find(|r| r.get("method").and_then(JsonValue::as_str) == Some(method))
-            else {
-                violations.push(format!("{row_context}: missing from current run"));
-                continue;
-            };
-            compared_rows += 1;
-
-            // Deterministic fields: any drift is a hard failure.
-            match (
-                number_field(base_row, "total_count", &row_context),
-                number_field(current_row, "total_count", &row_context),
-            ) {
-                (Ok(b), Ok(c)) => {
-                    if (b - c).abs() > 1e-9 * b.abs().max(1.0) {
-                        violations.push(format!(
-                            "{row_context}: total_count changed: baseline {b} vs current {c}"
-                        ));
-                    }
-                }
-                (Err(error), _) | (_, Err(error)) => violations.push(error),
-            }
-            // `total_count` is a rounded sum: instances moved between two
-            // motifs with the same rescale factor leave it unchanged.
-            match (
-                string_field(base_row, "counts_fnv", &row_context),
-                string_field(current_row, "counts_fnv", &row_context),
-            ) {
-                (Ok(b), Ok(c)) => {
-                    if b != c {
-                        violations.push(format!(
-                            "{row_context}: counts_fnv changed: baseline {b} vs current {c}"
-                        ));
-                    }
-                }
-                (Err(error), _) | (_, Err(error)) => violations.push(error),
-            }
-            match (
-                optional_number(base_row, "samples_drawn", &row_context),
-                optional_number(current_row, "samples_drawn", &row_context),
-            ) {
-                (Ok(b), Ok(c)) => {
-                    if b != c {
-                        violations.push(format!(
-                            "{row_context}: samples_drawn changed: baseline {b:?} vs current {c:?}"
-                        ));
-                    }
-                }
-                (Err(error), _) | (_, Err(error)) => violations.push(error),
-            }
-
-            // Timing: generous tolerance, noise floor.
-            match (
-                number_field(base_row, "total_ms", &row_context),
-                number_field(current_row, "total_ms", &row_context),
-            ) {
-                (Ok(b), Ok(c)) => {
-                    if b < options.min_ms {
-                        skipped_fast_rows += 1;
-                    } else if c > b * (1.0 + options.tolerance_pct / 100.0) {
-                        violations.push(format!(
-                            "{row_context}: timing regression: baseline {b:.3} ms vs current \
-                             {c:.3} ms (tolerance {:.0}%)",
-                            options.tolerance_pct
-                        ));
-                    }
-                }
-                (Err(error), _) | (_, Err(error)) => violations.push(error),
-            }
-        }
-    }
-
-    // A gate that compared nothing must not report success: a baseline whose
-    // `datasets` array is missing, empty, or holds no method rows would
-    // otherwise pass vacuously (e.g. after a bad baseline refresh), silently
-    // disabling every deterministic check above.
-    if compared_rows == 0 {
-        violations.push(
-            "baseline contains no method rows to compare; the gate would pass vacuously \
-             (is the baseline file truncated or its `datasets` array empty?)"
-                .to_string(),
-        );
-    }
-
-    if violations.is_empty() {
-        Ok(format!(
-            "perf gate passed: {} dataset(s), {} method row(s) compared; counts identical; \
-             {} row(s) under the {:.0} ms timing floor skipped; tolerance {:.0}%",
-            baseline_datasets.len(),
-            compared_rows,
-            skipped_fast_rows,
-            options.min_ms,
-            options.tolerance_pct
-        ))
-    } else {
-        Err(violations.join("\n"))
-    }
-}
+/// The perf gate's table for `BENCH.json`: counts, shapes and read-backs are
+/// exact, `counts_fnv` pins all 26 counts of a method row bit for bit, and
+/// the cold-load and end-to-end timings are gated with a 500% tolerance.
+/// `projection_ms` and `counting_ms` are reported but not gated.
+pub const GATE: Document = Document {
+    name: "perf",
+    config: &["schema", "threads", "samples", "seed"],
+    tolerance_pct: 500.0,
+    top: Block {
+        fields: &[],
+        blocks: &[],
+        rows: &[Rows {
+            key: "datasets",
+            kind: "dataset",
+            id: "name",
+            row: Block {
+                fields: &[
+                    ("num_nodes", Class::Exact),
+                    ("num_edges", Class::Exact),
+                    ("num_hyperwedges", Class::Exact),
+                ],
+                // `null` when the scratch directory could not be used.
+                blocks: &[Nested {
+                    key: "load",
+                    optional: true,
+                    block: Block {
+                        fields: &[
+                            ("loaded_nodes", Class::Exact),
+                            ("loaded_edges", Class::Exact),
+                            ("text_ms", Class::Timing),
+                            ("snapshot_ms", Class::Timing),
+                        ],
+                        blocks: &[],
+                        rows: &[],
+                    },
+                }],
+                rows: &[Rows {
+                    key: "methods",
+                    kind: "method",
+                    id: "method",
+                    row: Block {
+                        fields: &[
+                            ("total_count", Class::Exact),
+                            ("counts_fnv", Class::Exact),
+                            ("samples_drawn", Class::Exact),
+                            ("total_ms", Class::Timing),
+                        ],
+                        blocks: &[],
+                        rows: &[],
+                    },
+                }],
+            },
+        }],
+    },
+};
 
 /// Formats a finite `f64` as a JSON number (JSON has no NaN/Infinity; the
 /// perf matrix never produces them, but clamp defensively).
@@ -604,7 +373,14 @@ fn escape_json(text: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gate;
+    use crate::json::JsonValue;
     use mochy_datagen::{generate, DomainKind, GeneratorConfig};
+
+    /// The perf gate, as `mochy-exp perf --check` runs it.
+    fn check(baseline: &str, current: &str) -> Result<String, String> {
+        gate::check(&GATE, baseline, current)
+    }
 
     fn tiny_options() -> PerfOptions {
         PerfOptions {
@@ -742,14 +518,13 @@ mod tests {
         let datasets = vec![tiny_dataset()];
         let baseline = run_on(&datasets, &tiny_options());
         let current = run_on(&datasets, &tiny_options());
-        let options = CheckOptions::default();
-        let summary = check(&baseline, &current, &options).expect("identical runs must pass");
+        let summary = check(&baseline, &current).expect("identical runs must pass");
         assert!(summary.contains("perf gate passed"));
 
         // Any count drift is fatal, regardless of timing tolerance.
         let tampered = baseline.replacen("\"total_count\": ", "\"total_count\": 1", 1);
-        let error = check(&baseline, &tampered, &options).unwrap_err();
-        assert!(error.contains("total_count changed"), "{error}");
+        let error = check(&baseline, &tampered).unwrap_err();
+        assert!(error.contains("`total_count` changed"), "{error}");
     }
 
     /// Swapping two closed-motif counts keeps `total_count` but not
@@ -785,10 +560,9 @@ mod tests {
         };
         let baseline = document(counts);
         let current = document(swapped);
-        let options = CheckOptions::default();
-        assert!(check(&baseline, &baseline, &options).is_ok());
-        let error = check(&baseline, &current, &options).unwrap_err();
-        assert!(error.contains("counts_fnv changed"), "{error}");
+        assert!(check(&baseline, &baseline).is_ok());
+        let error = check(&baseline, &current).unwrap_err();
+        assert!(error.contains("`counts_fnv` changed"), "{error}");
         assert!(!error.contains("total_count"), "{error}");
 
         let unpinned: String = baseline
@@ -797,7 +571,7 @@ mod tests {
             .collect::<Vec<_>>()
             .join("\n");
         for (base, cur) in [(&unpinned, &baseline), (&baseline, &unpinned)] {
-            let error = check(base, cur, &options).unwrap_err();
+            let error = check(base, cur).unwrap_err();
             assert!(error.contains("missing key `counts_fnv`"), "{error}");
         }
     }
@@ -817,20 +591,14 @@ mod tests {
         }"#;
         let slow = baseline.replace("\"total_ms\": 100.0", "\"total_ms\": 260.0");
         let very_slow = baseline.replace("\"total_ms\": 100.0", "\"total_ms\": 2600.0");
-        let options = CheckOptions {
-            tolerance_pct: 200.0,
-            min_ms: 20.0,
-        };
-        // 2.6x is inside a 200% (= 3x) tolerance; 26x is not.
-        assert!(check(baseline, &slow, &options).is_ok());
-        let error = check(baseline, &very_slow, &options).unwrap_err();
-        assert!(error.contains("timing regression"), "{error}");
-        // Below the noise floor, even huge relative slowdowns are ignored.
-        let floored = CheckOptions {
-            tolerance_pct: 200.0,
-            min_ms: 500.0,
-        };
-        assert!(check(baseline, &very_slow, &floored).is_ok());
+        // 2.6x is inside the 500% (= 6x) tolerance; 26x is not.
+        assert!(check(baseline, &slow).is_ok());
+        let error = check(baseline, &very_slow).unwrap_err();
+        assert!(error.contains("`total_ms` regression"), "{error}");
+        // Below the 20 ms noise floor, even huge relative slowdowns are
+        // ignored.
+        let floored = baseline.replace("\"total_ms\": 100.0", "\"total_ms\": 10.0");
+        assert!(check(&floored, &very_slow).is_ok());
     }
 
     /// A hand-written one-row matrix whose timing sits far below the default
@@ -852,23 +620,22 @@ mod tests {
     #[test]
     fn deterministic_drift_is_fatal_even_on_timing_skipped_rows() {
         let baseline = sub_floor_baseline();
-        let options = CheckOptions::default();
         // Sanity: the row really is under the floor (summary reports the skip)
         // and an identical run passes.
-        let summary = check(baseline, baseline, &options).unwrap();
-        assert!(summary.contains("1 row(s) under"), "{summary}");
+        let summary = check(baseline, baseline).unwrap();
+        assert!(summary.contains("1 timing(s) under"), "{summary}");
 
         // Count drift on the skipped-timing row is still fatal…
         let drifted = baseline.replace("\"total_count\": 5", "\"total_count\": 6");
-        let error = check(baseline, &drifted, &options).unwrap_err();
-        assert!(error.contains("total_count changed"), "{error}");
+        let error = check(baseline, &drifted).unwrap_err();
+        assert!(error.contains("`total_count` changed"), "{error}");
         // …as is samples_drawn drift…
         let drifted = baseline.replace("\"samples_drawn\": null", "\"samples_drawn\": 100");
-        let error = check(baseline, &drifted, &options).unwrap_err();
-        assert!(error.contains("samples_drawn changed"), "{error}");
+        let error = check(baseline, &drifted).unwrap_err();
+        assert!(error.contains("`samples_drawn` changed"), "{error}");
         // …and hyperwedge drift at the dataset level.
         let drifted = baseline.replace("\"num_hyperwedges\": 9", "\"num_hyperwedges\": 8");
-        let error = check(baseline, &drifted, &options).unwrap_err();
+        let error = check(baseline, &drifted).unwrap_err();
         assert!(error.contains("`num_hyperwedges` changed"), "{error}");
     }
 
@@ -895,30 +662,23 @@ mod tests {
     #[test]
     fn load_rows_gate_deterministic_fields_and_timings() {
         let baseline = load_row_baseline();
-        let options = CheckOptions {
-            tolerance_pct: 200.0,
-            min_ms: 20.0,
-        };
-        assert!(check(baseline, baseline, &options).is_ok());
+        assert!(check(baseline, baseline).is_ok());
 
         // Read-back count drift is fatal regardless of timings.
         let drifted = baseline.replace("\"loaded_edges\": 3", "\"loaded_edges\": 2");
-        let error = check(baseline, &drifted, &options).unwrap_err();
+        let error = check(baseline, &drifted).unwrap_err();
         assert!(error.contains("`loaded_edges` changed"), "{error}");
 
         // Load-timing regressions obey the same tolerance as method rows.
         let slower = baseline.replace("\"snapshot_ms\": 40.0", "\"snapshot_ms\": 100.0");
-        assert!(check(baseline, &slower, &options).is_ok(), "within 3x");
+        assert!(check(baseline, &slower).is_ok(), "within 6x");
         let way_slower = baseline.replace("\"snapshot_ms\": 40.0", "\"snapshot_ms\": 400.0");
-        let error = check(baseline, &way_slower, &options).unwrap_err();
+        let error = check(baseline, &way_slower).unwrap_err();
         assert!(error.contains("`snapshot_ms` regression"), "{error}");
 
         // …and the same noise floor.
-        let floored = CheckOptions {
-            tolerance_pct: 200.0,
-            min_ms: 500.0,
-        };
-        assert!(check(baseline, &way_slower, &floored).is_ok());
+        let floored = baseline.replace("\"snapshot_ms\": 40.0", "\"snapshot_ms\": 10.0");
+        assert!(check(&floored, &way_slower).is_ok());
 
         // A current run that lost its load block entirely fails.
         let missing = baseline.replace(
@@ -926,45 +686,51 @@ mod tests {
             "\"load\": null,",
         );
         assert_ne!(missing, baseline, "replacement must have matched");
-        let error = check(baseline, &missing, &options).unwrap_err();
-        assert!(error.contains("load rows missing"), "{error}");
+        let error = check(baseline, &missing).unwrap_err();
+        assert!(
+            error.contains("`load`: missing from current run"),
+            "{error}"
+        );
     }
 
     #[test]
     fn missing_baseline_rows_fail_instead_of_vanishing() {
         let baseline = sub_floor_baseline();
-        let options = CheckOptions::default();
         // A current run whose only dataset lost its method rows: the
         // baseline row must be reported missing, not silently skipped.
         let no_rows = baseline.replace("\"methods\": [{", "\"methods\": [], \"ignored\": [{");
-        let error = check(baseline, &no_rows, &options).unwrap_err();
+        let error = check(baseline, &no_rows).unwrap_err();
         assert!(
             error.contains("method `mochy-e`: missing from current run"),
             "{error}"
         );
         // A current run missing the whole dataset fails likewise.
         let renamed = baseline.replace("\"name\": \"d\"", "\"name\": \"other\"");
-        let error = check(baseline, &renamed, &options).unwrap_err();
-        assert!(error.contains("dataset `d` missing"), "{error}");
+        let error = check(baseline, &renamed).unwrap_err();
+        assert!(error.contains("dataset `d`: missing"), "{error}");
+        // …and the renamed dataset, which the baseline lacks, fails too.
+        assert!(
+            error.contains("dataset `other`: not in the baseline"),
+            "{error}"
+        );
     }
 
     #[test]
     fn vacuous_baselines_fail_the_gate() {
-        let options = CheckOptions::default();
         // Empty `datasets` array on both sides: nothing compares, which must
         // be a failure, not a pass.
         let empty = r#"{"schema": "mochy-perf/1", "threads": 2, "samples": 200,
                         "seed": 0, "datasets": []}"#;
-        let error = check(empty, empty, &options).unwrap_err();
+        let error = check(empty, empty).unwrap_err();
         assert!(error.contains("vacuously"), "{error}");
         // Same for a baseline with no `datasets` key at all.
         let keyless = r#"{"schema": "mochy-perf/1", "threads": 2, "samples": 200, "seed": 0}"#;
-        let error = check(keyless, keyless, &options).unwrap_err();
+        let error = check(keyless, keyless).unwrap_err();
         assert!(error.contains("vacuously"), "{error}");
         // And for a baseline whose datasets hold empty method lists.
         let no_rows =
             sub_floor_baseline().replace("\"methods\": [{", "\"methods\": [], \"ignored\": [{");
-        let error = check(&no_rows, &no_rows, &options).unwrap_err();
+        let error = check(&no_rows, &no_rows).unwrap_err();
         assert!(error.contains("vacuously"), "{error}");
     }
 
@@ -972,7 +738,6 @@ mod tests {
     fn check_catches_config_and_coverage_mismatches() {
         let datasets = vec![tiny_dataset()];
         let baseline = run_on(&datasets, &tiny_options());
-        let options = CheckOptions::default();
 
         let other_threads = run_on(
             &datasets,
@@ -981,16 +746,19 @@ mod tests {
                 ..tiny_options()
             },
         );
-        let error = check(&baseline, &other_threads, &options).unwrap_err();
-        assert!(error.contains("configuration mismatch"), "{error}");
+        let error = check(&baseline, &other_threads).unwrap_err();
+        assert!(
+            error.contains("configuration: `threads` changed"),
+            "{error}"
+        );
 
         let missing_method = baseline.replacen("\"incremental\"", "\"renamed\"", 1);
-        let error = check(&baseline, &missing_method, &options).unwrap_err();
+        let error = check(&baseline, &missing_method).unwrap_err();
         assert!(error.contains("missing from current run"), "{error}");
 
         let empty = r#"{"schema": "mochy-perf/1", "threads": 2, "samples": 200,
                         "seed": 0, "datasets": []}"#;
-        let error = check(&baseline, empty, &options).unwrap_err();
+        let error = check(&baseline, empty).unwrap_err();
         assert!(error.contains("missing from current run"), "{error}");
     }
 }

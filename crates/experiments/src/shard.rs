@@ -1,6 +1,6 @@
 //! `mochy-exp shard-check` — the CI shard-equivalence gate.
 //!
-//! Every [`mochy_bench::bench_datasets`] workload is counted with
+//! Every [`mochy_datagen::bench_datasets`] workload is counted with
 //! scatter-gather MoCHy-E (`CountConfig::shards`) at each requested shard
 //! count. The merged [`MotifEngine`] report must be **bit-identical** to the
 //! unsharded run for every shard count — the same invariance the
@@ -91,7 +91,7 @@ pub fn shard_check(options: &ShardCheckOptions) -> Result<ShardCheckOutcome, Str
 
     let mut violations: Vec<String> = Vec::new();
     let mut blocks: Vec<DatasetBlock> = Vec::new();
-    for (name, original) in mochy_bench::bench_datasets() {
+    for (name, original) in mochy_datagen::bench_datasets() {
         let baseline = count(&original, options.threads, 1);
         let mut block = DatasetBlock {
             name: name.to_string(),

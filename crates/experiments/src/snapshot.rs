@@ -3,7 +3,7 @@
 //!
 //! `convert` turns any supported text dataset (edge-list, or the Benson
 //! nverts/simplices pair) into a `.mochy` snapshot. `snapshot-check` is the
-//! CI stage: every [`mochy_bench::bench_datasets`] workload is written as
+//! CI stage: every [`mochy_datagen::bench_datasets`] workload is written as
 //! text, converted to `.mochy`, and reloaded through both paths; the
 //! [`MotifEngine`] reports of the two loads must be **bit-identical** for
 //! both `Method::Exact` and `Method::Incremental`, and the per-dataset load
@@ -188,7 +188,7 @@ pub fn snapshot_check(options: &SnapshotCheckOptions) -> Result<String, String> 
         "{:<10} {:>8} {:>8} {:>12} {:>12} {:>9}",
         "dataset", "nodes", "edges", "text_ms", "snapshot_ms", "speedup"
     );
-    for (name, original) in mochy_bench::bench_datasets() {
+    for (name, original) in mochy_datagen::bench_datasets() {
         let measured = match measure_load(&original, dir, name, options.reps) {
             Ok(measured) => measured,
             Err(error) => {
