@@ -115,10 +115,12 @@ run_stage shard-equivalence "${TARGET_DIR}/mochy-exp" shard-check \
 # Serve smoke (both lanes): boot mochy-serve FROM A .mochy SNAPSHOT on an
 # ephemeral port, drive /healthz + /datasets + /count through the example
 # client — which also uploads a second snapshot through POST /datasets,
-# counts on it, and repeats /count 25 times over ONE persistent connection
-# (the keep-alive smoke) — request a clean shutdown, and assert the process
-# exits 0. Binaries are built above; the example client is built here
-# explicitly (plain `cargo build` skips examples).
+# counts on it, inserts and removes one hyperedge there and requires the
+# generation-2 mochy-e body (the streaming writer's carried counts) to
+# equal the generation-0 MoCHy-E body, and repeats /count 25 times over ONE
+# persistent connection (the keep-alive smoke) — request a clean shutdown,
+# and assert the process exits 0. Binaries are built above; the example
+# client is built here explicitly (plain `cargo build` skips examples).
 serve_smoke() {
   cargo build "${CARGO_FLAGS[@]}" -p mochy_serve -p mochy --bins --examples
   local log status=0
@@ -201,8 +203,9 @@ if [[ "$PROFILE" == "release" ]]; then
     perf --json BENCH.json --threads 4 --check BENCH_BASELINE.json
 
   # Streaming equivalence: replay a windowed temporal event stream through
-  # the StreamingEngine, verifying every yearly checkpoint against a
-  # from-scratch MotifEngine run (non-zero exit on any divergence).
+  # the StreamingEngine, verifying every yearly checkpoint's counts and |∧|
+  # against a from-scratch MotifEngine run (non-zero exit on any
+  # divergence).
   run_stage evolve-verify cargo run --locked --release -p mochy_experiments --bin mochy-exp -- \
     evolve --years 8 --window 3
 

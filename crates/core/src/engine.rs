@@ -44,7 +44,9 @@
 //! - **Projection strategy** — eager ([`project`]), eager-parallel
 //!   ([`project_parallel`]) or lazy ([`mochy_projection::LazyProjection`]),
 //!   chosen from the method and thread count (reported as
-//!   [`ProjectionMode`]).
+//!   [`ProjectionMode`]). A caller that keeps the projected graph of an
+//!   immutable hypergraph passes it to [`MotifEngine::count_projected`]
+//!   instead, which reports the same.
 //! - **RNG construction** — sampling methods derive every random draw from
 //!   the configured `u64` seed; no RNG value crosses the API. Parallel
 //!   sampling derives one stream per *sample index*, so counts are
@@ -101,9 +103,9 @@ pub enum Method {
         samples: usize,
     },
     /// MoCHy-A+ with the sample count set to `ratio · |∧|` (the
-    /// parameterization of Figures 8 and 9); the engine sizes the sample
-    /// from the projection it builds anyway, so callers never need `|∧|`
-    /// up front.
+    /// parameterization of Figures 8 and 9, sized by
+    /// [`wedge_ratio_samples`]); the engine sizes the sample from the
+    /// projection it counts on, so callers never need `|∧|` up front.
     WedgeSampleRatio {
         /// Fraction of the hyperwedge count to draw (clamped to ≥ 1 sample
         /// when any hyperwedge exists).
@@ -140,6 +142,18 @@ impl Method {
     /// Whether the method produces exact counts (vs. unbiased estimates).
     pub fn is_exact(&self) -> bool {
         matches!(self, Method::Exact | Method::Incremental)
+    }
+}
+
+/// The number of hyperwedges [`Method::WedgeSampleRatio`] draws from a
+/// projected graph with `num_hyperwedges` hyperwedges: `⌈ratio · |∧|⌉`, at
+/// least 1 when any hyperwedge exists, and 0 when none does. Callers that
+/// bound a query's samples check this same number before counting.
+pub fn wedge_ratio_samples(num_hyperwedges: usize, ratio: f64) -> usize {
+    if num_hyperwedges == 0 {
+        0
+    } else {
+        ((num_hyperwedges as f64 * ratio).ceil() as usize).max(1)
     }
 }
 
@@ -350,7 +364,8 @@ pub struct CountReport {
     pub projection: ProjectionMode,
     /// Wall-clock time spent materializing the projected graph (excluded
     /// from equality). Zero for [`Method::OnTheFly`], whose neighbourhoods
-    /// are computed on demand during counting.
+    /// are computed on demand during counting, and for
+    /// [`MotifEngine::count_projected`], whose caller supplies the graph.
     pub projection_time: Duration,
     /// Wall-clock time spent in the counting/sampling stage proper
     /// (excluded from equality). For [`Method::OnTheFly`] this includes the
@@ -391,7 +406,8 @@ impl CountReport {
 }
 
 /// The unified counting engine. Construct via [`CountConfig::build`] (or
-/// [`MotifEngine::new`]) and run with [`MotifEngine::count`].
+/// [`MotifEngine::new`]) and run with [`MotifEngine::count`], or with
+/// [`MotifEngine::count_projected`] on a projected graph already at hand.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MotifEngine {
     config: CountConfig,
@@ -409,79 +425,85 @@ impl MotifEngine {
     }
 
     /// Counts the h-motif instances of `hypergraph` with the configured
-    /// method, projection strategy, thread count and seed.
+    /// method, projection strategy, thread count and seed: every method but
+    /// [`Method::Incremental`] and [`Method::OnTheFly`] projects the
+    /// hypergraph (Algorithm 1), then counts through
+    /// [`MotifEngine::count_projected`].
     pub fn count(&self, hypergraph: &Hypergraph) -> CountReport {
+        let start = Instant::now();
+        let mut report = match self.config.method {
+            Method::Incremental => self.replay(hypergraph, None),
+            Method::OnTheFly {
+                samples,
+                budget_entries,
+                policy,
+            } => self.sample_on_the_fly(hypergraph, samples, budget_entries, policy, None),
+            _ => {
+                let (projected, projection_time) =
+                    timed(|| project_parallel(hypergraph, self.config.threads));
+                let mut report = self.count_projected(hypergraph, &projected);
+                report.projection_time = projection_time;
+                report
+            }
+        };
+        report.elapsed = start.elapsed();
+        report
+    }
+
+    /// Counts on `projected`, the projected graph of `hypergraph` that the
+    /// caller already holds, so repeated queries on one immutable hypergraph
+    /// project it once. The report compares equal to
+    /// [`MotifEngine::count`]'s with the same configuration, `projection`
+    /// included: the projected graph is the same for every thread count.
+    /// Its [`CountReport::projection_time`] is zero. [`Method::Incremental`]
+    /// and [`Method::OnTheFly`] still count without `projected` and use it
+    /// only for generalized counts.
+    pub fn count_projected(
+        &self,
+        hypergraph: &Hypergraph,
+        projected: &ProjectedGraph,
+    ) -> CountReport {
         let start = Instant::now();
         let threads = self.config.threads.max(1);
         let seed = self.config.seed;
 
-        let (mut report, projection_time, counting_time) = match self.config.method {
+        let mut report = match self.config.method {
             Method::Exact => {
-                let ((projected, projection), projection_time) =
-                    timed(|| self.eager_projection(hypergraph, threads));
-                if self.config.shards > 1 {
-                    // Scatter-gather: MoCHy-E over each shard's centre span,
-                    // merged order-fixed. The merged counts and hyperwedge
-                    // total are bit-identical to the unsharded branch below,
-                    // so the report compares equal across shard counts
-                    // (PartialEq ignores timings).
-                    let ((counts, num_hyperwedges), counting_time) = timed(|| {
+                let ((counts, num_hyperwedges), counting_time) = timed(|| {
+                    if self.config.shards > 1 {
+                        // Scatter-gather: MoCHy-E over each shard's centre
+                        // span, merged order-fixed. The merged counts and
+                        // hyperwedge total are bit-identical to the
+                        // unsharded branches, so the report compares equal
+                        // across shard counts (PartialEq ignores timings).
                         let partials = crate::shard::count_sharded(
                             hypergraph,
-                            &projected,
+                            projected,
                             self.config.shards,
                             threads,
                         );
                         crate::shard::merge_partials(&partials)
-                    });
-                    let mut report =
-                        self.base_report(counts, projection, Some(&projected), hypergraph);
-                    report.num_hyperwedges = Some(num_hyperwedges);
-                    (report, projection_time, counting_time)
-                } else {
-                    let (counts, counting_time) = timed(|| {
-                        if threads > 1 {
-                            mochy_e_parallel(hypergraph, &projected, threads)
-                        } else {
-                            mochy_e(hypergraph, &projected)
-                        }
-                    });
-                    let report = self.base_report(counts, projection, Some(&projected), hypergraph);
-                    (report, projection_time, counting_time)
-                }
-            }
-            Method::Incremental => {
-                // Replay every hyperedge through the streaming engine; the
-                // sum of per-insertion deltas is the exact count. Asymptotic
-                // work matches MoCHy-E (every instance is classified exactly
-                // once, at the insertion of its largest edge id).
-                let (stream, counting_time) = timed(|| {
-                    let mut stream = crate::streaming::StreamingEngine::new(
-                        crate::streaming::StreamConfig::default(),
-                    );
-                    for e in hypergraph.edge_ids() {
-                        stream.insert(hypergraph.edge(e).iter().copied());
+                    } else if threads > 1 {
+                        let counts = mochy_e_parallel(hypergraph, projected, threads);
+                        (counts, projected.num_hyperwedges())
+                    } else {
+                        (mochy_e(hypergraph, projected), projected.num_hyperwedges())
                     }
-                    stream
                 });
-                let mut report = self.base_report(
-                    stream.counts().clone(),
-                    ProjectionMode::Overlay,
-                    None,
-                    hypergraph,
-                );
-                report.num_hyperwedges = Some(stream.num_hyperwedges());
-                (report, Duration::ZERO, counting_time)
+                let mut report =
+                    self.base_report(counts, counting_time, Some(projected), hypergraph);
+                report.num_hyperwedges = Some(num_hyperwedges);
+                report
             }
+            Method::Incremental => self.replay(hypergraph, Some(projected)),
             Method::EdgeSample { samples } => {
-                let ((projected, projection), projection_time) =
-                    timed(|| self.eager_projection(hypergraph, threads));
                 // Sequential and parallel dispatch share this entry point;
                 // it derives a per-sample-index StdRng from the seed, so the
                 // estimate is thread-count invariant.
                 let (counts, counting_time) =
-                    timed(|| mochy_a_parallel(hypergraph, &projected, samples, threads, seed));
-                let mut report = self.base_report(counts, projection, Some(&projected), hypergraph);
+                    timed(|| mochy_a_parallel(hypergraph, projected, samples, threads, seed));
+                let mut report =
+                    self.base_report(counts, counting_time, Some(projected), hypergraph);
                 // The sampler early-returns without drawing on an empty
                 // hypergraph; report what was actually drawn.
                 report.samples_drawn = Some(if hypergraph.num_edges() == 0 {
@@ -489,112 +511,136 @@ impl MotifEngine {
                 } else {
                     samples
                 });
-                (report, projection_time, counting_time)
+                report
             }
             Method::WedgeSample { samples } => {
-                let ((projected, projection), projection_time) =
-                    timed(|| self.eager_projection(hypergraph, threads));
                 let (counts, counting_time) =
-                    timed(|| mochy_a_plus_parallel(hypergraph, &projected, samples, threads, seed));
+                    timed(|| mochy_a_plus_parallel(hypergraph, projected, samples, threads, seed));
                 let drawn = if projected.num_hyperwedges() == 0 {
                     0
                 } else {
                     samples
                 };
-                let mut report = self.base_report(counts, projection, Some(&projected), hypergraph);
+                let mut report =
+                    self.base_report(counts, counting_time, Some(projected), hypergraph);
                 report.samples_drawn = Some(drawn);
-                (report, projection_time, counting_time)
+                report
             }
             Method::WedgeSampleRatio { ratio } => {
-                let ((projected, projection), projection_time) =
-                    timed(|| self.eager_projection(hypergraph, threads));
-                let num_hyperwedges = projected.num_hyperwedges();
-                let samples = if num_hyperwedges == 0 {
-                    0
-                } else {
-                    ((num_hyperwedges as f64 * ratio).ceil() as usize).max(1)
-                };
+                let samples = wedge_ratio_samples(projected.num_hyperwedges(), ratio);
                 let (counts, counting_time) =
-                    timed(|| mochy_a_plus_parallel(hypergraph, &projected, samples, threads, seed));
-                let mut report = self.base_report(counts, projection, Some(&projected), hypergraph);
+                    timed(|| mochy_a_plus_parallel(hypergraph, projected, samples, threads, seed));
+                let mut report =
+                    self.base_report(counts, counting_time, Some(projected), hypergraph);
                 report.samples_drawn = Some(samples);
-                (report, projection_time, counting_time)
+                report
             }
             Method::Adaptive(adaptive_config) => {
                 // The stopping rule is inherently sequential (each batch
                 // decides whether another is needed), so `threads` only
                 // accelerates the projection.
-                let ((projected, projection), projection_time) =
-                    timed(|| self.eager_projection(hypergraph, threads));
                 let mut rng = StdRng::seed_from_u64(seed);
                 let (outcome, counting_time) = timed(|| {
-                    mochy_a_plus_adaptive_impl(hypergraph, &projected, adaptive_config, &mut rng)
+                    mochy_a_plus_adaptive_impl(hypergraph, projected, adaptive_config, &mut rng)
                 });
                 let mut report =
-                    self.base_report(outcome.estimate, projection, Some(&projected), hypergraph);
+                    self.base_report(outcome.estimate, counting_time, Some(projected), hypergraph);
                 report.samples_drawn = Some(outcome.samples);
                 report.batches = Some(outcome.batches);
                 report.standard_errors = Some(outcome.standard_errors);
                 report.total_relative_error = Some(outcome.total_relative_error);
                 report.converged = Some(outcome.converged);
-                (report, projection_time, counting_time)
+                report
             }
             Method::OnTheFly {
                 samples,
                 budget_entries,
                 policy,
             } => {
-                let mut rng = StdRng::seed_from_u64(seed);
-                let config = OnTheFlyConfig {
-                    num_samples: samples,
-                    budget_entries,
-                    policy,
-                };
-                // No projection stage: neighbourhoods are computed on demand
-                // inside the sampling loop, so the whole run is counting.
-                let (outcome, counting_time) =
-                    timed(|| mochy_a_plus_onthefly_impl(hypergraph, config, &mut rng));
-                let projection = ProjectionMode::Lazy {
-                    budget_entries,
-                    policy,
-                };
-                let mut report = self.base_report(outcome.counts, projection, None, hypergraph);
-                report.samples_drawn = Some(if outcome.num_hyperwedges == 0 {
-                    0
-                } else {
-                    samples
-                });
-                report.memo_stats = Some(outcome.memo_stats);
-                report.num_hyperwedges = Some(outcome.num_hyperwedges);
-                (report, Duration::ZERO, counting_time)
+                self.sample_on_the_fly(hypergraph, samples, budget_entries, policy, Some(projected))
             }
         };
-
-        report.projection_time = projection_time;
-        report.counting_time = counting_time;
         report.elapsed = start.elapsed();
         report
     }
 
-    fn eager_projection(
+    /// [`Method::Incremental`]: replays every hyperedge through the
+    /// streaming engine; the sum of per-insertion deltas is the exact count.
+    /// Asymptotic work matches MoCHy-E (every instance is classified exactly
+    /// once, at the insertion of its largest edge id). `projected`, when
+    /// given, serves only the generalized counts.
+    fn replay(&self, hypergraph: &Hypergraph, projected: Option<&ProjectedGraph>) -> CountReport {
+        let (stream, counting_time) = timed(|| {
+            let mut stream =
+                crate::streaming::StreamingEngine::new(crate::streaming::StreamConfig::default());
+            for e in hypergraph.edge_ids() {
+                stream.insert(hypergraph.edge(e).iter().copied());
+            }
+            stream
+        });
+        let mut report = self.base_report(
+            stream.counts().clone(),
+            counting_time,
+            projected,
+            hypergraph,
+        );
+        report.num_hyperwedges = Some(stream.num_hyperwedges());
+        report
+    }
+
+    /// [`Method::OnTheFly`]: no projection stage, since neighbourhoods are
+    /// computed on demand inside the sampling loop, so the whole run is
+    /// counting. `projected`, when given, serves only the generalized counts.
+    fn sample_on_the_fly(
         &self,
         hypergraph: &Hypergraph,
-        threads: usize,
-    ) -> (ProjectedGraph, ProjectionMode) {
-        if threads > 1 {
-            (
-                project_parallel(hypergraph, threads),
-                ProjectionMode::EagerParallel { threads },
-            )
+        samples: usize,
+        budget_entries: usize,
+        policy: MemoPolicy,
+        projected: Option<&ProjectedGraph>,
+    ) -> CountReport {
+        let mut rng = StdRng::seed_from_u64(self.config.seed);
+        let config = OnTheFlyConfig {
+            num_samples: samples,
+            budget_entries,
+            policy,
+        };
+        let (outcome, counting_time) =
+            timed(|| mochy_a_plus_onthefly_impl(hypergraph, config, &mut rng));
+        let mut report = self.base_report(outcome.counts, counting_time, projected, hypergraph);
+        report.samples_drawn = Some(if outcome.num_hyperwedges == 0 {
+            0
         } else {
-            (project(hypergraph), ProjectionMode::Eager)
+            samples
+        });
+        report.memo_stats = Some(outcome.memo_stats);
+        report.num_hyperwedges = Some(outcome.num_hyperwedges);
+        report
+    }
+
+    /// How the configured method obtains its projected graph.
+    fn projection_mode(&self) -> ProjectionMode {
+        match self.config.method {
+            Method::Incremental => ProjectionMode::Overlay,
+            Method::OnTheFly {
+                budget_entries,
+                policy,
+                ..
+            } => ProjectionMode::Lazy {
+                budget_entries,
+                policy,
+            },
+            _ if self.config.threads > 1 => ProjectionMode::EagerParallel {
+                threads: self.config.threads,
+            },
+            _ => ProjectionMode::Eager,
         }
     }
 
     fn base_report(
         &self,
         counts: MotifCounts,
-        projection: ProjectionMode,
+        counting_time: Duration,
         projected: Option<&ProjectedGraph>,
         hypergraph: &Hypergraph,
     ) -> CountReport {
@@ -619,9 +665,9 @@ impl MotifEngine {
             memo_stats: None,
             num_hyperwedges: projected.map(ProjectedGraph::num_hyperwedges),
             generalized,
-            projection,
+            projection: self.projection_mode(),
             projection_time: Duration::ZERO,
-            counting_time: Duration::ZERO,
+            counting_time,
             elapsed: Duration::ZERO,
         }
     }

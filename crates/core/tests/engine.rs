@@ -124,10 +124,13 @@ fn parallel_sampling_matches_method_contract() {
 #[test]
 fn same_seed_yields_identical_reports() {
     let h = denser();
-    let configs = [
+    let projected = project(&h);
+    let methods = [
         CountConfig::exact(),
+        CountConfig::new(Method::Incremental),
         CountConfig::edge_sample(500).seed(9),
         CountConfig::wedge_sample(500).seed(9),
+        CountConfig::wedge_sample_ratio(0.5).seed(9),
         CountConfig::adaptive(AdaptiveConfig {
             batch_size: 200,
             min_batches: 2,
@@ -137,11 +140,22 @@ fn same_seed_yields_identical_reports() {
         .seed(9),
         CountConfig::on_the_fly(500, 32, MemoPolicy::HighestDegree).seed(9),
     ];
+    let configs = [1, 4]
+        .into_iter()
+        .flat_map(|threads| methods.map(|config| config.threads(threads)))
+        .chain([
+            CountConfig::exact().shards(2).unwrap(),
+            CountConfig::exact().generalized(3).unwrap(),
+        ]);
     for config in configs {
         let first = config.build().count(&h);
         let second = config.build().count(&h);
         // `CountReport` equality deliberately ignores elapsed wall-clock.
-        assert_eq!(first, second, "{}", config.method.name());
+        assert_eq!(first, second, "{config:?}");
+        // A supplied projection yields the same report, `projection`
+        // included.
+        let supplied = config.build().count_projected(&h, &projected);
+        assert_eq!(first, supplied, "{config:?}");
     }
 }
 

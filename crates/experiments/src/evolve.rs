@@ -9,8 +9,9 @@
 //! instance total, and the open-motif fraction; with verification on (the
 //! default), each checkpoint's streamed counts are additionally compared
 //! against a from-scratch [`MotifEngine`](mochy_core::MotifEngine) run on
-//! the materialized live hypergraph — any mismatch aborts with an error,
-//! which is exactly the per-commit equivalence check CI runs.
+//! the materialized live hypergraph, and so is its hyperwedge count |∧|
+//! (which `mochy-serve` renders from the stream) — any mismatch aborts with
+//! an error, which is exactly the per-commit equivalence check CI runs.
 
 use std::time::{Duration, Instant};
 
@@ -110,6 +111,13 @@ pub fn run(options: &EvolveOptions) -> Result<String, String> {
                      streamed:     {:?}\nfrom-scratch: {:?}",
                     counts.as_slice(),
                     report.counts.as_slice()
+                ));
+            }
+            if report.num_hyperwedges != Some(stream.num_hyperwedges()) {
+                return Err(format!(
+                    "year {year}: streamed |∧| {} diverges from the from-scratch {:?}",
+                    stream.num_hyperwedges(),
+                    report.num_hyperwedges
                 ));
             }
         }

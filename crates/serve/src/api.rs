@@ -39,6 +39,14 @@
 //! dataset generation, so stale entries are never served — they simply age
 //! out of the LRU.
 //!
+//! **Misses share their generation's work.** A `/count` miss counts on what
+//! its [`Snapshot`] carries instead of starting from the hypergraph: the
+//! projected graph, which the generation's first query that counts on one
+//! builds, and, for a generation `/mutate` published, the writer's exact
+//! counts and |∧|, which answer `mochy-e` and `incremental` queries without
+//! `generalized` with no recount. The bodies are byte-identical to counting
+//! from scratch, so the cache contract above is unchanged.
+//!
 //! [`MotifEngine`]: mochy_core::engine::MotifEngine
 //! [`ShardPartial`]: mochy_core::shard::ShardPartial
 
@@ -47,10 +55,10 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use mochy_analysis::profile::{CountingMethod, ProfileEstimator};
-use mochy_core::engine::{CountConfig, CountReport, Method};
+use mochy_core::engine::{wedge_ratio_samples, CountConfig, CountReport, Method};
 use mochy_core::shard::merge_partials;
 use mochy_core::AdaptiveConfig;
-use mochy_hypergraph::{EdgeId, NodeId};
+use mochy_hypergraph::{EdgeId, Hypergraph, NodeId};
 use mochy_json::{self as json, JsonValue};
 use mochy_motif::NUM_MOTIFS;
 use mochy_projection::MemoPolicy;
@@ -868,7 +876,13 @@ fn count(ctx: &ApiContext, body: &str) -> Result<ApiResponse, ApiError> {
     })
 }
 
-/// Runs the engine against the snapshot and renders the deterministic body.
+/// Renders the deterministic body of `query` on the snapshot.
+///
+/// An exact query without `generalized` renders the counts and |∧| the
+/// dataset's writer published with the snapshot, when it did: they are
+/// MoCHy-E's, bit for bit, and neither `threads` nor `shards` changes an
+/// exact body. Every other query runs the engine, on the snapshot's
+/// projection when the method counts on one (see [`count_on_snapshot`]).
 ///
 /// The config builders are fallible ([`mochy_core::engine::ConfigError`]):
 /// `parse_count_query` already rejects the invalid combinations with
@@ -889,10 +903,20 @@ fn render_count(query: &CountQuery, snapshot: &Snapshot) -> Result<String, ApiEr
             .generalized(k)
             .map_err(|error| ApiError::bad(error.to_string()))?;
     }
-    let report: Option<CountReport> = snapshot
-        .hypergraph
-        .as_deref()
-        .map(|hypergraph| config.build().count(hypergraph));
+    let computed;
+    let report: Option<&CountReport> = match (snapshot.hypergraph.as_deref(), &snapshot.streamed) {
+        // The emptied dataset renders no report (zero counts and
+        // `num_hyperwedges: null`), although its writer holds zero counts
+        // and |∧| = 0.
+        (None, _) => None,
+        (Some(_), Some(streamed)) if query.method.is_exact() && query.generalized.is_none() => {
+            Some(streamed)
+        }
+        (Some(hypergraph), _) => {
+            computed = count_on_snapshot(query, config, hypergraph, snapshot)?;
+            Some(&computed)
+        }
+    };
 
     let counts: Vec<f64> = report
         .as_ref()
@@ -972,6 +996,50 @@ fn render_count(query: &CountQuery, snapshot: &Snapshot) -> Result<String, ApiEr
         },
     ));
     Ok(JsonValue::Object(members).render())
+}
+
+/// Runs the engine on the snapshot's hypergraph. A method that counts on
+/// the projected graph, and any query with `generalized`, uses the
+/// snapshot's projection, which the first such query of a generation
+/// builds. On-the-fly and incremental queries without `generalized` never
+/// build it. A `mochy-a+-ratio` query is checked against [`MAX_SAMPLES`]
+/// before it samples.
+fn count_on_snapshot(
+    query: &CountQuery,
+    config: CountConfig,
+    hypergraph: &Hypergraph,
+    snapshot: &Snapshot,
+) -> Result<CountReport, ApiError> {
+    let engine = config.build();
+    let uses_projection = query.generalized.is_some()
+        || !matches!(query.method, Method::Incremental | Method::OnTheFly { .. });
+    match uses_projection
+        .then(|| snapshot.projection(query.threads))
+        .flatten()
+    {
+        Some(projected) => {
+            if let Method::WedgeSampleRatio { ratio } = query.method {
+                ratio_samples(projected.num_hyperwedges(), ratio)?;
+            }
+            Ok(engine.count_projected(hypergraph, projected))
+        }
+        None => Ok(engine.count(hypergraph)),
+    }
+}
+
+/// The samples a `mochy-a+-ratio` query draws from `num_hyperwedges`
+/// hyperwedges, computed exactly as the engine computes them
+/// ([`wedge_ratio_samples`]), or a 400 naming `ratio` when they exceed
+/// [`MAX_SAMPLES`].
+fn ratio_samples(num_hyperwedges: usize, ratio: f64) -> Result<usize, ApiError> {
+    let samples = wedge_ratio_samples(num_hyperwedges, ratio);
+    if samples > MAX_SAMPLES {
+        return Err(ApiError::bad(format!(
+            "`ratio` {ratio} draws {samples} samples from {num_hyperwedges} hyperwedges, above \
+             the maximum {MAX_SAMPLES}"
+        )));
+    }
+    Ok(samples)
 }
 
 // ---------------------------------------------------------------------------
@@ -1395,8 +1463,7 @@ mod tests {
     use mochy_hypergraph::HypergraphBuilder;
 
     fn context() -> ApiContext {
-        let registry = Registry::new();
-        registry.insert(
+        serving(
             "fig2",
             HypergraphBuilder::new()
                 .with_edge([0u32, 1, 2])
@@ -1405,7 +1472,13 @@ mod tests {
                 .with_edge([6, 7, 2])
                 .build()
                 .unwrap(),
-        );
+        )
+    }
+
+    /// A standalone context serving `hypergraph` as dataset `name`.
+    fn serving(name: &str, hypergraph: Hypergraph) -> ApiContext {
+        let registry = Registry::new();
+        registry.insert(name, hypergraph);
         ApiContext {
             registry,
             cache: QueryCache::new(8),
@@ -1859,5 +1932,245 @@ mod tests {
         let disabled = QueryCache::new(0);
         disabled.put("a".to_string(), "1".into());
         assert!(disabled.get("a").is_none());
+    }
+
+    #[test]
+    fn ratio_queries_above_the_sample_ceiling_are_rejected_before_sampling() {
+        // 150 hyperedges through node 0: C(150, 2) = 11,175 hyperwedges, so
+        // ratio 100 would draw 1,117,500 samples.
+        let mut builder = HypergraphBuilder::new();
+        for v in 1..=150u32 {
+            builder.add_edge([0, v]);
+        }
+        let ctx = serving("star", builder.build().unwrap());
+        let rejected = handle(
+            &ctx,
+            &post(
+                "/v1/count",
+                r#"{"dataset": "star", "method": "mochy-a+-ratio", "ratio": 100}"#,
+            ),
+        );
+        assert_eq!(rejected.status, 400, "{}", rejected.body);
+        assert!(rejected.body.contains("`ratio`"), "{}", rejected.body);
+        assert!(rejected.body.contains("1117500"), "{}", rejected.body);
+        let accepted = handle(
+            &ctx,
+            &post(
+                "/v1/count",
+                r#"{"dataset": "star", "method": "mochy-a+-ratio", "ratio": 0.01}"#,
+            ),
+        );
+        assert_eq!(accepted.status, 200, "{}", accepted.body);
+        let doc = json::parse(&accepted.body).unwrap();
+        assert_eq!(
+            doc.get("samples_drawn").and_then(JsonValue::as_u64),
+            Some(112)
+        );
+    }
+
+    #[test]
+    fn ratio_sample_ceiling_is_inclusive() {
+        assert_eq!(ratio_samples(MAX_SAMPLES, 1.0).ok(), Some(MAX_SAMPLES));
+        assert_eq!(ratio_samples(10_000, 100.0).ok(), Some(MAX_SAMPLES));
+        for (num_hyperwedges, ratio) in [(MAX_SAMPLES + 1, 1.0), (10_001, 100.0)] {
+            let error = ratio_samples(num_hyperwedges, ratio).err().unwrap();
+            assert_eq!(error.status, 400);
+            assert!(error.message.contains("`ratio`"), "{}", error.message);
+        }
+    }
+
+    /// `/v1/count` queries whose bodies a published generation must render
+    /// exactly as a recount does: `(body, method, seed, shards)`.
+    const RECOUNTED: [(&str, &str, u64, usize); 8] = [
+        (r#"{"dataset":"d","method":"mochy-e"}"#, "mochy-e", 0, 1),
+        (
+            r#"{"dataset":"d","method":"mochy-e","shards":3,"threads":2}"#,
+            "mochy-e",
+            0,
+            3,
+        ),
+        (
+            r#"{"dataset":"d","method":"incremental"}"#,
+            "incremental",
+            0,
+            1,
+        ),
+        (
+            r#"{"dataset":"d","method":"mochy-e","generalized":3}"#,
+            "mochy-e",
+            0,
+            1,
+        ),
+        (
+            r#"{"dataset":"d","method":"mochy-a+","samples":200,"seed":5}"#,
+            "mochy-a+",
+            5,
+            1,
+        ),
+        (
+            r#"{"dataset":"d","method":"mochy-a","samples":40,"seed":5}"#,
+            "mochy-a",
+            5,
+            1,
+        ),
+        (
+            r#"{"dataset":"d","method":"mochy-a+-adaptive","samples":200,"seed":5}"#,
+            "mochy-a+-adaptive",
+            5,
+            1,
+        ),
+        (
+            r#"{"dataset":"d","method":"mochy-a+-otf","samples":200,"seed":5}"#,
+            "mochy-a+-otf",
+            5,
+            1,
+        ),
+    ];
+
+    #[test]
+    fn carried_answers_match_a_recount_byte_for_byte() {
+        // splitmix64: a seeded stream of batch choices.
+        let mut state = 0x5eed_u64;
+        let mut draw = move |bound: usize| -> usize {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            ((z ^ (z >> 31)) % bound as u64) as usize
+        };
+        // Random hyperedges draw from the first `POOL` node ids; the ids
+        // from `unused` up have not been used yet.
+        const POOL: usize = 48;
+        let mut unused = POOL as NodeId;
+        let mut builder = HypergraphBuilder::new();
+        let mut live: Vec<(u64, Vec<NodeId>)> = Vec::new();
+        for id in 0..16 {
+            let members: Vec<NodeId> = (0..2 + draw(3)).map(|_| draw(POOL) as NodeId).collect();
+            builder.add_edge(members.iter().copied());
+            live.push((id, members));
+        }
+        let ctx = serving("d", builder.build().unwrap());
+        let mut tombstoned: Vec<u64> = Vec::new();
+        let mut issued = 16;
+        const EMPTIED_AT: usize = 24;
+
+        for batch in 0..40 {
+            let mut inserts: Vec<Vec<NodeId>> = Vec::new();
+            let mut removes: Vec<u64> = Vec::new();
+            if batch == EMPTIED_AT {
+                removes.extend(live.iter().map(|(id, _)| *id));
+            } else {
+                for _ in 0..1 + draw(3) {
+                    let members = match draw(3) {
+                        // A duplicate of a live hyperedge.
+                        0 if !live.is_empty() => live[draw(live.len())].1.clone(),
+                        // Node ids no hyperedge has used yet.
+                        1 => {
+                            unused += 2;
+                            vec![draw(POOL) as NodeId, unused - 2, unused - 1]
+                        }
+                        _ => (0..2 + draw(3)).map(|_| draw(POOL) as NodeId).collect(),
+                    };
+                    inserts.push(members);
+                }
+                for _ in 0..draw(3) {
+                    if !live.is_empty() {
+                        let (id, _) = live[draw(live.len())];
+                        if !removes.contains(&id) {
+                            removes.push(id);
+                        }
+                    }
+                }
+            }
+            if let Some(&id) = tombstoned.get(draw(tombstoned.len() + 1)) {
+                removes.push(id);
+            }
+            removes.push(issued + inserts.len() as u64 + draw(100) as u64);
+
+            let body = JsonValue::Object(vec![
+                ("dataset".to_string(), JsonValue::string("d")),
+                (
+                    "insert".to_string(),
+                    JsonValue::Array(
+                        inserts
+                            .iter()
+                            .map(|members| {
+                                JsonValue::Array(
+                                    members
+                                        .iter()
+                                        .map(|&v| JsonValue::Number(v as f64))
+                                        .collect(),
+                                )
+                            })
+                            .collect(),
+                    ),
+                ),
+                (
+                    "remove".to_string(),
+                    JsonValue::Array(
+                        removes
+                            .iter()
+                            .map(|&e| JsonValue::Number(e as f64))
+                            .collect(),
+                    ),
+                ),
+            ])
+            .render();
+            let response = handle(&ctx, &post("/v1/mutate", &body));
+            assert_eq!(response.status, 200, "batch {batch}: {}", response.body);
+            let doc = json::parse(&response.body).unwrap();
+            let inserted = doc.get("inserted").and_then(JsonValue::as_array).unwrap();
+            for (id, members) in inserted.iter().zip(inserts) {
+                live.push((id.as_u64().unwrap(), members));
+            }
+            issued += inserted.len() as u64;
+            let removed = doc.get("removed").and_then(JsonValue::as_array).unwrap();
+            for (&id, removed) in removes.iter().zip(removed) {
+                let was_live = live.iter().any(|(live_id, _)| *live_id == id);
+                assert_eq!(
+                    removed.as_bool(),
+                    Some(was_live),
+                    "batch {batch}: remove {id}"
+                );
+                if was_live {
+                    live.retain(|(live_id, _)| *live_id != id);
+                    tombstoned.push(id);
+                }
+            }
+
+            let snapshot = ctx.registry.get("d").unwrap().snapshot();
+            assert_eq!(snapshot.generation, batch as u64 + 1);
+            assert_eq!(snapshot.num_edges(), live.len(), "batch {batch}");
+            let fresh = snapshot
+                .hypergraph
+                .as_deref()
+                .map(|hypergraph| serving("d", hypergraph.clone()));
+            for (query, method, seed, shards) in RECOUNTED {
+                let served = handle(&ctx, &post("/v1/count", query));
+                assert_eq!(
+                    served.status, 200,
+                    "batch {batch}, {query}: {}",
+                    served.body
+                );
+                let served = served.body.replacen(
+                    &format!("{{\"generation\":{},", snapshot.generation),
+                    "{\"generation\":0,",
+                    1,
+                );
+                let expected = match &fresh {
+                    Some(fresh) => handle(fresh, &post("/v1/count", query)).body.to_string(),
+                    // What an emptied dataset has always rendered.
+                    None => format!(
+                        "{{\"generation\":0,\"method\":\"{method}\",\"seed\":{seed},\
+                         \"shards\":{shards},\"num_nodes\":0,\"num_edges\":0,\
+                         \"num_hyperwedges\":null,\"samples_drawn\":null,\"total\":0,\
+                         \"counts\":[{}],\"generalized\":null}}",
+                        vec!["0"; NUM_MOTIFS].join(",")
+                    ),
+                };
+                assert_eq!(served, expected, "batch {batch}, {query}");
+            }
+            assert_eq!(fresh.is_none(), batch == EMPTIED_AT, "batch {batch}");
+        }
     }
 }

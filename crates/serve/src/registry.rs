@@ -5,9 +5,15 @@
 //! - Every dataset publishes its current state as an `Arc<Snapshot>`.
 //!   Readers call [`Dataset::snapshot`], which holds the publication lock
 //!   only long enough to clone the `Arc` — nanoseconds — and then run their
-//!   whole query (projection, counting, profile estimation) against that
-//!   immutable snapshot without any further synchronization. A query never
-//!   observes a half-applied mutation.
+//!   whole query (counting, profile estimation) against that immutable
+//!   snapshot without any further synchronization. A query never observes
+//!   a half-applied mutation.
+//! - A snapshot carries what every query on it shares. Its projected graph
+//!   is built at most once, by the first reader that counts on it
+//!   ([`Snapshot::projection`]), and lives as long as the snapshot. A
+//!   snapshot that [`Dataset::mutate`] published also carries the writer's
+//!   exact counts and |∧| ([`Snapshot::streamed`]), which are
+//!   bit-identical to MoCHy-E on its hypergraph.
 //! - Mutations serialize through a per-dataset writer: a
 //!   [`StreamingEngine`] (bootstrapped lazily from the current snapshot on
 //!   the first mutation) applies the hyperedge insertions and removals
@@ -23,10 +29,12 @@
 //! [`DynamicHypergraph`]: mochy_hypergraph::DynamicHypergraph
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex, PoisonError, RwLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock};
 
+use mochy_core::engine::CountReport;
 use mochy_core::streaming::{StreamConfig, StreamingEngine};
 use mochy_hypergraph::{EdgeId, Hypergraph, NodeId};
+use mochy_projection::{project_parallel, ProjectedGraph};
 
 /// Largest node identifier a mutation may introduce. The incidence index is
 /// dense in the node id (one slot per id up to the maximum ever seen), so an
@@ -36,7 +44,9 @@ use mochy_hypergraph::{EdgeId, Hypergraph, NodeId};
 /// hundred megabytes even in the worst case.
 pub const MAX_NODE_ID: NodeId = (1 << 24) - 1;
 
-/// An immutable, shareable state of one dataset.
+/// An immutable, shareable state of one dataset: its hypergraph, the
+/// projected graph built from it on first use, and, when the dataset's
+/// writer published it, the writer's exact counts.
 #[derive(Debug)]
 pub struct Snapshot {
     /// Publication number: 0 for the initial load, +1 per mutation batch.
@@ -45,9 +55,42 @@ pub struct Snapshot {
     /// (hyperedge sets are non-empty by construction, so the empty state
     /// needs an explicit representation).
     pub hypergraph: Option<Arc<Hypergraph>>,
+    /// The writer's exact counts and |∧| ([`StreamingEngine::snapshot`]),
+    /// copied under the writer lock, for every snapshot
+    /// [`Dataset::mutate`] published. They are bit-identical to MoCHy-E on
+    /// [`Snapshot::hypergraph`] (streaming equivalence). `None` for
+    /// generation 0 and uploads, which no writer published.
+    pub streamed: Option<CountReport>,
+    projected: OnceLock<ProjectedGraph>,
 }
 
 impl Snapshot {
+    fn new(
+        generation: u64,
+        hypergraph: Option<Arc<Hypergraph>>,
+        streamed: Option<CountReport>,
+    ) -> Self {
+        Self {
+            generation,
+            hypergraph,
+            streamed,
+            projected: OnceLock::new(),
+        }
+    }
+
+    /// The projected graph of [`Snapshot::hypergraph`] (Algorithm 1), or
+    /// `None` for the empty snapshot. The first caller builds it with
+    /// `threads` threads (the graph is the same for every thread count);
+    /// concurrent first callers wait for that one build, and every later
+    /// caller shares it for as long as the snapshot lives.
+    pub fn projection(&self, threads: usize) -> Option<&ProjectedGraph> {
+        let hypergraph = self.hypergraph.as_deref()?;
+        Some(
+            self.projected
+                .get_or_init(|| project_parallel(hypergraph, threads)),
+        )
+    }
+
     /// Number of nodes (0 for the empty snapshot).
     pub fn num_nodes(&self) -> usize {
         self.hypergraph.as_ref().map_or(0, |h| h.num_nodes())
@@ -112,10 +155,7 @@ pub struct Dataset {
 impl Dataset {
     fn new(hypergraph: Hypergraph) -> Self {
         Self {
-            published: Mutex::new(Arc::new(Snapshot {
-                generation: 0,
-                hypergraph: Some(Arc::new(hypergraph)),
-            })),
+            published: Mutex::new(Arc::new(Snapshot::new(0, Some(Arc::new(hypergraph)), None))),
             writer: Mutex::new(None),
         }
     }
@@ -206,19 +246,18 @@ impl Dataset {
         let removed: Vec<bool> = removes.iter().map(|&e| stream.remove(e)).collect();
 
         // Publish: materialize the surviving hyperedges as an immutable
-        // snapshot and swap the shared pointer.
+        // snapshot, with a copy of the writer's exact counts, and swap the
+        // shared pointer.
         let hypergraph = stream.to_hypergraph().ok().map(Arc::new);
+        let streamed = stream.snapshot();
         let num_edges = stream.num_live_edges();
-        let total_instances = stream.counts().total();
+        let total_instances = streamed.counts.total();
         let mut published = self
             .published
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
         let generation = published.generation + 1;
-        *published = Arc::new(Snapshot {
-            generation,
-            hypergraph,
-        });
+        *published = Arc::new(Snapshot::new(generation, hypergraph, Some(streamed)));
         Ok(MutationOutcome {
             generation,
             inserted,
@@ -362,11 +401,28 @@ mod tests {
         let after = dataset.snapshot();
         assert_eq!(after.generation, 1);
         assert_eq!(after.num_edges(), 4);
-        // The published snapshot's exact counts match the incremental total.
+        // The published snapshot's exact counts match the incremental total,
+        // and it carries the writer's counts and |∧| bit for bit.
         let new_counts = CountConfig::exact()
             .build()
             .count(after.hypergraph.as_deref().unwrap());
         assert_eq!(new_counts.counts.total(), outcome.total_instances);
+        let streamed = after.streamed.as_ref().expect("the writer published it");
+        assert_eq!(streamed.counts, new_counts.counts);
+        assert_eq!(streamed.num_hyperwedges, new_counts.num_hyperwedges);
+        assert!(before.streamed.is_none(), "generation 0 had no writer");
+    }
+
+    #[test]
+    fn a_snapshot_projects_once() {
+        let dataset = Dataset::new(figure2());
+        let snapshot = dataset.snapshot();
+        let first = snapshot.projection(2).unwrap();
+        assert_eq!(first, &mochy_projection::project(&figure2()));
+        // Every later caller shares the first build, whatever its threads.
+        assert!(std::ptr::eq(first, snapshot.projection(1).unwrap()));
+        dataset.mutate(&[], &[0, 1, 2, 3]).unwrap();
+        assert!(dataset.snapshot().projection(1).is_none());
     }
 
     #[test]

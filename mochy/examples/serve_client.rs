@@ -9,7 +9,14 @@
 //! `POST /count` against the first listed dataset (twice, to show the
 //! cache) — and prints what it finds. With `--upload NAME=PATH` it first
 //! ingests a `.mochy` snapshot through `POST /datasets` (base64 in the
-//! JSON body) and asserts the fresh dataset answers `/count`. With
+//! JSON body) and asserts the fresh dataset answers `/count`. It then
+//! inserts the hyperedge `[0, 1]` into that dataset, which belongs to this
+//! client, and removes it again through `POST /mutate`. The generation-2
+//! `mochy-e` body, which the server renders from the counts its streaming
+//! writer carries, must equal the generation-0 body, which MoCHy-E
+//! computed, in `counts`, `total`, `num_hyperwedges` and `num_edges`
+//! (`num_nodes` may differ: a republished snapshot sizes its nodes as the
+//! largest id + 1). With
 //! `--keep-alive N` it then repeats the `/count` query N times over ONE
 //! persistent connection, asserting every response arrives with status 200
 //! and `connection: keep-alive` — the smoke for the server's HTTP/1.1
@@ -89,6 +96,7 @@ fn main() {
         expect_status(&counted, 200, "/count (uploaded dataset)");
         let doc = parse(&counted.body, "/count (uploaded dataset)");
         println!("count[{name}]: total={}", field(&doc, "total"));
+        round_trip_mutation(&addr, name, &count_body, &doc);
     }
 
     let health = request(&addr, "GET", "/healthz", "");
@@ -164,6 +172,56 @@ fn main() {
         expect_status(&response, 200, "/shutdown");
         println!("shutdown requested: {}", response.body);
     }
+}
+
+/// Inserts `[0, 1]` into the uploaded dataset `name`, removes it again, and
+/// requires the generation-2 `mochy-e` body — rendered from the counts the
+/// server's streaming writer carries — to equal `recounted`, the
+/// generation-0 body MoCHy-E computed, in every counted field.
+fn round_trip_mutation(addr: &str, name: &str, count_body: &str, recounted: &JsonValue) {
+    let mutate = |key: &str, value: JsonValue| {
+        let body = JsonValue::Object(vec![
+            ("dataset".to_string(), JsonValue::string(name)),
+            (key.to_string(), JsonValue::Array(vec![value])),
+        ])
+        .render();
+        let response = request(addr, "POST", "/mutate", &body);
+        expect_status(&response, 200, "/mutate (uploaded dataset)");
+        parse(&response.body, "/mutate (uploaded dataset)")
+    };
+    let pair = JsonValue::Array(vec![JsonValue::Number(0.0), JsonValue::Number(1.0)]);
+    let inserted = mutate("insert", pair);
+    let Some(id) = inserted
+        .get("inserted")
+        .and_then(JsonValue::as_array)
+        .and_then(|ids| ids.first())
+        .and_then(JsonValue::as_f64)
+    else {
+        eprintln!("/mutate answered no inserted id: {}", inserted.render());
+        std::process::exit(1);
+    };
+    mutate("remove", JsonValue::Number(id));
+    let carried = request(addr, "POST", "/count", count_body);
+    expect_status(&carried, 200, "/count (generation 2)");
+    let doc = parse(&carried.body, "/count (generation 2)");
+    if doc.get("generation").and_then(JsonValue::as_f64) != Some(2.0) {
+        eprintln!("expected a generation-2 body, got {}", carried.body);
+        std::process::exit(1);
+    }
+    for key in ["counts", "total", "num_hyperwedges", "num_edges"] {
+        if doc.get(key) != recounted.get(key) {
+            eprintln!(
+                "generation-2 `{key}` {} differs from the generation-0 recount {}",
+                field(&doc, key),
+                field(recounted, key)
+            );
+            std::process::exit(1);
+        }
+    }
+    println!(
+        "mutate[{name}]: insert + remove of edge {id} keeps total={} at generation 2",
+        field(&doc, "total")
+    );
 }
 
 /// `requests` consecutive `POST /count` exchanges over ONE persistent
