@@ -98,10 +98,10 @@ run_stage test cargo test "${CARGO_FLAGS[@]}" -q
 
 # Snapshot round-trip gate (both lanes): convert every bench dataset to
 # .mochy, reload through both the text and the snapshot path, and require
-# bit-identical MotifEngine reports (Exact and Incremental) plus measured
-# load timings. The .mochy files land in snapshots/ and are uploaded as a
-# CI artifact next to BENCH.json; the serve smoke below boots from them, so
-# what CI serves is literally the artifact this gate verified.
+# bit-identical exact MotifEngine reports plus measured load timings. The
+# .mochy files land in snapshots/ and are uploaded as a CI artifact next to
+# BENCH.json; the serve smoke below boots from them, so what CI serves is
+# literally the artifact this gate verified.
 run_stage snapshot-roundtrip "${TARGET_DIR}/mochy-exp" snapshot-check --dir snapshots --threads 2
 
 # Shard-equivalence gate (both lanes): count every bench dataset with

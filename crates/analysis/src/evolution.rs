@@ -55,13 +55,12 @@ pub struct EvolutionAnalysis {
 /// event, as does the first checkpoint callback that fails.
 pub fn replay_event_stream<F>(
     events: &[EdgeEvent],
-    config: StreamConfig,
     mut on_checkpoint: F,
 ) -> Result<StreamingEngine, String>
 where
     F: FnMut(u32, &mut StreamingEngine) -> Result<(), String>,
 {
-    let mut stream = StreamingEngine::new(config);
+    let mut stream = StreamingEngine::new(StreamConfig);
     let mut ids: Vec<EdgeId> = Vec::new();
     for event in events {
         match event {
@@ -136,7 +135,7 @@ impl EvolutionAnalysis {
         let catalog = MotifCatalog::new();
         let open_ids = catalog.open_motif_ids();
         let mut points = Vec::new();
-        replay_event_stream(events, StreamConfig::default(), |year, stream| {
+        replay_event_stream(events, |year, stream| {
             points.push(point_from_counts(year, stream.counts().clone(), &open_ids));
             Ok(())
         })

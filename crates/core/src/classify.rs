@@ -15,10 +15,14 @@
 //! - the exact pair walk (`exact::CentreWalk`) reads every `ω_jk` of a
 //!   centre `e_i` from one sorted merge per neighbour and every triple
 //!   intersection as a popcount over bitmasks of `e_i`'s nodes;
-//! - the sampling kernel (`sample::WedgeWalk`) counts, per sampled
-//!   hyperwedge `∧_ij`, how many nodes of `e_i ∩ e_j` each hyperedge
-//!   contains, and reads a closed triple's `|e_i ∩ e_j ∩ e_k|` from that
-//!   counter.
+//! - the hyperwedge sampling kernel (`sample::WedgeWalk`) counts, per
+//!   sampled hyperwedge `∧_ij`, how many nodes of `e_i ∩ e_j` each
+//!   hyperedge contains, and reads a closed triple's `|e_i ∩ e_j ∩ e_k|`
+//!   from that counter;
+//! - the star kernel (`star::StarWalk`), which MoCHy-A and the streaming
+//!   engine share, counts each neighbour's row of a hyperedge `e` from the
+//!   incidence lists and reads every triple intersection as a popcount over
+//!   bitmasks of `e`'s nodes.
 
 use mochy_hypergraph::{EdgeId, Hypergraph};
 use mochy_motif::{MotifCatalog, MotifId};

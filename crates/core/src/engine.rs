@@ -36,7 +36,9 @@
 //! | Algorithm 5, MoCHy-A+ | [`Method::WedgeSample`] |
 //! | Algorithm 5 + batched stopping rule | [`Method::Adaptive`] |
 //! | Section 3.4 on-the-fly projection | [`Method::OnTheFly`] |
-//! | Streamed replay of [`crate::streaming::StreamingEngine`] | [`Method::Incremental`] |
+//!
+//! Exact counts of a hypergraph under hyperedge churn come from a
+//! [`crate::streaming::StreamingEngine`], not from a [`Method`].
 //!
 //! The engine owns the three concerns the free functions used to push onto
 //! every caller:
@@ -82,14 +84,6 @@ use crate::sample::{mochy_a_parallel, mochy_a_plus_parallel};
 pub enum Method {
     /// MoCHy-E (Algorithm 2): exact counts.
     Exact,
-    /// Exact counts maintained by the streaming path: every hyperedge is
-    /// replayed through a [`crate::streaming::StreamingEngine`], which
-    /// accumulates per-insertion deltas over a mutable projection overlay.
-    /// Same result as [`Method::Exact`]; what this run buys is a
-    /// whole-pipeline exercise (and timing) of the incremental machinery.
-    /// For actual evolving workloads, drive a
-    /// [`StreamingEngine`](crate::streaming::StreamingEngine) directly.
-    Incremental,
     /// MoCHy-A (Algorithm 4): unbiased estimates from `samples` hyperedges
     /// drawn uniformly with replacement.
     EdgeSample {
@@ -131,7 +125,6 @@ impl Method {
     pub fn name(&self) -> &'static str {
         match self {
             Method::Exact => "mochy-e",
-            Method::Incremental => "incremental",
             Method::EdgeSample { .. } => "mochy-a",
             Method::WedgeSample { .. } | Method::WedgeSampleRatio { .. } => "mochy-a+",
             Method::Adaptive(_) => "mochy-a+-adaptive",
@@ -141,7 +134,7 @@ impl Method {
 
     /// Whether the method produces exact counts (vs. unbiased estimates).
     pub fn is_exact(&self) -> bool {
-        matches!(self, Method::Exact | Method::Incremental)
+        matches!(self, Method::Exact)
     }
 }
 
@@ -318,10 +311,6 @@ pub enum ProjectionMode {
         /// Cache admission/eviction policy.
         policy: MemoPolicy,
     },
-    /// A mutable [`mochy_projection::ProjectionOverlay`] (CSR base + delta
-    /// rows with periodic compaction) maintained incrementally by the
-    /// streaming engine.
-    Overlay,
 }
 
 /// The result of a [`MotifEngine::count`] run: the counts plus estimator
@@ -426,13 +415,11 @@ impl MotifEngine {
 
     /// Counts the h-motif instances of `hypergraph` with the configured
     /// method, projection strategy, thread count and seed: every method but
-    /// [`Method::Incremental`] and [`Method::OnTheFly`] projects the
-    /// hypergraph (Algorithm 1), then counts through
-    /// [`MotifEngine::count_projected`].
+    /// [`Method::OnTheFly`] projects the hypergraph (Algorithm 1), then
+    /// counts through [`MotifEngine::count_projected`].
     pub fn count(&self, hypergraph: &Hypergraph) -> CountReport {
         let start = Instant::now();
         let mut report = match self.config.method {
-            Method::Incremental => self.replay(hypergraph, None),
             Method::OnTheFly {
                 samples,
                 budget_entries,
@@ -455,9 +442,9 @@ impl MotifEngine {
     /// project it once. The report compares equal to
     /// [`MotifEngine::count`]'s with the same configuration, `projection`
     /// included: the projected graph is the same for every thread count.
-    /// Its [`CountReport::projection_time`] is zero. [`Method::Incremental`]
-    /// and [`Method::OnTheFly`] still count without `projected` and use it
-    /// only for generalized counts.
+    /// Its [`CountReport::projection_time`] is zero. [`Method::OnTheFly`]
+    /// still counts without `projected` and uses it only for generalized
+    /// counts, and [`Method::EdgeSample`] reads from it only `|∧|`.
     pub fn count_projected(
         &self,
         hypergraph: &Hypergraph,
@@ -495,13 +482,12 @@ impl MotifEngine {
                 report.num_hyperwedges = Some(num_hyperwedges);
                 report
             }
-            Method::Incremental => self.replay(hypergraph, Some(projected)),
             Method::EdgeSample { samples } => {
                 // Sequential and parallel dispatch share this entry point;
                 // it derives a per-sample-index StdRng from the seed, so the
                 // estimate is thread-count invariant.
                 let (counts, counting_time) =
-                    timed(|| mochy_a_parallel(hypergraph, projected, samples, threads, seed));
+                    timed(|| mochy_a_parallel(hypergraph, samples, threads, seed));
                 let mut report =
                     self.base_report(counts, counting_time, Some(projected), hypergraph);
                 // The sampler early-returns without drawing on an empty
@@ -564,30 +550,6 @@ impl MotifEngine {
         report
     }
 
-    /// [`Method::Incremental`]: replays every hyperedge through the
-    /// streaming engine; the sum of per-insertion deltas is the exact count.
-    /// Asymptotic work matches MoCHy-E (every instance is classified exactly
-    /// once, at the insertion of its largest edge id). `projected`, when
-    /// given, serves only the generalized counts.
-    fn replay(&self, hypergraph: &Hypergraph, projected: Option<&ProjectedGraph>) -> CountReport {
-        let (stream, counting_time) = timed(|| {
-            let mut stream =
-                crate::streaming::StreamingEngine::new(crate::streaming::StreamConfig::default());
-            for e in hypergraph.edge_ids() {
-                stream.insert(hypergraph.edge(e).iter().copied());
-            }
-            stream
-        });
-        let mut report = self.base_report(
-            stream.counts().clone(),
-            counting_time,
-            projected,
-            hypergraph,
-        );
-        report.num_hyperwedges = Some(stream.num_hyperwedges());
-        report
-    }
-
     /// [`Method::OnTheFly`]: no projection stage, since neighbourhoods are
     /// computed on demand inside the sampling loop, so the whole run is
     /// counting. `projected`, when given, serves only the generalized counts.
@@ -621,7 +583,6 @@ impl MotifEngine {
     /// How the configured method obtains its projected graph.
     fn projection_mode(&self) -> ProjectionMode {
         match self.config.method {
-            Method::Incremental => ProjectionMode::Overlay,
             Method::OnTheFly {
                 budget_entries,
                 policy,

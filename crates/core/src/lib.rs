@@ -15,7 +15,6 @@
 //! | Algorithm 5 (MoCHy-A+, hyperwedge sampling) | `Method::WedgeSample` |
 //! | Algorithm 5 + batched stopping rule | `Method::Adaptive` |
 //! | Section 3.4 on-the-fly projection | `Method::OnTheFly` |
-//! | Streamed replay of the incremental counter | `Method::Incremental` |
 //!
 //! The paper-numbered algorithms remain available as free functions so
 //! they stay individually citable:
@@ -25,7 +24,9 @@
 //!   enumeration; [`exact::mochy_e_per_edge`] — per-hyperedge participation
 //!   counts (used as prediction features in Section 4.4).
 //! - [`sample::mochy_a_parallel`] — Algorithm 4, unbiased approximate
-//!   counting by hyperedge sampling.
+//!   counting by hyperedge sampling. Each sample counts the instances that
+//!   contain it (its *star*) with the kernel the streaming engine also
+//!   runs.
 //! - [`sample::mochy_a_plus_parallel`] — Algorithm 5, unbiased approximate
 //!   counting by hyperwedge sampling.
 //! - [`exact::mochy_e_parallel`] and both samplers run on scoped threads
@@ -42,8 +43,9 @@
 //! - [`general`] — exact counting of the generalized h-motifs over `k = 3`
 //!   or `k = 4` hyperedges (Section 2.2's generalization).
 //! - [`streaming`] — [`streaming::StreamingEngine`]: exact counts maintained
-//!   incrementally under hyperedge insertions and deletions, over a mutable
-//!   projection overlay (evolving-hypergraph workloads).
+//!   incrementally under hyperedge insertions and deletions, each one adding
+//!   or subtracting the star of the touched hyperedge (evolving-hypergraph
+//!   workloads).
 //! - [`shard`] — scatter-gather MoCHy-E over contiguous hyperedge shards:
 //!   each shard counts the instances centred in its edge span on the one
 //!   full projection, and an order-fixed merge is bit-identical to the
@@ -64,6 +66,7 @@ pub mod pernode;
 pub mod profile;
 pub mod sample;
 pub mod shard;
+mod star;
 pub mod streaming;
 pub mod variance;
 

@@ -82,14 +82,7 @@ pub(crate) fn mochy_a_plus_onthefly_impl<R: Rng + ?Sized>(
         let neighbors_i = lazy.neighborhood(i);
         let (j, w_ij) = neighbors_i[offset];
         let neighbors_j = lazy.neighborhood(j);
-        walk.count_pair(
-            i,
-            (j, w_ij),
-            &neighbors_i,
-            &neighbors_j,
-            |_, _| true,
-            &mut raw,
-        );
+        walk.count_pair(i, (j, w_ij), &neighbors_i, &neighbors_j, &mut raw);
     }
 
     rescale_wedge_estimates(

@@ -5,7 +5,10 @@
 //! variance for the same expected work (Section 3.3), which Figure 8 of the
 //! paper and `mochy-exp fig8` of this repository confirm.
 //!
-//! Every sampler — MoCHy-A, parallel and sequential MoCHy-A+ (and through
+//! MoCHy-A counts the instances around each sampled hyperedge through the
+//! star kernel of `crate::star`, which the streaming engine shares; it
+//! reads member and incidence lists only, never the projected graph.
+//! Every hyperwedge sampler — parallel and sequential MoCHy-A+ (and through
 //! the latter adaptive sampling) and on-the-fly MoCHy-A+
 //! ([`crate::onthefly`]) — classifies the hyperedges around each sampled
 //! hyperwedge through one kernel, `WedgeWalk`: it counts, once per
@@ -21,6 +24,7 @@ use rand::Rng;
 use rand::SeedableRng;
 
 use crate::count::MotifCounts;
+use crate::star::StarWalk;
 
 /// Deterministic per-sample RNG: sample `index` under `seed` always draws
 /// from the same stream no matter which worker thread claims it, which makes
@@ -39,11 +43,10 @@ fn sample_rng(seed: u64, index: usize) -> StdRng {
 #[cfg(test)]
 fn mochy_a_impl<R: Rng + ?Sized>(
     hypergraph: &Hypergraph,
-    projected: &ProjectedGraph,
     num_samples: usize,
     rng: &mut R,
 ) -> MotifCounts {
-    let mut walk = WedgeWalk::new(hypergraph);
+    let mut walk = StarWalk::new();
     let mut raw = MotifCounts::zero();
     let num_edges = hypergraph.num_edges();
     if num_edges == 0 || num_samples == 0 {
@@ -51,7 +54,7 @@ fn mochy_a_impl<R: Rng + ?Sized>(
     }
     for _ in 0..num_samples {
         let sample = rng.gen_range(0..num_edges) as EdgeId;
-        walk.count_edge(projected, sample, &mut raw);
+        walk.count(hypergraph, sample, &mut raw);
     }
     raw.scale(num_edges as f64 / (3.0 * num_samples as f64));
     raw
@@ -63,7 +66,6 @@ fn mochy_a_impl<R: Rng + ?Sized>(
 /// estimate is identical for every thread count (including 1).
 pub fn mochy_a_parallel(
     hypergraph: &Hypergraph,
-    projected: &ProjectedGraph,
     num_samples: usize,
     num_threads: usize,
     seed: u64,
@@ -76,12 +78,12 @@ pub fn mochy_a_parallel(
         num_samples,
         num_threads,
         default_chunk_size(num_samples, num_threads.max(1)),
-        || (WedgeWalk::new(hypergraph), MotifCounts::zero()),
+        || (StarWalk::new(), MotifCounts::zero()),
         |(walk, raw), range| {
             for index in range {
                 let mut rng = sample_rng(seed, index);
                 let sample = rng.gen_range(0..num_edges) as EdgeId;
-                walk.count_edge(projected, sample, raw);
+                walk.count(hypergraph, sample, raw);
             }
         },
     );
@@ -225,13 +227,14 @@ impl WedgeSampler {
     }
 }
 
-/// One worker's state for the per-sample work of Algorithms 4 and 5: the
-/// motif catalog, an `|E|`-long shared-node counter and the list of counter
+/// One worker's state for the per-sample work of Algorithm 5: the motif
+/// catalog, an `|E|`-long shared-node counter and the list of counter
 /// entries the current hyperwedge touched, so that classifying a hyperwedge
-/// allocates nothing once the list has grown. Every sampler builds one per
-/// worker (sequential MoCHy-A+ one per run, across adaptive batches) and
-/// classifies each hyperwedge through [`WedgeWalk::count_pair`]: the
-/// sampling counterpart of [`crate::exact`]'s `CentreWalk`.
+/// allocates nothing once the list has grown. Every hyperwedge sampler
+/// builds one per worker (sequential MoCHy-A+ one per run, across adaptive
+/// batches) and classifies each hyperwedge through
+/// [`WedgeWalk::count_pair`]: the sampling counterpart of
+/// [`crate::exact`]'s `CentreWalk`.
 ///
 /// **Cost.** Classifying hyperwedge `∧_ij` costs one merge of `e_i` and
 /// `e_j`, `Σ_{v∈e_i∩e_j} |E_v|` counter increments, one merge of `N(i)` and
@@ -267,24 +270,6 @@ impl<'g> WedgeWalk<'g> {
         }
     }
 
-    /// Adds the raw (un-rescaled) contributions of a sampled hyperedge `e_i`
-    /// (lines 4–7 of Algorithm 4) to `raw`: one hyperwedge per neighbour
-    /// `e_j`. When `e_k` is also a neighbour of `e_i`, the same instance is
-    /// seen again with `j` and `k` swapped, so only the occurrence with
-    /// `j < k` is kept.
-    pub(crate) fn count_edge(
-        &mut self,
-        projected: &ProjectedGraph,
-        i: EdgeId,
-        raw: &mut MotifCounts,
-    ) {
-        let neighbors_i = projected.neighbors(i);
-        for &(j, w_ij) in neighbors_i {
-            let keep = |k, w_ik| w_ik == 0 || j < k;
-            self.count_pair(i, (j, w_ij), neighbors_i, projected.neighbors(j), keep, raw);
-        }
-    }
-
     /// Adds the raw (un-rescaled) contributions of a sampled hyperwedge
     /// `∧_ij` (lines 4–5 of Algorithm 5) to `raw`, where `e_j` is the
     /// neighbour at position `offset` of `N(e_i)`, as drawn by
@@ -299,14 +284,14 @@ impl<'g> WedgeWalk<'g> {
         let neighbors_i = projected.neighbors(i);
         let (j, w_ij) = neighbors_i[offset];
         let neighbors_j = projected.neighbors(j);
-        self.count_pair(i, (j, w_ij), neighbors_i, neighbors_j, |_, _| true, raw);
+        self.count_pair(i, (j, w_ij), neighbors_i, neighbors_j, raw);
     }
 
     /// Classifies every `e_k ∈ N(e_i) ∪ N(e_j) \ {e_i, e_j}` of the
-    /// hyperwedge `∧_ij` with `ω(∧_ij) = w_ij` for which `keep(k, ω(∧_ik))`
-    /// holds, adding 1 to its motif in `raw`. `list_i` and `list_j` are
-    /// `N(e_i)` and `N(e_j)`, passed explicitly so the on-the-fly sampler can
-    /// supply lazily computed neighbourhoods.
+    /// hyperwedge `∧_ij` with `ω(∧_ij) = w_ij`, adding 1 to its motif in
+    /// `raw`. `list_i` and `list_j` are `N(e_i)` and `N(e_j)`, passed
+    /// explicitly so the on-the-fly sampler can supply lazily computed
+    /// neighbourhoods.
     ///
     /// 1. One merge of the sorted member lists of `e_i` and `e_j` finds their
     ///    shared nodes.
@@ -314,17 +299,14 @@ impl<'g> WedgeWalk<'g> {
     /// 3. The union merge ([`for_each_union_neighbor`]) reads a closed
     ///    triple's `|e_i ∩ e_j ∩ e_k|` as `shared[k]`.
     /// 4. Only the touched entries are reset to zero.
-    pub(crate) fn count_pair<F>(
+    pub(crate) fn count_pair(
         &mut self,
         i: EdgeId,
         (j, w_ij): WeightedNeighbor,
         list_i: &[WeightedNeighbor],
         list_j: &[WeightedNeighbor],
-        keep: F,
         raw: &mut MotifCounts,
-    ) where
-        F: Fn(EdgeId, u32) -> bool,
-    {
+    ) {
         let Self {
             hypergraph,
             catalog,
@@ -354,9 +336,6 @@ impl<'g> WedgeWalk<'g> {
 
         let (size_i, size_j) = (hypergraph.edge_size(i), hypergraph.edge_size(j));
         for_each_union_neighbor(list_i, list_j, i, j, |k, w_ik, w_jk| {
-            if !keep(k, w_ik) {
-                return;
-            }
             // Only a closed triple can have a non-zero triple intersection.
             let triple = if w_ik != 0 && w_jk != 0 {
                 shared[k as usize] as usize
@@ -432,24 +411,14 @@ pub(crate) fn for_each_union_neighbor<F>(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::classify::classify_triple_with_weights;
+    use crate::exact::tests::random_hypergraph;
     use crate::exact::{brute_force_counts, mochy_e};
     use mochy_hypergraph::HypergraphBuilder;
     use mochy_projection::project;
     use rand::rngs::StdRng;
-
-    fn random_hypergraph(seed: u64, nodes: u32, edges: usize, max_size: usize) -> Hypergraph {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut builder = HypergraphBuilder::new();
-        for _ in 0..edges {
-            let size = rng.gen_range(1..=max_size);
-            let members: Vec<u32> = (0..size).map(|_| rng.gen_range(0..nodes)).collect();
-            builder.add_edge(members);
-        }
-        builder.build().unwrap()
-    }
 
     fn figure2() -> Hypergraph {
         HypergraphBuilder::new()
@@ -472,42 +441,10 @@ mod tests {
         mochy_a_plus_impl(&mut walk, &WedgeSampler::new(proj), proj, num_samples, rng)
     }
 
-    /// Test oracle: the raw contributions of a sampled hyperedge `e_i`
-    /// (Algorithm 4), each triple classified on its own by
+    /// Test oracle: the raw contributions of the sampled hyperwedge
+    /// `(i, offset)` (Algorithm 5), each triple classified on its own by
     /// [`classify_triple_with_weights`], which intersects the three member
     /// lists by binary search.
-    fn oracle_edge(
-        h: &Hypergraph,
-        proj: &ProjectedGraph,
-        catalog: &MotifCatalog,
-        i: EdgeId,
-        raw: &mut MotifCounts,
-    ) {
-        let neighbors_i = proj.neighbors(i);
-        for &(j, w_ij) in neighbors_i {
-            for_each_union_neighbor(neighbors_i, proj.neighbors(j), i, j, |k, w_ik, w_jk| {
-                if w_ik != 0 && j >= k {
-                    return;
-                }
-                if let Some(motif) = classify_triple_with_weights(
-                    h,
-                    catalog,
-                    i,
-                    j,
-                    k,
-                    w_ij as usize,
-                    w_jk as usize,
-                    w_ik as usize,
-                ) {
-                    raw.increment(motif);
-                }
-            });
-        }
-    }
-
-    /// Test oracle: the raw contributions of the sampled hyperwedge
-    /// `(i, offset)` (Algorithm 5), classified triple by triple like
-    /// [`oracle_edge`].
     fn oracle_wedge(
         h: &Hypergraph,
         proj: &ProjectedGraph,
@@ -540,7 +477,7 @@ mod tests {
     }
 
     /// A random hypergraph in which every hyperedge appears twice.
-    fn duplicated_hypergraph(seed: u64) -> Hypergraph {
+    pub(crate) fn duplicated_hypergraph(seed: u64) -> Hypergraph {
         let base = random_hypergraph(seed, 12, 9, 4);
         let mut builder = HypergraphBuilder::new();
         for e in base.edge_ids() {
@@ -551,8 +488,8 @@ mod tests {
     }
 
     /// The kernel's raw counts equal the per-triple oracle's for every
-    /// directed hyperwedge `(i, offset)` and every hyperedge `i`, with one
-    /// kernel reused across all samples of an input. The inputs cover random
+    /// directed hyperwedge `(i, offset)`, with one kernel reused across all
+    /// samples of an input. The inputs cover random
     /// hypergraphs, hyperedges of 63–65 and 127–129 nodes, and duplicate
     /// hyperedges (which form no instance with each other).
     #[test]
@@ -579,10 +516,6 @@ mod tests {
                         .map(|id| expected.get(id))
                         .sum::<f64>();
                 }
-                let (mut actual, mut expected) = (MotifCounts::zero(), MotifCounts::zero());
-                walk.count_edge(&proj, i, &mut actual);
-                oracle_edge(h, &proj, &catalog, i, &mut expected);
-                assert_eq!(actual, expected, "input {n}, hyperedge {i}");
             }
             assert!(closed_with_core > 0.0, "input {n} has no triple core");
         }
@@ -595,15 +528,14 @@ mod tests {
     fn mochy_a_is_exactly_unbiased_over_the_sample_space() {
         for seed in [1u64, 5, 9] {
             let h = random_hypergraph(seed, 14, 18, 5);
-            let proj = project(&h);
-            let mut walk = WedgeWalk::new(&h);
+            let mut walk = StarWalk::new();
             let mut raw = MotifCounts::zero();
             for i in h.edge_ids() {
-                walk.count_edge(&proj, i, &mut raw);
+                walk.count(&h, i, &mut raw);
             }
             // Expectation with s = |E| deterministic passes: scale by |E|/(3·|E|).
             raw.scale(1.0 / 3.0);
-            let exact = mochy_e(&h, &proj);
+            let exact = mochy_e(&h, &project(&h));
             for id in 1..=26u8 {
                 assert!(
                     (raw.get(id) - exact.get(id)).abs() < 1e-9,
@@ -652,7 +584,7 @@ mod tests {
         let proj = project(&h);
         let exact = brute_force_counts(&h);
         let mut rng = StdRng::seed_from_u64(100);
-        let estimate_a = mochy_a_impl(&h, &proj, 4000, &mut rng);
+        let estimate_a = mochy_a_impl(&h, 4000, &mut rng);
         let estimate_a_plus = sequential_a_plus(&h, &proj, 4000, &mut rng);
         assert!(
             exact.relative_error(&estimate_a) < 0.15,
@@ -702,7 +634,7 @@ mod tests {
             "error {}",
             exact.relative_error(&estimate)
         );
-        let estimate = mochy_a_parallel(&h, &proj, 6000, 4, 7);
+        let estimate = mochy_a_parallel(&h, 6000, 4, 7);
         assert!(
             exact.relative_error(&estimate) < 0.2,
             "error {}",
@@ -715,7 +647,7 @@ mod tests {
         let h = figure2();
         let proj = project(&h);
         let mut rng = StdRng::seed_from_u64(1);
-        assert_eq!(mochy_a_impl(&h, &proj, 0, &mut rng).total(), 0.0);
+        assert_eq!(mochy_a_impl(&h, 0, &mut rng).total(), 0.0);
         assert_eq!(sequential_a_plus(&h, &proj, 0, &mut rng).total(), 0.0);
 
         let disconnected = HypergraphBuilder::new()
@@ -728,10 +660,7 @@ mod tests {
             sequential_a_plus(&disconnected, &proj_disconnected, 10, &mut rng).total(),
             0.0
         );
-        assert_eq!(
-            mochy_a_impl(&disconnected, &proj_disconnected, 10, &mut rng).total(),
-            0.0
-        );
+        assert_eq!(mochy_a_impl(&disconnected, 10, &mut rng).total(), 0.0);
     }
 
     #[test]
@@ -740,11 +669,11 @@ mod tests {
         // (seed, num_samples), independent of threads and scheduling.
         let h = random_hypergraph(12, 20, 30, 5);
         let proj = project(&h);
-        let base_a = mochy_a_parallel(&h, &proj, 777, 1, 5);
+        let base_a = mochy_a_parallel(&h, 777, 1, 5);
         let base_a_plus = mochy_a_plus_parallel(&h, &proj, 777, 1, 5);
         for threads in [2, 4, 8, 32] {
             assert_eq!(
-                mochy_a_parallel(&h, &proj, 777, threads, 5),
+                mochy_a_parallel(&h, 777, threads, 5),
                 base_a,
                 "MoCHy-A, threads {threads}"
             );

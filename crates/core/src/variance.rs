@@ -140,6 +140,7 @@ mod tests {
     use super::*;
     use crate::count::MotifCounts;
     use crate::sample::WedgeWalk;
+    use crate::star::StarWalk;
     use mochy_hypergraph::HypergraphBuilder;
     use mochy_projection::project;
     use rand::prelude::*;
@@ -166,13 +167,13 @@ mod tests {
             let proj = project(&h);
             let stats = instance_overlap_stats(&h, &proj);
             let num_edges = h.num_edges();
-            let mut walk = WedgeWalk::new(&h);
+            let mut walk = StarWalk::new();
 
             // Estimator value for each possible sampled hyperedge.
             let mut per_sample: Vec<MotifCounts> = Vec::with_capacity(num_edges);
             for i in h.edge_ids() {
                 let mut raw = MotifCounts::zero();
-                walk.count_edge(&proj, i, &mut raw);
+                walk.count(&h, i, &mut raw);
                 raw.scale(num_edges as f64 / 3.0);
                 per_sample.push(raw);
             }

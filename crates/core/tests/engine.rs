@@ -127,7 +127,6 @@ fn same_seed_yields_identical_reports() {
     let projected = project(&h);
     let methods = [
         CountConfig::exact(),
-        CountConfig::new(Method::Incremental),
         CountConfig::edge_sample(500).seed(9),
         CountConfig::wedge_sample(500).seed(9),
         CountConfig::wedge_sample_ratio(0.5).seed(9),

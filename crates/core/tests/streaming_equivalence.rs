@@ -1,10 +1,10 @@
 //! End-to-end equivalence of the streaming path: replaying a
 //! `mochy_datagen::temporal` event stream through a `StreamingEngine` must
 //! yield counts identical to a from-scratch `MotifEngine::count` of the live
-//! hypergraph at every checkpoint — through insertions, sliding-window
-//! deletions, and overlay compactions alike.
+//! hypergraph at every checkpoint — through insertions and sliding-window
+//! deletions alike.
 
-use mochy_core::engine::{CountConfig, Method};
+use mochy_core::engine::CountConfig;
 use mochy_core::streaming::{StreamConfig, StreamingEngine};
 use mochy_datagen::temporal::{
     temporal_event_stream, EdgeEvent, EventStreamConfig, TemporalConfig,
@@ -29,8 +29,8 @@ fn stream_config() -> EventStreamConfig {
 /// Replays `events` through a `StreamingEngine`, asserting equality with a
 /// from-scratch engine run at every checkpoint. Returns the number of
 /// checkpoints verified and the number of removal events seen.
-fn replay_and_verify(events: &[EdgeEvent], config: StreamConfig) -> (usize, usize) {
-    let mut stream = StreamingEngine::new(config);
+fn replay_and_verify(events: &[EdgeEvent]) -> (usize, usize) {
+    let mut stream = StreamingEngine::new(StreamConfig);
     let mut ids: Vec<EdgeId> = Vec::new();
     let mut checkpoints = 0usize;
     let mut removals = 0usize;
@@ -66,29 +66,9 @@ fn replay_and_verify(events: &[EdgeEvent], config: StreamConfig) -> (usize, usiz
 #[test]
 fn windowed_event_stream_matches_from_scratch_at_every_checkpoint() {
     let events = temporal_event_stream(&stream_config());
-    let (checkpoints, removals) = replay_and_verify(&events, StreamConfig::default());
+    let (checkpoints, removals) = replay_and_verify(&events);
     assert!(checkpoints >= 5, "only {checkpoints} checkpoints verified");
     assert!(removals > 0, "window produced no deletions");
-}
-
-#[test]
-fn forced_compaction_does_not_change_checkpoint_counts() {
-    // Compact after every mutation: the overlay spends its whole life
-    // rebuilding its CSR base, and the counts still match.
-    let mut config = stream_config();
-    config.temporal.num_years = 5;
-    config.temporal.papers_first_year = 50;
-    config.temporal.papers_growth_per_year = 10;
-    let events = temporal_event_stream(&config);
-    let (checkpoints, removals) = replay_and_verify(
-        &events,
-        StreamConfig {
-            compaction_min_delta: 1,
-            compaction_ratio: 0.0,
-        },
-    );
-    assert!(checkpoints >= 5);
-    assert!(removals > 0);
 }
 
 #[test]
@@ -100,13 +80,16 @@ fn incremental_method_matches_exact_on_generated_datasets() {
     ] {
         let h = generate(&GeneratorConfig::new(domain, nodes, edges, 5));
         let exact = CountConfig::exact().build().count(&h);
-        let incremental = CountConfig::new(Method::Incremental).build().count(&h);
+        let mut stream = StreamingEngine::new(StreamConfig);
+        for e in h.edge_ids() {
+            stream.insert(h.edge(e).iter().copied());
+        }
         assert_eq!(
-            incremental.counts, exact.counts,
+            stream.counts(),
+            &exact.counts,
             "{domain:?}: incremental diverges from exact"
         );
-        assert_eq!(incremental.num_hyperwedges, exact.num_hyperwedges);
-        assert!(incremental.method.is_exact());
+        assert_eq!(Some(stream.num_hyperwedges()), exact.num_hyperwedges);
     }
 }
 
@@ -130,7 +113,7 @@ fn bootstrap_then_stream_matches_replay_from_empty() {
         .iter()
         .position(|e| matches!(e, EdgeEvent::Checkpoint { .. }))
         .unwrap();
-    let mut from_empty = StreamingEngine::new(StreamConfig::default());
+    let mut from_empty = StreamingEngine::new(StreamConfig);
     for event in &events {
         if let EdgeEvent::Insert { members } = event {
             from_empty.insert(members.iter().copied());
@@ -144,7 +127,7 @@ fn bootstrap_then_stream_matches_replay_from_empty() {
         }
     }
     let mut bootstrapped =
-        StreamingEngine::from_hypergraph(&builder.build().unwrap(), StreamConfig::default());
+        StreamingEngine::from_hypergraph(&builder.build().unwrap(), StreamConfig);
     for event in &events[first_checkpoint..] {
         if let EdgeEvent::Insert { members } = event {
             bootstrapped.insert(members.iter().copied());

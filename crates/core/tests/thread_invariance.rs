@@ -54,7 +54,6 @@ fn pooled_threads() -> usize {
 fn all_methods() -> Vec<Method> {
     vec![
         Method::Exact,
-        Method::Incremental,
         Method::EdgeSample { samples: 600 },
         Method::WedgeSample { samples: 600 },
         Method::WedgeSampleRatio { ratio: 0.05 },

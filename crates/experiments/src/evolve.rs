@@ -17,7 +17,6 @@ use std::time::{Duration, Instant};
 
 use mochy_analysis::evolution::replay_event_stream;
 use mochy_core::engine::CountConfig;
-use mochy_core::streaming::StreamConfig;
 use mochy_datagen::temporal::{temporal_event_stream, EventStreamConfig, TemporalConfig};
 use mochy_motif::MotifCatalog;
 
@@ -79,7 +78,7 @@ pub fn run(options: &EvolveOptions) -> Result<String, String> {
     let mut out = String::from(
         "year\tlive_edges\thyperwedges\tinstances\topen_frac\tops\tstream_ms\tscratch_ms\n",
     );
-    let stream = replay_event_stream(&events, StreamConfig::default(), |year, stream| {
+    let stream = replay_event_stream(&events, |year, stream| {
         let counts = stream.counts();
         let total = counts.total();
         let open: f64 = open_ids.iter().map(|&id| counts.get(id)).sum();
@@ -137,10 +136,9 @@ pub fn run(options: &EvolveOptions) -> Result<String, String> {
 
     let stats = stream.stats();
     out.push_str(&format!(
-        "# stream: {} insertions, {} removals, {} compactions, {:.2} ms total",
+        "# stream: {} insertions, {} removals, {:.2} ms total",
         stats.insertions,
         stats.removals,
-        stats.compactions,
         stream.update_time().as_secs_f64() * 1e3,
     ));
     if options.verify {

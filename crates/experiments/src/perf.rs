@@ -2,10 +2,11 @@
 //! `BENCH.json`, and the table of the perf-regression gate behind `--check`.
 //!
 //! Times projection and counting separately (via the engine's per-stage
-//! [`CountReport`](mochy_core::CountReport) timings) for all six counting
-//! methods — MoCHy-E, streamed-incremental, MoCHy-A, MoCHy-A+, adaptive
-//! MoCHy-A+, and on-the-fly MoCHy-A+ — plus a sharded-exact row
-//! (`mochy-e-sharded`, MoCHy-E over K = 4 centre spans, merged) on every
+//! [`CountReport`](mochy_core::CountReport) timings) for all five engine
+//! methods — MoCHy-E, MoCHy-A, MoCHy-A+, adaptive MoCHy-A+, and on-the-fly
+//! MoCHy-A+ — plus two more exact rows: `incremental` (every hyperedge
+//! inserted into a [`StreamingEngine`]) and `mochy-e-sharded` (MoCHy-E over
+//! K = 4 centre spans, merged), on every
 //! [`mochy_datagen::bench_datasets`] workload, and renders the result as
 //! machine-readable JSON. Seeds are fixed, so the *counts* in the output are
 //! bit-reproducible; the timings are what CI tracks over time as the
@@ -21,8 +22,10 @@
 //! timing regression beyond the tolerance (those are noisy — the tolerance is
 //! generous and timings under the noise floor are skipped).
 
+use std::time::Instant;
+
 use mochy_core::engine::{CountConfig, Method};
-use mochy_core::{AdaptiveConfig, MotifCounts};
+use mochy_core::{AdaptiveConfig, MotifCounts, StreamConfig, StreamingEngine};
 use mochy_hypergraph::Hypergraph;
 use mochy_projection::MemoPolicy;
 
@@ -56,7 +59,6 @@ impl Default for PerfOptions {
 fn perf_methods(options: &PerfOptions) -> Vec<Method> {
     vec![
         Method::Exact,
-        Method::Incremental,
         Method::EdgeSample {
             samples: options.samples,
         },
@@ -150,6 +152,23 @@ fn run_dataset(name: &str, hypergraph: &Hypergraph, options: &PerfOptions) -> Da
             counts: report.counts,
         });
     }
+    // Streaming row: every hyperedge inserted into a StreamingEngine, each
+    // insertion adding the instances it completes. Like the sharded row
+    // below, its counts must equal the `mochy-e` row's bit for bit.
+    let start = Instant::now();
+    let mut stream = StreamingEngine::new(StreamConfig);
+    for e in hypergraph.edge_ids() {
+        stream.insert(hypergraph.edge(e).iter().copied());
+    }
+    let replay_ms = start.elapsed().as_secs_f64() * 1e3;
+    block.rows.push(MethodRow {
+        method_name: "incremental",
+        projection_ms: 0.0,
+        counting_ms: replay_ms,
+        total_ms: replay_ms,
+        samples_drawn: None,
+        counts: stream.counts().clone(),
+    });
     // Sharded-exact row: the same Method::Exact split into K centre spans
     // and merged. Its `total_count` must equal the `mochy-e` row's
     // bit-for-bit, so the baseline comparison doubles as a standing

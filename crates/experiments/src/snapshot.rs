@@ -5,10 +5,10 @@
 //! nverts/simplices pair) into a `.mochy` snapshot. `snapshot-check` is the
 //! CI stage: every [`mochy_datagen::bench_datasets`] workload is written as
 //! text, converted to `.mochy`, and reloaded through both paths; the
-//! [`MotifEngine`] reports of the two loads must be **bit-identical** for
-//! both `Method::Exact` and `Method::Incremental`, and the per-dataset load
-//! times of both formats are measured and reported. The `.mochy` files are
-//! left behind in the chosen directory so CI can upload them as artifacts.
+//! `Method::Exact` [`MotifEngine`] reports of the two loads must be
+//! **bit-identical**, and the per-dataset load times of both formats are
+//! measured and reported. The `.mochy` files are left behind in the chosen
+//! directory so CI can upload them as artifacts.
 //!
 //! [`MotifEngine`]: mochy_core::engine::MotifEngine
 
@@ -16,7 +16,7 @@ use std::fmt::Write as _;
 use std::path::Path;
 use std::time::Instant;
 
-use mochy_core::engine::{CountConfig, CountReport, Method};
+use mochy_core::engine::{CountConfig, CountReport};
 use mochy_hypergraph::io::{self as hio, ReadOptions};
 use mochy_hypergraph::{snapshot, Hypergraph};
 
@@ -136,16 +136,11 @@ pub fn measure_load(
     })
 }
 
-/// The engine methods the round-trip gate compares. Both are exact, so any
-/// report difference between the two load paths is a loader bug, not noise.
-fn gate_methods() -> [Method; 2] {
-    [Method::Exact, Method::Incremental]
-}
-
-fn count(hypergraph: &Hypergraph, method: Method, threads: usize) -> CountReport {
-    CountConfig::new(method)
+/// The exact report the round-trip gate compares: any difference between
+/// the two load paths is a loader bug, not noise.
+fn count(hypergraph: &Hypergraph, threads: usize) -> CountReport {
+    CountConfig::exact()
         .threads(threads)
-        .seed(0)
         .build()
         .count(hypergraph)
 }
@@ -174,9 +169,9 @@ impl Default for SnapshotCheckOptions {
 /// Runs the snapshot round-trip gate over every bench dataset.
 ///
 /// For each dataset: write text + `.mochy`, reload both, and require the
-/// reloaded hypergraphs — and the [`CountReport`]s of every
-/// [`gate_methods`] run on them — to be bit-identical. Returns a table of
-/// per-dataset load timings on success, or one line per violation.
+/// reloaded hypergraphs — and the exact [`CountReport`]s of them — to be
+/// bit-identical. Returns a table of per-dataset load timings on success,
+/// or one line per violation.
 pub fn snapshot_check(options: &SnapshotCheckOptions) -> Result<String, String> {
     let dir = Path::new(&options.dir);
     std::fs::create_dir_all(dir)
@@ -198,20 +193,16 @@ pub fn snapshot_check(options: &SnapshotCheckOptions) -> Result<String, String> 
         };
         let timing = measured.timing;
         // The hypergraphs compared equal inside measure_load; now require
-        // the engine reports to agree too, per method, across load paths —
-        // this is the property the serve layer's correctness rests on.
-        for method in gate_methods() {
-            let expected = count(&measured.from_text, method, options.threads);
-            let actual = count(&measured.from_snapshot, method, options.threads);
-            if expected != actual {
-                violations.push(format!(
-                    "{name}/{}: snapshot-loaded counts diverge from text-loaded \
-                     (total {} vs {})",
-                    method.name(),
-                    expected.counts.total(),
-                    actual.counts.total()
-                ));
-            }
+        // the engine reports to agree too across load paths — this is the
+        // property the serve layer's correctness rests on.
+        let expected = count(&measured.from_text, options.threads);
+        let actual = count(&measured.from_snapshot, options.threads);
+        if expected != actual {
+            violations.push(format!(
+                "{name}: snapshot-loaded counts diverge from text-loaded (total {} vs {})",
+                expected.counts.total(),
+                actual.counts.total()
+            ));
         }
         let _ = writeln!(
             table,

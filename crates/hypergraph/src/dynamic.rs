@@ -7,17 +7,15 @@
 //!
 //! - **Edge identifiers are monotone and never reused.** Every insertion
 //!   gets a fresh id one past the previous maximum; removal leaves a
-//!   tombstone. Downstream structures (the projection overlay, the streaming
-//!   counter) lean on this invariant: any id seen for the first time is
-//!   strictly greater than every id seen before it.
+//!   tombstone. The streaming counter leans on this invariant: its
+//!   per-edge arrays are indexed by id and sized to
+//!   [`DynamicHypergraph::num_edge_slots`].
 //! - **Member lists stay sorted**, so the hash-free intersection kernels of
-//!   [`crate::graph`] (`sorted_intersection_size`,
-//!   `sorted_triple_intersection_size`, binary-search membership)
-//!   keep working unchanged on live edges.
+//!   [`crate::graph`] keep working unchanged on live edges.
 //! - **Incidence lists stay sorted** for free on insertion (new ids are the
-//!   largest) and by a binary-search removal on deletion, so the
-//!   gather-sort-runlength neighbourhood computation of the projection layer
-//!   applies verbatim.
+//!   largest) and by a binary-search removal on deletion, and hold live
+//!   edges only, so a live edge's neighbourhood can be counted from them
+//!   exactly as on an immutable [`Hypergraph`].
 
 use crate::builder::HypergraphBuilder;
 use crate::error::HypergraphError;
@@ -122,12 +120,6 @@ impl DynamicHypergraph {
         self.edges.get(e as usize)?.as_deref()
     }
 
-    /// The size of live hyperedge `e` (0 for dead ids).
-    #[inline]
-    pub fn edge_size(&self, e: EdgeId) -> usize {
-        self.edge(e).map_or(0, <[NodeId]>::len)
-    }
-
     /// The live hyperedges containing node `v`, sorted ascending (empty for
     /// out-of-range nodes).
     #[inline]
@@ -162,36 +154,6 @@ impl DynamicHypergraph {
             .iter()
             .enumerate()
             .filter_map(|(id, slot)| slot.as_ref().map(|_| id as EdgeId))
-    }
-
-    /// The neighbourhood of live hyperedge `e` in the projected graph: every
-    /// live hyperedge sharing at least one node with `e`, with overlap sizes,
-    /// sorted by neighbour id. Gather-sort-runlength over the incidence
-    /// lists, exactly like the one-off lookup of the eager projection.
-    pub fn neighborhood(&self, e: EdgeId) -> Vec<(EdgeId, u32)> {
-        let Some(members) = self.edge(e) else {
-            return Vec::new();
-        };
-        let gathered: usize = members.iter().map(|&v| self.edges_of_node(v).len()).sum();
-        let mut candidates: Vec<EdgeId> = Vec::with_capacity(gathered);
-        for &v in members {
-            candidates.extend_from_slice(self.edges_of_node(v));
-        }
-        candidates.sort_unstable();
-        let mut neighbors = Vec::new();
-        let mut index = 0usize;
-        while index < candidates.len() {
-            let id = candidates[index];
-            let mut run = 1usize;
-            while index + run < candidates.len() && candidates[index + run] == id {
-                run += 1;
-            }
-            if id != e {
-                neighbors.push((id, run as u32));
-            }
-            index += run;
-        }
-        neighbors
     }
 
     /// Materializes the live edges as an immutable [`Hypergraph`] (edge ids
@@ -239,20 +201,6 @@ mod tests {
         assert_eq!(h.num_live_edges(), 2);
         // Ids are never reused: the next insertion continues the sequence.
         assert_eq!(h.insert_edge([3u32]), 3);
-    }
-
-    #[test]
-    fn neighborhood_matches_figure2() {
-        let mut h = DynamicHypergraph::new();
-        h.insert_edge([0u32, 1, 2]);
-        h.insert_edge([0u32, 3, 1]);
-        h.insert_edge([4u32, 5, 0]);
-        h.insert_edge([6u32, 7, 2]);
-        assert_eq!(h.neighborhood(0), vec![(1, 2), (2, 1), (3, 1)]);
-        assert_eq!(h.neighborhood(3), vec![(0, 1)]);
-        h.remove_edge(1);
-        assert_eq!(h.neighborhood(0), vec![(2, 1), (3, 1)]);
-        assert_eq!(h.neighborhood(1), Vec::<(EdgeId, u32)>::new());
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //! The *projected graph* `G¯ = (E, ∧, ω)` of a hypergraph `G = (V, E)` has the
 //! hyperedges of `G` as its vertices; two hyperedges are adjacent iff they
 //! share at least one node (such an unordered pair is a *hyperwedge*), and the
-//! weight `ω(∧_ij) = |e_i ∩ e_j|` records the overlap size. Every version of
-//! MoCHy consumes this structure.
+//! weight `ω(∧_ij) = |e_i ∩ e_j|` records the overlap size. MoCHy-E and
+//! MoCHy-A+ walk this structure; MoCHy-A and the streaming counter count
+//! around one hyperedge from its incidence lists instead.
 //!
 //! Three construction strategies are provided:
 //!
@@ -16,19 +17,14 @@
 //! - [`lazy::LazyProjection`]: the on-the-fly variant of Section 3.4, which
 //!   computes hyperedge neighbourhoods on demand and memoizes them within a
 //!   configurable budget, prioritized by degree / LRU / random (Figure 11).
-//! - [`overlay::ProjectionOverlay`]: a mutable adjacency (CSR base + delta
-//!   rows, periodic compaction) maintained under hyperedge insertions and
-//!   deletions by the streaming counter.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod lazy;
-pub mod overlay;
 pub mod projected;
 
 pub use lazy::{LazyProjection, MemoPolicy, MemoStats};
-pub use overlay::ProjectionOverlay;
 pub use projected::{
     compute_neighborhood, project, project_parallel, NeighborhoodScratch, ProjectedGraph,
     WeightedNeighbor,

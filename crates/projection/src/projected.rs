@@ -42,13 +42,6 @@ impl ProjectedGraph {
         self.adjacency.num_rows()
     }
 
-    /// The underlying adjacency CSR (row `e` = neighbourhood of hyperedge
-    /// `e`, sorted by neighbour id). The streaming overlay seeds its base
-    /// from this.
-    pub fn as_csr(&self) -> &Csr<WeightedNeighbor> {
-        &self.adjacency
-    }
-
     /// Number of hyperwedges `|∧|`.
     pub fn num_hyperwedges(&self) -> usize {
         self.num_hyperwedges

@@ -43,9 +43,9 @@
 //! its [`Snapshot`] carries instead of starting from the hypergraph: the
 //! projected graph, which the generation's first query that counts on one
 //! builds, and, for a generation `/mutate` published, the writer's exact
-//! counts and |∧|, which answer `mochy-e` and `incremental` queries without
-//! `generalized` with no recount. The bodies are byte-identical to counting
-//! from scratch, so the cache contract above is unchanged.
+//! counts and |∧|, which answer `mochy-e` queries without `generalized` with
+//! no recount. The bodies are byte-identical to counting from scratch, so
+//! the cache contract above is unchanged.
 //!
 //! [`MotifEngine`]: mochy_core::engine::MotifEngine
 //! [`ShardPartial`]: mochy_core::shard::ShardPartial
@@ -733,7 +733,7 @@ impl CountQuery {
     fn canonical(&self) -> String {
         let mut members = vec![("method".to_string(), JsonValue::string(self.method.name()))];
         match self.method {
-            Method::Exact | Method::Incremental => {}
+            Method::Exact => {}
             Method::EdgeSample { samples } | Method::WedgeSample { samples } => {
                 members.push(("samples".to_string(), JsonValue::Number(samples as f64)));
             }
@@ -788,7 +788,6 @@ fn parse_count_query(ctx: &ApiContext, body: &str) -> Result<CountQuery, ApiErro
         .unwrap_or("mochy-e");
     let method = match method_name {
         "mochy-e" | "exact" => Method::Exact,
-        "incremental" => Method::Incremental,
         "mochy-a" | "edge-sample" => Method::EdgeSample { samples },
         "mochy-a+" | "wedge-sample" => Method::WedgeSample { samples },
         "mochy-a+-ratio" | "wedge-ratio" => Method::WedgeSampleRatio {
@@ -807,7 +806,7 @@ fn parse_count_query(ctx: &ApiContext, body: &str) -> Result<CountQuery, ApiErro
         },
         other => {
             return Err(ApiError::bad(format!(
-                "unknown method `{other}` (expected mochy-e, incremental, mochy-a, mochy-a+, \
+                "unknown method `{other}` (expected mochy-e, mochy-a, mochy-a+, \
                  mochy-a+-ratio, mochy-a+-adaptive, or mochy-a+-otf)"
             )))
         }
@@ -904,24 +903,32 @@ fn render_count(query: &CountQuery, snapshot: &Snapshot) -> Result<String, ApiEr
             .map_err(|error| ApiError::bad(error.to_string()))?;
     }
     let computed;
-    let report: Option<&CountReport> = match (snapshot.hypergraph.as_deref(), &snapshot.streamed) {
-        // The emptied dataset renders no report (zero counts and
-        // `num_hyperwedges: null`), although its writer holds zero counts
-        // and |∧| = 0.
-        (None, _) => None,
-        (Some(_), Some(streamed)) if query.method.is_exact() && query.generalized.is_none() => {
-            Some(streamed)
-        }
-        (Some(hypergraph), _) => {
-            computed = count_on_snapshot(query, config, hypergraph, snapshot)?;
-            Some(&computed)
-        }
-    };
+    let (counts, num_hyperwedges, samples_drawn, generalized) =
+        match (snapshot.hypergraph.as_deref(), &snapshot.streamed) {
+            // The emptied dataset renders no report (zero counts and
+            // `num_hyperwedges: null`), although its writer holds zero
+            // counts and |∧| = 0.
+            (None, _) => (None, None, None, None),
+            (Some(_), Some(streamed)) if query.method.is_exact() && query.generalized.is_none() => {
+                (
+                    Some(&streamed.counts),
+                    Some(streamed.num_hyperwedges),
+                    None,
+                    None,
+                )
+            }
+            (Some(hypergraph), _) => {
+                computed = count_on_snapshot(query, config, hypergraph, snapshot)?;
+                (
+                    Some(&computed.counts),
+                    computed.num_hyperwedges,
+                    computed.samples_drawn,
+                    computed.generalized.as_ref(),
+                )
+            }
+        };
 
-    let counts: Vec<f64> = report
-        .as_ref()
-        .map(|r| r.counts.as_slice().to_vec())
-        .unwrap_or_else(|| vec![0.0; NUM_MOTIFS]);
+    let counts: Vec<f64> = counts.map_or_else(|| vec![0.0; NUM_MOTIFS], |c| c.as_slice().to_vec());
     let mut members = vec![
         (
             "generation".to_string(),
@@ -940,17 +947,11 @@ fn render_count(query: &CountQuery, snapshot: &Snapshot) -> Result<String, ApiEr
         ),
         (
             "num_hyperwedges".to_string(),
-            report
-                .as_ref()
-                .and_then(|r| r.num_hyperwedges)
-                .map_or(JsonValue::Null, |w| JsonValue::Number(w as f64)),
+            num_hyperwedges.map_or(JsonValue::Null, |w| JsonValue::Number(w as f64)),
         ),
         (
             "samples_drawn".to_string(),
-            report
-                .as_ref()
-                .and_then(|r| r.samples_drawn)
-                .map_or(JsonValue::Null, |s| JsonValue::Number(s as f64)),
+            samples_drawn.map_or(JsonValue::Null, |s| JsonValue::Number(s as f64)),
         ),
         (
             "total".to_string(),
@@ -958,7 +959,6 @@ fn render_count(query: &CountQuery, snapshot: &Snapshot) -> Result<String, ApiEr
         ),
         ("counts".to_string(), f64_array(&counts)),
     ];
-    let generalized = report.as_ref().and_then(|r| r.generalized.as_ref());
     members.push((
         "generalized".to_string(),
         match generalized {
@@ -1001,9 +1001,9 @@ fn render_count(query: &CountQuery, snapshot: &Snapshot) -> Result<String, ApiEr
 /// Runs the engine on the snapshot's hypergraph. A method that counts on
 /// the projected graph, and any query with `generalized`, uses the
 /// snapshot's projection, which the first such query of a generation
-/// builds. On-the-fly and incremental queries without `generalized` never
-/// build it. A `mochy-a+-ratio` query is checked against [`MAX_SAMPLES`]
-/// before it samples.
+/// builds. On-the-fly queries without `generalized` never build it. A
+/// `mochy-a+-ratio` query is checked against [`MAX_SAMPLES`] before it
+/// samples.
 fn count_on_snapshot(
     query: &CountQuery,
     config: CountConfig,
@@ -1011,8 +1011,8 @@ fn count_on_snapshot(
     snapshot: &Snapshot,
 ) -> Result<CountReport, ApiError> {
     let engine = config.build();
-    let uses_projection = query.generalized.is_some()
-        || !matches!(query.method, Method::Incremental | Method::OnTheFly { .. });
+    let uses_projection =
+        query.generalized.is_some() || !matches!(query.method, Method::OnTheFly { .. });
     match uses_projection
         .then(|| snapshot.projection(query.threads))
         .flatten()
@@ -1544,6 +1544,10 @@ mod tests {
                 r#"{"dataset": "fig2", "method": "quantum"}"#,
                 "unknown method",
             ),
+            (
+                r#"{"dataset": "fig2", "method": "incremental"}"#,
+                "unknown method",
+            ),
             (r#"{"dataset": "fig2", "samples": -3}"#, "`samples`"),
             (r#"{"dataset": "fig2", "generalized": 5}"#, "3 or 4"),
             (r#"{"dataset": "fig2", "threads": 99}"#, "`threads`"),
@@ -1981,19 +1985,13 @@ mod tests {
 
     /// `/v1/count` queries whose bodies a published generation must render
     /// exactly as a recount does: `(body, method, seed, shards)`.
-    const RECOUNTED: [(&str, &str, u64, usize); 8] = [
+    const RECOUNTED: [(&str, &str, u64, usize); 7] = [
         (r#"{"dataset":"d","method":"mochy-e"}"#, "mochy-e", 0, 1),
         (
             r#"{"dataset":"d","method":"mochy-e","shards":3,"threads":2}"#,
             "mochy-e",
             0,
             3,
-        ),
-        (
-            r#"{"dataset":"d","method":"incremental"}"#,
-            "incremental",
-            0,
-            1,
         ),
         (
             r#"{"dataset":"d","method":"mochy-e","generalized":3}"#,

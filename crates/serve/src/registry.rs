@@ -31,7 +31,7 @@
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock};
 
-use mochy_core::engine::CountReport;
+use mochy_core::count::MotifCounts;
 use mochy_core::streaming::{StreamConfig, StreamingEngine};
 use mochy_hypergraph::{EdgeId, Hypergraph, NodeId};
 use mochy_projection::{project_parallel, ProjectedGraph};
@@ -44,6 +44,16 @@ use mochy_projection::{project_parallel, ProjectedGraph};
 /// hundred megabytes even in the worst case.
 pub const MAX_NODE_ID: NodeId = (1 << 24) - 1;
 
+/// The exact counts and |∧| a dataset's writer held when it published a
+/// snapshot.
+#[derive(Debug, Clone, PartialEq)]
+pub struct StreamedCounts {
+    /// The 26 h-motif instance counts.
+    pub counts: MotifCounts,
+    /// The number of hyperwedges |∧|.
+    pub num_hyperwedges: usize,
+}
+
 /// An immutable, shareable state of one dataset: its hypergraph, the
 /// projected graph built from it on first use, and, when the dataset's
 /// writer published it, the writer's exact counts.
@@ -55,12 +65,13 @@ pub struct Snapshot {
     /// (hyperedge sets are non-empty by construction, so the empty state
     /// needs an explicit representation).
     pub hypergraph: Option<Arc<Hypergraph>>,
-    /// The writer's exact counts and |∧| ([`StreamingEngine::snapshot`]),
-    /// copied under the writer lock, for every snapshot
-    /// [`Dataset::mutate`] published. They are bit-identical to MoCHy-E on
-    /// [`Snapshot::hypergraph`] (streaming equivalence). `None` for
-    /// generation 0 and uploads, which no writer published.
-    pub streamed: Option<CountReport>,
+    /// The writer's exact counts and |∧| ([`StreamingEngine::counts`],
+    /// [`StreamingEngine::num_hyperwedges`]), copied under the writer lock,
+    /// for every snapshot [`Dataset::mutate`] published. They are
+    /// bit-identical to MoCHy-E on [`Snapshot::hypergraph`] (streaming
+    /// equivalence). `None` for generation 0 and uploads, which no writer
+    /// published.
+    pub streamed: Option<StreamedCounts>,
     projected: OnceLock<ProjectedGraph>,
 }
 
@@ -68,7 +79,7 @@ impl Snapshot {
     fn new(
         generation: u64,
         hypergraph: Option<Arc<Hypergraph>>,
-        streamed: Option<CountReport>,
+        streamed: Option<StreamedCounts>,
     ) -> Self {
         Self {
             generation,
@@ -219,10 +230,8 @@ impl Dataset {
             // keeps the first engine and discards the duplicate.
             drop(writer);
             let bootstrapped = match self.snapshot().hypergraph.as_deref() {
-                Some(hypergraph) => {
-                    StreamingEngine::from_hypergraph(hypergraph, StreamConfig::default())
-                }
-                None => StreamingEngine::new(StreamConfig::default()),
+                Some(hypergraph) => StreamingEngine::from_hypergraph(hypergraph, StreamConfig),
+                None => StreamingEngine::new(StreamConfig),
             };
             writer = self
                 .writer
@@ -249,7 +258,10 @@ impl Dataset {
         // snapshot, with a copy of the writer's exact counts, and swap the
         // shared pointer.
         let hypergraph = stream.to_hypergraph().ok().map(Arc::new);
-        let streamed = stream.snapshot();
+        let streamed = StreamedCounts {
+            counts: stream.counts().clone(),
+            num_hyperwedges: stream.num_hyperwedges(),
+        };
         let num_edges = stream.num_live_edges();
         let total_instances = streamed.counts.total();
         let mut published = self
@@ -409,7 +421,7 @@ mod tests {
         assert_eq!(new_counts.counts.total(), outcome.total_instances);
         let streamed = after.streamed.as_ref().expect("the writer published it");
         assert_eq!(streamed.counts, new_counts.counts);
-        assert_eq!(streamed.num_hyperwedges, new_counts.num_hyperwedges);
+        assert_eq!(Some(streamed.num_hyperwedges), new_counts.num_hyperwedges);
         assert!(before.streamed.is_none(), "generation 0 had no writer");
     }
 

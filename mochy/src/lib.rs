@@ -60,19 +60,19 @@
 //! | Algorithm 5 (MoCHy-A+) | [`Method::WedgeSample`](core::engine::Method::WedgeSample) |
 //! | Algorithm 5 + stopping rule | [`Method::Adaptive`](core::engine::Method::Adaptive) |
 //! | Section 3.4 on-the-fly projection | [`Method::OnTheFly`](core::engine::Method::OnTheFly) |
-//! | Streamed replay of the incremental counter | [`Method::Incremental`](core::engine::Method::Incremental) |
 //!
 //! ## Evolving hypergraphs
 //!
 //! For a hypergraph under hyperedge churn, skip the batch engine entirely:
 //! a [`core::streaming::StreamingEngine`] maintains the exact counts under
-//! `insert` / `remove`, recomputing only the delta contributed by the
-//! touched hyperedge's hyperwedge neighbourhood.
+//! `insert` / `remove`, adding or subtracting only the instances that
+//! contain the touched hyperedge — the same per-hyperedge count MoCHy-A
+//! makes for each sample.
 //!
 //! ```
 //! use mochy::prelude::*;
 //!
-//! let mut stream = StreamingEngine::new(StreamConfig::default());
+//! let mut stream = StreamingEngine::new(StreamConfig);
 //! let e1 = stream.insert([0u32, 1, 2]);
 //! let _ = stream.insert([0u32, 3, 1]);
 //! let _ = stream.insert([4u32, 5, 0]);
@@ -126,7 +126,5 @@ pub mod prelude {
         GeneralizedCatalog, HMotif, MotifCatalog, MotifClass, RegionCardinalities,
     };
     pub use mochy_nullmodel::{chung_lu_randomize, swap_randomize, PreservationReport};
-    pub use mochy_projection::{
-        project, project_parallel, NeighborhoodScratch, ProjectedGraph, ProjectionOverlay,
-    };
+    pub use mochy_projection::{project, project_parallel, NeighborhoodScratch, ProjectedGraph};
 }
