@@ -1,13 +1,13 @@
 #!/usr/bin/env bash
 # CI entry point: formatting, lints (clippy plus the workspace's own
 # mochy-lint pass — determinism, panic-safety, and untrusted-input
-# invariants, writing LINT.json), build, tests, the .mochy snapshot
-# round-trip gate, the shard-equivalence gate (scatter-gather MoCHy-E at
-# every shard count must merge bit-identically to the unsharded run,
-# writing SHARD.json), the serve smoke (booted from a binary snapshot, with
-# a runtime snapshot upload), explicit thread- and shard-invariance runs, the
-# tiny-scale run of the repository benchmark (perfbench), the deterministic
-# perf smoke behind BENCH.json, the perf-regression gate against the committed
+# invariants, writing LINT.json), build, tests (among them the
+# shard_invariance suite: scatter-gather MoCHy-E at every shard count must
+# merge bit-identically to the unsharded run), the .mochy snapshot
+# round-trip gate, the serve smoke (booted from a binary snapshot, with
+# a runtime snapshot upload), an explicit thread- and shard-invariance run
+# on a minimal pool, the tiny-scale run of the repository benchmark
+# (perfbench), the deterministic perf smoke behind BENCH.json, the perf-regression gate against the committed
 # BENCH_BASELINE.json, the streaming-vs-batch equivalence check of
 # `mochy-exp evolve`, the keep-alive loadtest gate (LOADTEST.json against
 # the committed LOADTEST_BASELINE.json), the distributed-equivalence gate
@@ -104,20 +104,13 @@ run_stage test cargo test "${CARGO_FLAGS[@]}" -q
 # literally the artifact this gate verified.
 run_stage snapshot-roundtrip "${TARGET_DIR}/mochy-exp" snapshot-check --dir snapshots --threads 2
 
-# Shard-equivalence gate (both lanes): count every bench dataset with
-# scatter-gather MoCHy-E over K contiguous centre spans and require the
-# merged report at K in {1,2,4} to be bit-identical to the unsharded
-# MoCHy-E run. SHARD.json records the full matrix (uploaded as a CI
-# artifact) and the stage exits non-zero on any divergence.
-run_stage shard-equivalence "${TARGET_DIR}/mochy-exp" shard-check \
-  --shards 1,2,4 --threads 2 --json SHARD.json
-
 # Serve smoke (both lanes): boot mochy-serve FROM A .mochy SNAPSHOT on an
-# ephemeral port, drive /healthz + /datasets + /count through the example
-# client — which also uploads a second snapshot through POST /datasets,
+# ephemeral port, drive /v1/healthz + /v1/datasets + /v1/count through the
+# example client — which also uploads a second snapshot through
+# POST /v1/datasets,
 # counts on it, inserts and removes one hyperedge there and requires the
 # generation-2 mochy-e body (the streaming writer's carried counts) to
-# equal the generation-0 MoCHy-E body, and repeats /count 25 times over ONE
+# equal the generation-0 MoCHy-E body, and repeats /v1/count 25 times over ONE
 # persistent connection (the keep-alive smoke) — request a clean shutdown,
 # and assert the process exits 0. Binaries are built above; the example
 # client is built here explicitly (plain `cargo build` skips examples).
@@ -174,15 +167,13 @@ if [[ "$PROFILE" == "debug" ]]; then
 fi
 
 # Thread- and shard-count invariance. Every suite run counts at threads=1
-# AND at threads=$MOCHY_POOL_THREADS and asserts bit-equality, so these two
-# stages explicitly pin threads=1 against both a minimal pool (2, the
-# cheapest configuration that exercises work stealing at all) and the
-# standard pool (8). The shard_invariance suite rides along at the same
-# pool sizes, pinning K in {1,2,4,8} == unsharded under thread variation.
+# AND at threads=$MOCHY_POOL_THREADS and asserts bit-equality. The test
+# stage above already ran both suites at the standard pool (8, the suites'
+# default), so this stage pins threads=1 against a minimal pool (2, the
+# cheapest configuration that exercises work stealing at all). The
+# shard_invariance suite rides along, pinning K in {1,2,4,8} == unsharded
+# under thread variation.
 run_stage invariance-1v2 env MOCHY_POOL_THREADS=2 \
-  cargo test "${CARGO_FLAGS[@]}" -q -p mochy_core \
-  --test thread_invariance --test shard_invariance
-run_stage invariance-1v8 env MOCHY_POOL_THREADS=8 \
   cargo test "${CARGO_FLAGS[@]}" -q -p mochy_core \
   --test thread_invariance --test shard_invariance
 

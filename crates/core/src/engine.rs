@@ -199,8 +199,8 @@ pub struct CountConfig {
     /// path ([`crate::shard`]): MoCHy-E over each shard's span of centre
     /// hyperedges on the one full projection, merged order-fixed. The merged
     /// report is bit-identical to the unsharded run for every `K`
-    /// (shard-count invariance, pinned by `shard_invariance.rs` and the
-    /// `shard-check` CI gate).
+    /// (shard-count invariance, pinned by the `shard_invariance.rs` suite,
+    /// which CI runs at two pool sizes).
     pub shards: usize,
 }
 

@@ -21,9 +21,8 @@
 //! defined order-fixed (shard 0, 1, …, K−1), so the gather step is
 //! deterministic by construction, not by arithmetic accident. Partials that
 //! cross a process boundary keep the premise: [`ShardPartial::from_json`]
-//! accepts only exact integer counts below `2^53`. `shard-check` (CI) and
-//! `shard_invariance.rs` pin the merged reports bit-equal to unsharded
-//! MoCHy-E.
+//! accepts only exact integer counts below `2^53`. The `shard_invariance.rs`
+//! suite pins the merged reports bit-equal to unsharded MoCHy-E.
 
 use std::ops::Range;
 

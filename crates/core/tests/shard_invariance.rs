@@ -8,9 +8,10 @@
 //! shard count, the same guarantee thread invariance already pins for
 //! thread counts. This suite asserts K ∈ {1, 2, 4, 8} == unsharded on the
 //! paper's Figure 2 example and on every bench dataset, at `threads = 1`
-//! and at the pooled thread count (`MOCHY_POOL_THREADS`, which CI pins to 2
-//! and to 8), so shard and thread variation are exercised jointly inside the
-//! existing invariance stages.
+//! and at the pooled thread count (`MOCHY_POOL_THREADS`: CI's `test` stage
+//! runs the suite at the default of 8 and its `invariance-1v2` stage at 2),
+//! so shard and thread variation are exercised jointly. This suite is the
+//! workspace's one shard-equivalence check.
 
 use mochy_core::engine::{CountConfig, CountReport, Method};
 use mochy_hypergraph::{Hypergraph, HypergraphBuilder};
@@ -27,7 +28,7 @@ fn figure2() -> Hypergraph {
 }
 
 /// The pooled thread count under test: `MOCHY_POOL_THREADS` when set (CI
-/// runs the suite at 2 and at 8), 8 otherwise; values below 2 are ignored.
+/// sets 2 in `invariance-1v2`), 8 otherwise; values below 2 are ignored.
 fn pooled_threads() -> usize {
     std::env::var("MOCHY_POOL_THREADS")
         .ok()
@@ -99,9 +100,8 @@ fn exact_counting_is_shard_count_invariant_on_every_bench_dataset() {
 
 #[test]
 fn sharded_runs_cross_thread_counts_bit_identically() {
-    // The full matrix property shard-check enforces in CI: for any (K, t),
-    // the merged counts equal the (1, 1) baseline — shard and thread
-    // variation compose. Reports record the projection mode, which differs
+    // The full matrix property: for any (K, t), the merged counts equal the
+    // (1, 1) baseline — shard and thread variation compose. Reports record the projection mode, which differs
     // across thread counts, so this test compares the counted quantities
     // rather than whole reports (assert_shard_invariant covers those at
     // fixed thread counts).

@@ -8,9 +8,10 @@
 //! both on the paper's Figure 2 example and on a skewed-degree synthetic
 //! dataset that actually exercises load imbalance across blocks.
 //!
-//! `N` defaults to 8; CI overrides it through the `MOCHY_POOL_THREADS`
-//! environment variable to pin `threads=1` explicitly against both a
-//! minimal pool (`N = 2`) and the standard pool (`N = 8`). `threads=1` is
+//! `N` defaults to 8, the standard pool CI's `test` stage runs; CI's
+//! `invariance-1v2` stage overrides it through the `MOCHY_POOL_THREADS`
+//! environment variable to pin `threads=1` against a minimal pool
+//! (`N = 2`) as well. `threads=1` is
 //! always one side of the comparison, so setting `N = 1` would be vacuous —
 //! vary only the pooled side.
 

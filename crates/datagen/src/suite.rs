@@ -111,8 +111,8 @@ pub fn standard_suite(scale: SuiteScale) -> Vec<DatasetSpec> {
 
 /// The gated workload: one moderately sized dataset per domain.
 ///
-/// `mochy-exp perf`, `snapshot-check` and `shard-check` run on it, and so
-/// does the shard-invariance suite. Sizes keep a single MoCHy-E run in the
+/// `mochy-exp perf` and `snapshot-check` run on it, and so does the
+/// shard-invariance suite (`shard_invariance.rs`). Sizes keep a single MoCHy-E run in the
 /// hundreds of milliseconds even on the densest domains.
 pub fn bench_datasets() -> Vec<(&'static str, Hypergraph)> {
     vec![

@@ -30,8 +30,8 @@
 //! engine over a temporal hyperedge event stream with per-checkpoint
 //! verification (both run by `ci.sh`). The `.mochy` binary-snapshot tooling
 //! lives in [`snapshot`] (`mochy-exp convert` and the `snapshot-check`
-//! round-trip gate), [`shard`] implements `shard-check`, the CI
-//! shard-equivalence gate behind `SHARD.json`, [`cibudget`] implements
+//! round-trip gate; shard-count invariance is pinned by the
+//! `mochy_core` suite `shard_invariance.rs`), [`cibudget`] implements
 //! `mochy-exp ci-budget`, the per-stage wall-clock gate of the CI pipeline,
 //! and [`loadtest`] implements `mochy-exp loadtest` — the closed-loop HTTP
 //! load harness that proves keep-alive serving beats connection-per-request
@@ -63,7 +63,6 @@ pub mod nullmodels;
 pub mod pairwise;
 pub mod perf;
 pub mod q3domain;
-pub mod shard;
 pub mod snapshot;
 pub mod table2;
 pub mod table3;

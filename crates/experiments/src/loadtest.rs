@@ -7,17 +7,17 @@
 //! before sending the next request, so offered load adapts to the server
 //! rather than overrunning it. Three scenarios run per invocation:
 //!
-//! - **`cache-hit-keepalive`** — each client repeats one cacheable `/count`
-//!   query on a single persistent connection. After the first miss, every
-//!   exchange is an LRU hit: this isolates the HTTP front end, which is
-//!   exactly what keep-alive is supposed to speed up.
+//! - **`cache-hit-keepalive`** — each client repeats one cacheable
+//!   `/v1/count` query on a single persistent connection. After the first
+//!   miss, every exchange is an LRU hit: this isolates the HTTP front end,
+//!   which is exactly what keep-alive is supposed to speed up.
 //! - **`cache-hit-per-request`** — the same query mix, but a fresh
 //!   connection (with `Connection: close`) per request: the
 //!   connection-per-request baseline the old front end forced on every
 //!   client.
 //! - **`mixed-keepalive`** — a seeded per-client mix of cache-hit repeats,
-//!   distinct `/count` variants, and `/healthz` probes over persistent
-//!   connections: a smoke of realistic traffic.
+//!   distinct `/v1/count` variants, and `/v1/healthz` probes over
+//!   persistent connections: a smoke of realistic traffic.
 //!
 //! The report is a `mochy-loadtest/1` JSON document: per-scenario request /
 //! status counts (deterministic — the closed loop sends an exact number of
@@ -33,13 +33,14 @@
 //! throughput/latency regressions beyond tolerance, and a speedup below its
 //! floor.
 
-use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use mochy_datagen::{generate, DomainKind, GeneratorConfig};
 use mochy_hypergraph::HypergraphBuilder;
+use mochy_serve::client::{read_response, write_request, ClientError, ClientResponse};
+use mochy_serve::http::Persistence;
 use mochy_serve::registry::Registry;
 use mochy_serve::server::{Server, ServerConfig};
 use rand::rngs::StdRng;
@@ -105,7 +106,7 @@ struct Query {
 fn cache_hit_query() -> Query {
     Query {
         method: "POST",
-        path: "/count",
+        path: "/v1/count",
         body: r#"{"dataset": "fig2", "seed": 1}"#.to_string(),
     }
 }
@@ -117,7 +118,7 @@ fn mixed_pool() -> Vec<Query> {
     for seed in 2..6u64 {
         pool.push(Query {
             method: "POST",
-            path: "/count",
+            path: "/v1/count",
             body: format!(
                 r#"{{"dataset": "email", "method": "mochy-a+", "samples": 60, "seed": {seed}}}"#
             ),
@@ -125,18 +126,10 @@ fn mixed_pool() -> Vec<Query> {
     }
     pool.push(Query {
         method: "GET",
-        path: "/healthz",
+        path: "/v1/healthz",
         body: String::new(),
     });
     pool
-}
-
-/// Whether a scenario's clients reuse one connection or reconnect per
-/// request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ConnectionMode {
-    KeepAlive,
-    PerRequest,
 }
 
 /// What one client thread observed.
@@ -163,121 +156,62 @@ struct ScenarioResult {
     p99_ms: f64,
 }
 
-/// A minimal keep-alive-capable HTTP client over one `TcpStream`.
-struct ClientConnection {
-    stream: TcpStream,
-    carry: Vec<u8>,
-}
+/// Bound on one exchange of the closed loop (write plus response).
+const EXCHANGE_DEADLINE: Duration = Duration::from_secs(30);
 
-impl ClientConnection {
-    fn open(addr: SocketAddr) -> std::io::Result<Self> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_read_timeout(Some(Duration::from_secs(30)))?;
-        stream.set_nodelay(true)?;
-        Ok(Self {
-            stream,
-            carry: Vec::new(),
-        })
+/// An open connection: its stream and the bytes read off it but not yet
+/// consumed.
+type Connection = (TcpStream, Vec<u8>);
+
+/// One request/response exchange on `connection`, opened first when there
+/// is none.
+fn exchange(
+    connection: &mut Option<Connection>,
+    addr: SocketAddr,
+    query: &Query,
+    persistence: Persistence,
+) -> Result<ClientResponse, ClientError> {
+    if connection.is_none() {
+        let stream =
+            TcpStream::connect(addr).map_err(|error| ClientError::Connect(error.to_string()))?;
+        let _ = stream.set_nodelay(true);
+        *connection = Some((stream, Vec::new()));
     }
-
-    /// One request/response exchange. Returns `(status, server_will_close)`.
-    fn exchange(&mut self, query: &Query, close: bool) -> std::io::Result<(u16, bool)> {
-        let connection = if close { "close" } else { "keep-alive" };
-        let head = format!(
-            "{} {} HTTP/1.1\r\nhost: loadtest\r\nconnection: {connection}\r\ncontent-length: {}\r\n\r\n",
-            query.method,
-            query.path,
-            query.body.len()
-        );
-        self.stream.write_all(head.as_bytes())?;
-        self.stream.write_all(query.body.as_bytes())?;
-
-        // Read one Content-Length-framed response; pipelined leftovers (none
-        // in the closed loop, but cheap to support) stay in `carry`.
-        let mut chunk = [0u8; 2048];
-        let head_end = loop {
-            if let Some(position) = self.carry.windows(4).position(|w| w == b"\r\n\r\n") {
-                break position;
-            }
-            let read = self.stream.read(&mut chunk)?;
-            if read == 0 {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "connection closed before a full response head",
-                ));
-            }
-            self.carry.extend_from_slice(&chunk[..read]);
-        };
-        let head = String::from_utf8_lossy(&self.carry[..head_end]).to_string();
-        let status: u16 = head
-            .split(' ')
-            .nth(1)
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| {
-                std::io::Error::new(std::io::ErrorKind::InvalidData, "bad status line")
-            })?;
-        let content_length: usize = head
-            .lines()
-            .find_map(|line| line.strip_prefix("content-length: "))
-            .and_then(|value| value.parse().ok())
-            .ok_or_else(|| {
-                std::io::Error::new(std::io::ErrorKind::InvalidData, "missing content-length")
-            })?;
-        let closing = head
-            .lines()
-            .any(|line| line.eq_ignore_ascii_case("connection: close"));
-        let body_end = head_end + 4 + content_length;
-        while self.carry.len() < body_end {
-            let read = self.stream.read(&mut chunk)?;
-            if read == 0 {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "connection closed mid-body",
-                ));
-            }
-            self.carry.extend_from_slice(&chunk[..read]);
-        }
-        self.carry.drain(..body_end);
-        Ok((status, closing))
-    }
+    let (stream, carry) = connection.as_mut().ok_or(ClientError::Closed)?;
+    write_request(
+        stream,
+        "loadtest",
+        query.method,
+        query.path,
+        &query.body,
+        persistence,
+    )?;
+    read_response(stream, carry, Instant::now(), EXCHANGE_DEADLINE)
 }
 
 /// Runs one client's closed loop: `requests` sequential exchanges, timing
-/// each one.
+/// each one. With [`Persistence::Close`] every request opens a fresh
+/// connection.
 fn run_client(
     addr: SocketAddr,
     queries: &[Query],
-    mode: ConnectionMode,
+    persistence: Persistence,
     requests: usize,
 ) -> ClientOutcome {
     let mut outcome = ClientOutcome::default();
-    let mut connection: Option<ClientConnection> = None;
+    let mut connection: Option<Connection> = None;
     for i in 0..requests {
         let query = &queries[i % queries.len()];
         let started = Instant::now();
-        let close = mode == ConnectionMode::PerRequest;
-        if connection.is_none() {
-            match ClientConnection::open(addr) {
-                Ok(fresh) => connection = Some(fresh),
-                Err(_) => {
-                    outcome.errors += 1;
-                    continue;
-                }
-            }
-        }
-        let Some(open) = connection.as_mut() else {
-            outcome.errors += 1;
-            continue;
-        };
-        match open.exchange(query, close) {
-            Ok((status, closing)) => {
+        match exchange(&mut connection, addr, query, persistence) {
+            Ok(response) => {
                 outcome.latencies.push(started.elapsed());
-                if status == 200 {
+                if response.status == 200 {
                     outcome.responses_200 += 1;
                 } else {
                     outcome.responses_other += 1;
                 }
-                if close || closing {
+                if persistence == Persistence::Close || response.closes() {
                     connection = None;
                 }
             }
@@ -306,12 +240,12 @@ fn run_scenario(
     name: &'static str,
     addr: SocketAddr,
     options: &LoadtestOptions,
-    mode: ConnectionMode,
+    persistence: Persistence,
     per_client_queries: &impl Fn(usize) -> Vec<Query>,
 ) -> ScenarioResult {
     let mut best: Option<ScenarioResult> = None;
     for _ in 0..options.repeats.max(1) {
-        let run = run_scenario_once(name, addr, options, mode, per_client_queries);
+        let run = run_scenario_once(name, addr, options, persistence, per_client_queries);
         let better = match &best {
             Some(current) => run.throughput_rps > current.throughput_rps,
             None => true,
@@ -321,7 +255,7 @@ fn run_scenario(
         }
     }
     // The loop above always executes at least once.
-    best.unwrap_or_else(|| run_scenario_once(name, addr, options, mode, per_client_queries))
+    best.unwrap_or_else(|| run_scenario_once(name, addr, options, persistence, per_client_queries))
 }
 
 /// One scenario run: `clients` threads of `requests_per_client` closed-loop
@@ -330,7 +264,7 @@ fn run_scenario_once(
     name: &'static str,
     addr: SocketAddr,
     options: &LoadtestOptions,
-    mode: ConnectionMode,
+    persistence: Persistence,
     per_client_queries: &impl Fn(usize) -> Vec<Query>,
 ) -> ScenarioResult {
     let barrier = Arc::new(Barrier::new(options.clients + 1));
@@ -341,7 +275,7 @@ fn run_scenario_once(
             let requests = options.requests_per_client;
             std::thread::spawn(move || {
                 barrier.wait();
-                run_client(addr, &queries, mode, requests)
+                run_client(addr, &queries, persistence, requests)
             })
         })
         .collect();
@@ -434,14 +368,14 @@ pub fn run(options: &LoadtestOptions) -> Result<String, String> {
             "cache-hit-keepalive",
             addr,
             &options,
-            ConnectionMode::KeepAlive,
+            Persistence::KeepAlive,
             &cache_hit,
         );
         let pr = run_scenario_once(
             "cache-hit-per-request",
             addr,
             &options,
-            ConnectionMode::PerRequest,
+            Persistence::Close,
             &cache_hit,
         );
         speedup = speedup.max(ka.throughput_rps / pr.throughput_rps.max(1e-9));
@@ -457,7 +391,7 @@ pub fn run(options: &LoadtestOptions) -> Result<String, String> {
         "mixed-keepalive",
         addr,
         &options,
-        ConnectionMode::KeepAlive,
+        Persistence::KeepAlive,
         &move |client| {
             // Per-client seeded choice: weight the cache-hit repeat at ~50%,
             // the rest uniform over the pool tail. The sequence depends only

@@ -8,7 +8,6 @@
 //! mochy-exp gen <domain> <nodes> <edges> <seed> <path>
 //! mochy-exp count <path> [e|a:<samples>|a+:<samples>] [threads]
 //! mochy-exp convert <input> [<simplices>] <out.mochy>
-//! mochy-exp shard-check [--shards <k,k,...>] [--threads <n>] [--json <path>]
 //! mochy-exp snapshot-check [--dir <path>] [--threads <n>] [--reps <n>]
 //! mochy-exp ci-budget <budget.json> <profile> <stage>=<ms>...
 //! mochy-exp perf [--json <path>] [--threads <n>] [--samples <n>]
@@ -23,9 +22,10 @@
 
 #![forbid(unsafe_code)]
 
-use mochy_experiments::tool::{self, CountAlgorithm};
+use mochy_core::engine::Method;
+use mochy_experiments::tool;
 use mochy_experiments::{
-    cibudget, dist, evolve, gate, loadtest, perf, run_experiment, shard, snapshot, ExperimentScale,
+    cibudget, dist, evolve, gate, loadtest, perf, run_experiment, snapshot, ExperimentScale,
     ALL_EXPERIMENTS,
 };
 
@@ -46,10 +46,6 @@ fn main() {
     }
     if command == "convert" {
         run_convert(&args[1..]);
-        return;
-    }
-    if command == "shard-check" {
-        run_shard_check(&args[1..]);
         return;
     }
     if command == "snapshot-check" {
@@ -144,15 +140,15 @@ fn run_count(args: &[String]) {
         eprintln!("usage: mochy-exp count <path> [e|a:<samples>|a+:<samples>] [threads]");
         std::process::exit(2);
     }
-    let algorithm = args
+    let method = args
         .get(1)
         .map(|text| {
-            CountAlgorithm::parse(text).unwrap_or_else(|| {
+            tool::parse_method(text).unwrap_or_else(|| {
                 eprintln!("unknown algorithm `{text}` (e, a:<samples>, a+:<samples>)");
                 std::process::exit(2);
             })
         })
-        .unwrap_or(CountAlgorithm::Exact);
+        .unwrap_or(Method::Exact);
     let threads = args
         .get(2)
         .map(|text| {
@@ -162,7 +158,7 @@ fn run_count(args: &[String]) {
             })
         })
         .unwrap_or(1usize);
-    match tool::count_file(std::path::Path::new(&args[0]), algorithm, threads, 0) {
+    match tool::count_file(std::path::Path::new(&args[0]), method, threads, 0) {
         Ok(report) => println!("{report}"),
         Err(error) => {
             eprintln!("failed to count `{}`: {error}", args[0]);
@@ -184,70 +180,6 @@ fn run_convert(args: &[String]) {
             eprintln!("convert failed: {error}");
             std::process::exit(1);
         }
-    }
-}
-
-fn run_shard_check(args: &[String]) {
-    let usage = "usage: mochy-exp shard-check [--shards <k,k,...>] [--threads <n>] \
-                 [--json <path>]";
-    let mut options = shard::ShardCheckOptions::default();
-    let mut json_path: Option<String> = None;
-    let mut iter = args.iter();
-    while let Some(argument) = iter.next() {
-        let mut take_value = |what: &str| -> String {
-            iter.next().cloned().unwrap_or_else(|| {
-                eprintln!("{what} requires a value");
-                std::process::exit(2);
-            })
-        };
-        match argument.as_str() {
-            "--json" => json_path = Some(take_value("--json")),
-            "--threads" => {
-                options.threads = take_value("--threads").parse().unwrap_or_else(|_| {
-                    eprintln!("invalid thread count");
-                    std::process::exit(2);
-                })
-            }
-            "--shards" => {
-                let list = take_value("--shards");
-                options.shards = list
-                    .split(',')
-                    .map(|text| {
-                        text.trim().parse().unwrap_or_else(|_| {
-                            eprintln!("invalid shard count `{text}` in `{list}`");
-                            std::process::exit(2);
-                        })
-                    })
-                    .collect();
-            }
-            other => {
-                eprintln!("unknown argument `{other}`");
-                eprintln!("{usage}");
-                std::process::exit(2);
-            }
-        }
-    }
-    let outcome = shard::shard_check(&options).unwrap_or_else(|error| {
-        eprintln!("shard-check failed to run: {error}");
-        std::process::exit(1);
-    });
-    // SHARD.json records the full matrix even when the gate fails, so the
-    // uploaded artifact shows *what* diverged.
-    if let Some(path) = &json_path {
-        if let Err(error) = std::fs::write(path, &outcome.json) {
-            eprintln!("failed to write {path}: {error}");
-            std::process::exit(1);
-        }
-    }
-    print!("{}", outcome.table);
-    if outcome.violations.is_empty() {
-        println!("shard-equivalence gate passed: all merged reports bit-identical");
-    } else {
-        eprintln!(
-            "shard-equivalence gate FAILED:\n{}",
-            outcome.violations.join("\n")
-        );
-        std::process::exit(1);
     }
 }
 
@@ -590,7 +522,6 @@ fn print_usage() {
     eprintln!("       mochy-exp gen <domain> <nodes> <edges> <seed> <path>");
     eprintln!("       mochy-exp count <path> [e|a:<samples>|a+:<samples>] [threads]");
     eprintln!("       mochy-exp convert <input> [<simplices>] <out.mochy>");
-    eprintln!("       mochy-exp shard-check [--shards <k,k,...>] [--threads <n>] [--json <path>]");
     eprintln!("       mochy-exp snapshot-check [--dir <path>] [--threads <n>] [--reps <n>]");
     eprintln!("       mochy-exp ci-budget <budget.json> <profile> <stage>=<ms>...");
     eprintln!("       mochy-exp perf [--json <path>] [--threads <n>] [--samples <n>]");

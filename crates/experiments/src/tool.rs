@@ -9,34 +9,29 @@ use mochy_datagen::{generate, DomainKind, GeneratorConfig};
 use mochy_hypergraph::{io, Hypergraph, HypergraphError};
 use mochy_motif::MotifCatalog;
 
-/// Which counting algorithm the `count` sub-command runs.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum CountAlgorithm {
-    /// MoCHy-E (exact).
-    Exact,
-    /// MoCHy-A with the given number of hyperedge samples.
-    SampleEdges(usize),
-    /// MoCHy-A+ with the given number of hyperwedge samples.
-    SampleWedges(usize),
-}
-
-impl CountAlgorithm {
-    /// Parses `e`, `a:<samples>` or `a+:<samples>`.
-    pub fn parse(text: &str) -> Option<Self> {
-        if text.eq_ignore_ascii_case("e") {
-            return Some(Self::Exact);
-        }
-        if let Some(rest) = text
-            .strip_prefix("a+:")
-            .or_else(|| text.strip_prefix("A+:"))
-        {
-            return rest.parse().ok().map(Self::SampleWedges);
-        }
-        if let Some(rest) = text.strip_prefix("a:").or_else(|| text.strip_prefix("A:")) {
-            return rest.parse().ok().map(Self::SampleEdges);
-        }
-        None
+/// Parses the `count` sub-command's algorithm: `e` (MoCHy-E),
+/// `a:<samples>` (MoCHy-A over hyperedge samples) or `a+:<samples>`
+/// (MoCHy-A+ over hyperwedge samples), case-insensitively.
+pub fn parse_method(text: &str) -> Option<Method> {
+    if text.eq_ignore_ascii_case("e") {
+        return Some(Method::Exact);
     }
+    if let Some(rest) = text
+        .strip_prefix("a+:")
+        .or_else(|| text.strip_prefix("A+:"))
+    {
+        return rest
+            .parse()
+            .ok()
+            .map(|samples| Method::WedgeSample { samples });
+    }
+    if let Some(rest) = text.strip_prefix("a:").or_else(|| text.strip_prefix("A:")) {
+        return rest
+            .parse()
+            .ok()
+            .map(|samples| Method::EdgeSample { samples });
+    }
+    None
 }
 
 /// Generates a synthetic dataset and writes it in edge-list format.
@@ -65,26 +60,16 @@ pub fn parse_domain(text: &str) -> Option<DomainKind> {
 /// motif (id, open/closed, count) plus a total.
 pub fn count_file(
     path: &Path,
-    algorithm: CountAlgorithm,
+    method: Method,
     threads: usize,
     seed: u64,
 ) -> Result<String, HypergraphError> {
     let hypergraph = io::read_file_auto(path)?;
-    Ok(count_report(&hypergraph, algorithm, threads, seed))
+    Ok(count_report(&hypergraph, method, threads, seed))
 }
 
 /// Counts the instances of an in-memory hypergraph and renders the report.
-pub fn count_report(
-    hypergraph: &Hypergraph,
-    algorithm: CountAlgorithm,
-    threads: usize,
-    seed: u64,
-) -> String {
-    let method = match algorithm {
-        CountAlgorithm::Exact => Method::Exact,
-        CountAlgorithm::SampleEdges(samples) => Method::EdgeSample { samples },
-        CountAlgorithm::SampleWedges(samples) => Method::WedgeSample { samples },
-    };
+pub fn count_report(hypergraph: &Hypergraph, method: Method, threads: usize, seed: u64) -> String {
     let report = CountConfig::new(method)
         .threads(threads)
         .seed(seed)
@@ -120,18 +105,18 @@ mod tests {
 
     #[test]
     fn algorithm_parsing() {
-        assert_eq!(CountAlgorithm::parse("e"), Some(CountAlgorithm::Exact));
-        assert_eq!(CountAlgorithm::parse("E"), Some(CountAlgorithm::Exact));
+        assert_eq!(parse_method("e"), Some(Method::Exact));
+        assert_eq!(parse_method("E"), Some(Method::Exact));
         assert_eq!(
-            CountAlgorithm::parse("a:100"),
-            Some(CountAlgorithm::SampleEdges(100))
+            parse_method("a:100"),
+            Some(Method::EdgeSample { samples: 100 })
         );
         assert_eq!(
-            CountAlgorithm::parse("a+:2000"),
-            Some(CountAlgorithm::SampleWedges(2000))
+            parse_method("a+:2000"),
+            Some(Method::WedgeSample { samples: 2000 })
         );
-        assert_eq!(CountAlgorithm::parse("x"), None);
-        assert_eq!(CountAlgorithm::parse("a:notanumber"), None);
+        assert_eq!(parse_method("x"), None);
+        assert_eq!(parse_method("a:notanumber"), None);
     }
 
     #[test]
@@ -148,7 +133,7 @@ mod tests {
         let written =
             generate_to_file(DomainKind::Contact, 100, 150, 3, &path).expect("write dataset");
         assert_eq!(written, 150);
-        let report = count_file(&path, CountAlgorithm::Exact, 2, 0).expect("count dataset");
+        let report = count_file(&path, Method::Exact, 2, 0).expect("count dataset");
         std::fs::remove_file(&path).ok();
         assert!(report.contains("motif\tclass\tcount"));
         assert!(report.lines().count() >= 29); // header(2) + 26 motifs + total
@@ -158,18 +143,18 @@ mod tests {
     #[test]
     fn sampling_algorithms_produce_reports_too() {
         let hypergraph = generate(&GeneratorConfig::new(DomainKind::Email, 80, 120, 1));
-        for algorithm in [
-            CountAlgorithm::SampleEdges(50),
-            CountAlgorithm::SampleWedges(200),
+        for method in [
+            Method::EdgeSample { samples: 50 },
+            Method::WedgeSample { samples: 200 },
         ] {
-            let report = count_report(&hypergraph, algorithm, 1, 7);
-            assert!(report.contains("total"), "{algorithm:?}");
+            let report = count_report(&hypergraph, method, 1, 7);
+            assert!(report.contains("total"), "{method:?}");
         }
     }
 
     #[test]
     fn counting_missing_file_fails_cleanly() {
         let missing = Path::new("/nonexistent/mochy/dataset.txt");
-        assert!(count_file(missing, CountAlgorithm::Exact, 1, 0).is_err());
+        assert!(count_file(missing, Method::Exact, 1, 0).is_err());
     }
 }

@@ -1281,6 +1281,12 @@ fn profile(ctx: &ApiContext, body: &str) -> Result<ApiResponse, ApiError> {
             format!("dataset `{name}` is empty; profiles need at least one hyperedge"),
         ));
     };
+    if let CountingMethod::SampleWedgeRatio(ratio) = method {
+        let num_hyperwedges = snapshot
+            .projection(threads)
+            .map_or(0, |projected| projected.num_hyperwedges());
+        ratio_samples(num_hyperwedges, ratio)?;
+    }
 
     let mut canonical_members = vec![("method".to_string(), JsonValue::string(canonical_name))];
     match method {
@@ -1941,22 +1947,34 @@ mod tests {
     #[test]
     fn ratio_queries_above_the_sample_ceiling_are_rejected_before_sampling() {
         // 150 hyperedges through node 0: C(150, 2) = 11,175 hyperwedges, so
-        // ratio 100 would draw 1,117,500 samples.
+        // ratio 100 would draw 1,117,500 samples (a profile draws them on
+        // the real hypergraph alone, before its references).
         let mut builder = HypergraphBuilder::new();
         for v in 1..=150u32 {
             builder.add_edge([0, v]);
         }
         let ctx = serving("star", builder.build().unwrap());
-        let rejected = handle(
-            &ctx,
-            &post(
-                "/v1/count",
-                r#"{"dataset": "star", "method": "mochy-a+-ratio", "ratio": 100}"#,
-            ),
-        );
-        assert_eq!(rejected.status, 400, "{}", rejected.body);
-        assert!(rejected.body.contains("`ratio`"), "{}", rejected.body);
-        assert!(rejected.body.contains("1117500"), "{}", rejected.body);
+        for route in ["/v1/count", "/v1/profile"] {
+            let rejected = handle(
+                &ctx,
+                &post(
+                    route,
+                    r#"{"dataset": "star", "method": "mochy-a+-ratio", "ratio": 100}"#,
+                ),
+            );
+            assert_eq!(rejected.status, 400, "{route}: {}", rejected.body);
+            assert!(
+                rejected.body.contains("`ratio`"),
+                "{route}: {}",
+                rejected.body
+            );
+            assert!(
+                rejected.body.contains("1117500"),
+                "{route}: {}",
+                rejected.body
+            );
+        }
+        assert_eq!(ctx.cache.stats().2, 0, "rejected queries cache nothing");
         let accepted = handle(
             &ctx,
             &post(
@@ -1970,6 +1988,15 @@ mod tests {
             doc.get("samples_drawn").and_then(JsonValue::as_u64),
             Some(112)
         );
+        let profiled = handle(
+            &ctx,
+            &post(
+                "/v1/profile",
+                r#"{"dataset": "star", "method": "mochy-a+-ratio", "ratio": 0.01,
+                    "randomizations": 1}"#,
+            ),
+        );
+        assert_eq!(profiled.status, 200, "{}", profiled.body);
     }
 
     #[test]

@@ -43,6 +43,16 @@ pub enum Persistence {
     Close,
 }
 
+impl Persistence {
+    /// The value of the `connection:` header that announces it.
+    pub(crate) fn header_value(self) -> &'static str {
+        match self {
+            Persistence::KeepAlive => "keep-alive",
+            Persistence::Close => "close",
+        }
+    }
+}
+
 /// Why a request could not be read.
 #[derive(Debug)]
 pub enum RequestError {
@@ -301,14 +311,11 @@ pub fn write_response(
     body: &str,
     persistence: Persistence,
 ) -> std::io::Result<()> {
-    let connection = match persistence {
-        Persistence::KeepAlive => "keep-alive",
-        Persistence::Close => "close",
-    };
     let mut head = format!(
-        "HTTP/1.1 {status} {}\r\ncontent-type: application/json\r\ncontent-length: {}\r\nconnection: {connection}\r\n",
+        "HTTP/1.1 {status} {}\r\ncontent-type: application/json\r\ncontent-length: {}\r\nconnection: {}\r\n",
         reason(status),
-        body.len()
+        body.len(),
+        persistence.header_value()
     );
     for (name, value) in extra_headers {
         head.push_str(name);

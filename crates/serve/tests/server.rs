@@ -5,10 +5,12 @@
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use mochy_hypergraph::{Hypergraph, HypergraphBuilder};
 use mochy_json::{self as json, JsonValue};
+use mochy_serve::client::{self, write_request};
+use mochy_serve::http::Persistence;
 use mochy_serve::registry::Registry;
 use mochy_serve::server::{Server, ServerConfig};
 
@@ -28,6 +30,9 @@ fn boot(config: ServerConfig) -> Server {
     Server::start(config, registry).expect("bind ephemeral port")
 }
 
+/// Bound on reading one response.
+const DEADLINE: Duration = Duration::from_secs(30);
+
 /// A parsed HTTP response: status, `x-mochy-cache` header (if any), body.
 struct Response {
     status: u16,
@@ -35,51 +40,30 @@ struct Response {
     body: String,
 }
 
+/// Reads the one response of a connection that asked the server to close
+/// it: no byte may follow the response, and the server must then close.
 fn read_response(stream: &mut TcpStream) -> Response {
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw).expect("read response");
-    let (head, body) = raw.split_once("\r\n\r\n").expect("complete response");
-    let status: u16 = head
-        .split(' ')
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| panic!("bad status line in `{head}`"));
-    let cache = head.lines().find_map(|line| {
-        line.strip_prefix("x-mochy-cache: ")
-            .map(|value| value.to_string())
-    });
-    Response {
-        status,
-        cache,
-        body: body.to_string(),
-    }
+    let (response, _) = read_framed_response(stream);
+    assert!(
+        closed_by_server(stream, Duration::from_secs(5)),
+        "server must close after answering `connection: close`"
+    );
+    response
 }
 
-/// One-shot client: explicitly opts out of keep-alive so the `read_to_string`
-/// framing (read until the server closes) stays valid.
+/// One-shot client: explicitly opts out of keep-alive, so the server closes
+/// the connection after its one response.
 fn request(addr: SocketAddr, method: &str, path: &str, body: &str) -> Response {
     let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .unwrap();
-    let head = format!(
-        "{method} {path} HTTP/1.1\r\nhost: mochy\r\nconnection: close\r\ncontent-length: {}\r\n\r\n",
-        body.len()
-    );
-    stream.write_all(head.as_bytes()).unwrap();
-    stream.write_all(body.as_bytes()).unwrap();
+    write_request(&mut stream, "mochy", method, path, body, Persistence::Close)
+        .expect("write request");
     read_response(&mut stream)
 }
 
 /// Sends one request on an already-open keep-alive connection.
 fn send_request(stream: &mut TcpStream, method: &str, path: &str, body: &str) {
-    let head = format!(
-        "{method} {path} HTTP/1.1\r\nhost: mochy\r\ncontent-length: {}\r\n\r\n",
-        body.len()
-    );
-    stream.write_all(head.as_bytes()).unwrap();
-    stream.write_all(body.as_bytes()).unwrap();
-    stream.flush().unwrap();
+    write_request(stream, "mochy", method, path, body, Persistence::KeepAlive)
+        .expect("write request");
 }
 
 /// Reads one `Content-Length`-framed response off a keep-alive connection
@@ -88,49 +72,18 @@ fn send_request(stream: &mut TcpStream, method: &str, path: &str, body: &str) {
 /// returns the `connection:` header value so tests can pin the advertised
 /// persistence.
 fn read_framed_from(stream: &mut TcpStream, carry: &mut Vec<u8>) -> (Response, String) {
-    let mut chunk = [0u8; 1024];
-    let head_end = loop {
-        if let Some(position) = carry.windows(4).position(|w| w == b"\r\n\r\n") {
-            break position;
-        }
-        let read = stream.read(&mut chunk).expect("read response head");
-        assert!(read > 0, "connection closed before a full response head");
-        carry.extend_from_slice(&chunk[..read]);
-    };
-    let head = String::from_utf8(carry[..head_end].to_vec()).unwrap();
-    let content_length: usize = head
-        .lines()
-        .find_map(|line| line.strip_prefix("content-length: "))
-        .expect("content-length header")
-        .parse()
-        .unwrap();
-    let connection = head
-        .lines()
-        .find_map(|line| line.strip_prefix("connection: "))
+    let response = client::read_response(stream, carry, Instant::now(), DEADLINE)
+        .unwrap_or_else(|error| panic!("read response: {error}"));
+    let connection = response
+        .header("connection")
         .expect("connection header")
         .to_string();
-    let body_start = head_end + 4;
-    while carry.len() < body_start + content_length {
-        let read = stream.read(&mut chunk).expect("read response body");
-        assert!(read > 0, "connection closed mid-body");
-        carry.extend_from_slice(&chunk[..read]);
-    }
-    let status: u16 = head
-        .split(' ')
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| panic!("bad status line in `{head}`"));
-    let cache = head.lines().find_map(|line| {
-        line.strip_prefix("x-mochy-cache: ")
-            .map(|value| value.to_string())
-    });
-    let body = String::from_utf8(carry[body_start..body_start + content_length].to_vec()).unwrap();
-    carry.drain(..body_start + content_length);
+    let cache = response.header("x-mochy-cache").map(str::to_string);
     (
         Response {
-            status,
+            status: response.status,
             cache,
-            body,
+            body: response.body,
         },
         connection,
     )
