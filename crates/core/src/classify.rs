@@ -12,9 +12,14 @@
 //! calls them. The counters classify many triples around one hyperedge or
 //! hyperwedge at once and pass each triple's intersection sizes to the same
 //! catalog call, so every route gives the same motif for the same triple:
-//! - the exact pair walk (`exact::CentreWalk`) reads every `ω_jk` of a
-//!   centre `e_i` from one sorted merge per neighbour and every triple
-//!   intersection as a popcount over bitmasks of `e_i`'s nodes;
+//! - the exact counting kernel (`exact::CentreTally`) classifies each
+//!   triangle of the projected graph once, at its smallest member `e_i`,
+//!   with the triple intersection read as a popcount over bitmasks of
+//!   `e_i`'s nodes. It classifies the six kinds of open triple once, on
+//!   synthetic triples, and tallies open triples by kind;
+//! - the exact enumeration kernel (`exact::CentreWalk`) reads every `ω_jk`
+//!   of a centre `e_i` from one sorted merge per neighbour and every triple
+//!   intersection from the same bitmasks;
 //! - the hyperwedge sampling kernel (`sample::WedgeWalk`) counts, per
 //!   sampled hyperwedge `∧_ij`, how many nodes of `e_i ∩ e_j` each
 //!   hyperedge contains, and reads a closed triple's `|e_i ∩ e_j ∩ e_k|`

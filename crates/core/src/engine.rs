@@ -74,7 +74,7 @@ use rand::SeedableRng;
 
 use crate::adaptive::{mochy_a_plus_adaptive_impl, AdaptiveConfig};
 use crate::count::MotifCounts;
-use crate::exact::{mochy_e, mochy_e_parallel};
+use crate::exact::mochy_e_parallel;
 use crate::general::{mochy_e_general, GeneralCounts};
 use crate::onthefly::{mochy_a_plus_onthefly_impl, OnTheFlyConfig};
 use crate::sample::{mochy_a_parallel, mochy_a_plus_parallel};
@@ -470,11 +470,9 @@ impl MotifEngine {
                             threads,
                         );
                         crate::shard::merge_partials(&partials)
-                    } else if threads > 1 {
+                    } else {
                         let counts = mochy_e_parallel(hypergraph, projected, threads);
                         (counts, projected.num_hyperwedges())
-                    } else {
-                        (mochy_e(hypergraph, projected), projected.num_hyperwedges())
                     }
                 });
                 let mut report =

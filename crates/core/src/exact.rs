@@ -1,15 +1,27 @@
 //! MoCHy-E: exact h-motif counting and enumeration (Algorithms 2 and 3).
 //!
-//! Every exact path — sequential, parallel, enumeration (and through it the
-//! per-edge, per-node, variance and pairwise statistics) and the sharded
-//! count ([`crate::shard`]) — walks the neighbour pairs of each centre
-//! hyperedge through one kernel, `CentreWalk`.
+//! Both kernels keep Algorithm 2's attribution rule: an open instance
+//! belongs to its unique centre, a closed one to its smallest member.
+//!
+//! - **Counting kernel** (`CentreTally`). Every exact count runs it:
+//!   sequential, parallel, the sharded count ([`crate::shard`]) and through
+//!   those the served and distributed `mochy-e`. An open instance centred at
+//!   `e_i` is fixed by three bits that `N(i)` alone gives, so the kernel
+//!   tallies the open h-motifs of `e_i` in closed form from a histogram of
+//!   `N(i)`, in `O(|N(i)| + |e_i|)`. Per-triple work is left only for the
+//!   triangles of the projected graph, each listed once at its smallest
+//!   member by a scan of `N(j)` per neighbour `e_j`.
+//! - **Enumeration kernel** (`CentreWalk`). It visits every neighbour pair
+//!   of each centre and emits each instance. [`mochy_e_enumerate`] runs it,
+//!   and the per-edge, per-node, variance and pairwise statistics are built
+//!   on that.
 
 use std::ops::Range;
+use std::sync::OnceLock;
 
 use mochy_hypergraph::{default_chunk_size, map_reduce_chunks, EdgeId, Hypergraph};
-use mochy_motif::{MotifCatalog, MotifId};
-use mochy_projection::ProjectedGraph;
+use mochy_motif::{MotifCatalog, MotifId, NUM_MOTIFS};
+use mochy_projection::{ProjectedGraph, WeightedNeighbor};
 
 use crate::count::MotifCounts;
 
@@ -19,14 +31,11 @@ use crate::count::MotifCounts;
 /// neighbours in the projected graph, the instance `{e_i, e_j, e_k}` is
 /// counted when either `e_j ∩ e_k = ∅` (the instance is open and `e_i` is its
 /// unique "centre") or `i < min(j, k)` (each closed instance is attributed to
-/// its smallest member), so each instance is counted exactly once.
+/// its smallest member), so each instance is counted exactly once. The
+/// counting kernel gets the same counts without visiting every pair (see
+/// `mochy_e_centres`).
 pub fn mochy_e(hypergraph: &Hypergraph, projected: &ProjectedGraph) -> MotifCounts {
-    let mut walk = CentreWalk::new(hypergraph, projected);
-    let mut counts = MotifCounts::zero();
-    for i in hypergraph.edge_ids() {
-        walk.visit(i, |motif, _, _| counts.increment(motif));
-    }
-    counts
+    mochy_e_centres(hypergraph, projected, 0..hypergraph.num_edges(), 1)
 }
 
 /// Parallel MoCHy-E (Section 3.4): [`mochy_e`] with the centres split over
@@ -52,40 +61,316 @@ pub fn mochy_e_parallel(
 ///
 /// Worker threads claim blocks of `centres` from an atomic work queue (work
 /// stealing, so skewed-degree datasets do not serialize on one heavy static
-/// block), each with its own `CentreWalk` and a private count vector; the
-/// partials are summed at the end. Every raw contribution is an exact
-/// integer-valued `f64` increment, so the output does not depend on the
-/// thread count or the schedule.
+/// block), each with its own `CentreTally`. A worker's tallies are signed
+/// `i64`s, because its triangle pass subtracts closed pairs from the open
+/// tallies of centres that another worker may have tallied. The tallies are
+/// summed once and converted to `f64` once. Every one is an exact integer,
+/// so the output does not depend on the thread count or the schedule.
 pub(crate) fn mochy_e_centres(
     hypergraph: &Hypergraph,
     projected: &ProjectedGraph,
     centres: Range<usize>,
     threads: usize,
 ) -> MotifCounts {
-    let partials = map_reduce_chunks(
+    let tallies = map_reduce_chunks(
         centres.len(),
         threads,
         default_chunk_size(centres.len(), threads),
-        || (CentreWalk::new(hypergraph, projected), MotifCounts::zero()),
-        |(walk, local), block| {
+        || CentreTally::new(hypergraph, projected, centres.clone()),
+        |tally, block| {
             for offset in block {
-                let centre = (centres.start + offset) as EdgeId;
-                walk.visit(centre, |motif, _, _| local.increment(motif));
+                tally.visit((centres.start + offset) as EdgeId);
             }
         },
     );
 
-    let mut counts = MotifCounts::zero();
-    for (_, partial) in &partials {
-        counts.merge(partial);
+    let open_motifs = open_motifs(catalog());
+    let mut totals = [0i64; NUM_MOTIFS];
+    for tally in &tallies {
+        for (total, closed) in totals.iter_mut().zip(&tally.closed) {
+            *total += closed;
+        }
+        for (&motif, open) in open_motifs.iter().zip(&tally.open) {
+            if let Some(motif) = motif {
+                totals[(motif - 1) as usize] += open;
+            }
+        }
     }
-    counts
+    MotifCounts::from_slice(&totals.map(|count| count as f64))
+}
+
+/// The motif catalog both kernels classify with, built once per process.
+fn catalog() -> &'static MotifCatalog {
+    static CATALOG: OnceLock<MotifCatalog> = OnceLock::new();
+    CATALOG.get_or_init(MotifCatalog::new)
+}
+
+/// The number of open keys: whether `ω_ij + ω_ik = |e_i|`, times how many of
+/// `e_j`, `e_k` lie inside `e_i` (0, 1 or 2).
+const OPEN_KEYS: usize = 6;
+
+/// The open key of a neighbour pair `{e_j, e_k}` of centre `e_i`: `full` is
+/// `ω_ij + ω_ik = |e_i|`, and `inside` is `[e_j ⊆ e_i] + [e_k ⊆ e_i]`.
+#[inline]
+fn open_key(full: bool, inside: usize) -> usize {
+    usize::from(full) * 3 + inside
+}
+
+/// The motif of each open key. An open triple has `e_j ∩ e_k = ∅`, so its
+/// seven Venn regions are empty or not by three bits: `e_i`'s private region
+/// is empty iff `ω_ij + ω_ik = |e_i|`, `e_j`'s iff `e_j ⊆ e_i`, `e_k`'s iff
+/// `e_k ⊆ e_i`. Each key is classified once, on a synthetic triple whose
+/// leaves meet `e_i` in one node each.
+fn open_motifs(catalog: &MotifCatalog) -> [Option<MotifId>; OPEN_KEYS] {
+    std::array::from_fn(|key| {
+        let (full, inside) = (key / 3 == 1, key % 3);
+        let size_i = if full { 2 } else { 3 };
+        let size_j = if inside >= 1 { 1 } else { 2 };
+        let size_k = if inside >= 2 { 1 } else { 2 };
+        catalog.classify_from_intersections(size_i, size_j, size_k, 1, 0, 1, 0)
+    })
+}
+
+/// Sets bit `p` of neighbour `a`'s mask iff `N(i)[a]` contains the `p`-th
+/// node of `e_i`, `⌈|e_i|/64⌉` words per neighbour; `slot[j]` must hold the
+/// position of every neighbour `e_j` in `N(i)`. Then
+/// `Σ popcount(mask_j & mask_k)` counts exactly the nodes of `e_i` in both
+/// `e_j` and `e_k`: `|e_i ∩ e_j ∩ e_k|`. One pass over the incidence lists of
+/// `e_i`'s nodes, the same work projection does for `e_i`.
+fn fill_masks(
+    hypergraph: &Hypergraph,
+    i: EdgeId,
+    num_neighbors: usize,
+    slot: &[u32],
+    masks: &mut Vec<u64>,
+) {
+    let members = hypergraph.edge(i);
+    let words = members.len().div_ceil(64);
+    masks.clear();
+    masks.resize(num_neighbors * words, 0);
+    for (position, &v) in members.iter().enumerate() {
+        let (word, bit) = (position / 64, 1u64 << (position % 64));
+        for &other in hypergraph.edges_of_node(v) {
+            if other != i {
+                masks[slot[other as usize] as usize * words + word] |= bit;
+            }
+        }
+    }
+}
+
+/// `|e_i ∩ e_j ∩ e_k|` from the [`fill_masks`] masks of `e_j` and `e_k`.
+/// Most hyperedges have at most 64 nodes, and one `AND` and popcount of a
+/// single word costs less than the general loop.
+#[inline]
+fn triple_intersection(mask_j: &[u64], mask_k: &[u64]) -> usize {
+    match (mask_j, mask_k) {
+        ([x], [y]) => (x & y).count_ones() as usize,
+        _ => mask_j
+            .iter()
+            .zip(mask_k)
+            .map(|(x, y)| (x & y).count_ones() as usize)
+            .sum(),
+    }
+}
+
+/// One worker's state for the counting kernel over the centres of a span
+/// `[s, e)`: an `|E|`-long slot array, reusable per-centre buffers, and the
+/// worker's signed tallies. Visiting a centre allocates nothing once the
+/// buffers have grown.
+///
+/// **Method.** Visiting centre `e_i`:
+/// 1. *Open tally.* Every unordered pair of `N(i)` is tallied under its open
+///    key ([`open_key`]) from a histogram of `N(i)` by `(ω_ij, [e_j ⊆ e_i])`:
+///    the pairs with `ω_ij + ω_ik = |e_i|` are a two-sum over the histogram,
+///    and the others are the complement of the totals by subset count.
+/// 2. *Triangles whose smallest member is `e_i`.* For each `j = N(i)[a] > i`,
+///    a scan of `N(j)` from its partition point for `N(i)[a+1]` up to
+///    `max N(i)` finds every `k > j` in `N(i)`. Each triangle adds its closed
+///    motif and leaves the open tally of each member in `[s, e)`: there the
+///    pair of the other two members was tallied as open.
+/// 3. *Boundary scan, only when `s > 0`.* For each `j = N(i)[a] < s`, the
+///    same scan finds the triangles `{e_i, e_j, e_k}` with `k > j`. Their
+///    smallest member lies before the span, so no centre of the span lists
+///    them in step 2; the pair `{e_j, e_k}` leaves `e_i`'s open tally only.
+///
+/// Every closed pair of a span centre thus leaves its open tally exactly
+/// once: in step 2 of the triangle's smallest member when the pair's smaller
+/// member is in the span, in step 3 otherwise. The span's tallies therefore
+/// hold exactly the instances centred in it.
+///
+/// **Cost.** Steps 1 and 3 per centre: `O(|N(i)| + |e_i|)` and the scans of
+/// the neighbours before the span. Step 2: one scan per later neighbour,
+/// and per triangle the [`fill_masks`] popcount and one Lemma 2
+/// classification. The masks are filled once per centre, on its first
+/// triangle.
+struct CentreTally<'g> {
+    hypergraph: &'g Hypergraph,
+    projected: &'g ProjectedGraph,
+    catalog: &'static MotifCatalog,
+    /// The span `[s, e)` whose centres this worker may be handed.
+    span: Range<usize>,
+    /// `slot[j]` is the position of `e_j` in the current centre's
+    /// neighbourhood. `k` is a neighbour iff `slot[k] < |N(i)|` and
+    /// `N(i)[slot[k]]` is `k`, so the array is never cleared.
+    slot: Vec<u32>,
+    /// The current centre's [`fill_masks`] masks, once it has a triangle.
+    masks: Vec<u64>,
+    /// `|e_j|` for each neighbour, in `N(i)` order.
+    sizes: Vec<usize>,
+    /// `[e_j ⊆ e_i]` for each neighbour, in `N(i)` order.
+    inside: Vec<usize>,
+    /// The neighbours of the current centre by `ω_ij`, then by
+    /// `[e_j ⊆ e_i]`.
+    histogram: Vec<[i64; 2]>,
+    /// Open pairs by [`open_key`], net of the closed pairs subtracted.
+    open: [i64; OPEN_KEYS],
+    /// Closed instances by motif id − 1.
+    closed: [i64; NUM_MOTIFS],
+}
+
+impl<'g> CentreTally<'g> {
+    fn new(hypergraph: &'g Hypergraph, projected: &'g ProjectedGraph, span: Range<usize>) -> Self {
+        Self {
+            hypergraph,
+            projected,
+            catalog: catalog(),
+            span,
+            slot: vec![0; hypergraph.num_edges()],
+            masks: Vec::new(),
+            sizes: Vec::new(),
+            inside: Vec::new(),
+            histogram: Vec::new(),
+            open: [0; OPEN_KEYS],
+            closed: [0; NUM_MOTIFS],
+        }
+    }
+
+    /// Tallies centre `i`, which must lie in the span (see the type docs).
+    fn visit(&mut self, i: EdgeId) {
+        let (hypergraph, projected) = (self.hypergraph, self.projected);
+        let neighbors = projected.neighbors(i);
+        let n = neighbors.len();
+        if n < 2 {
+            return;
+        }
+        let size_i = hypergraph.edge_size(i);
+
+        // 1. Open tally.
+        self.sizes.clear();
+        self.inside.clear();
+        self.histogram.clear();
+        self.histogram.resize(size_i + 1, [0; 2]);
+        let mut by_inside = [0i64; 2];
+        for (position, &(j, w_ij)) in neighbors.iter().enumerate() {
+            self.slot[j as usize] = position as u32;
+            let size_j = hypergraph.edge_size(j);
+            let inside = usize::from(w_ij as usize == size_j);
+            self.histogram[w_ij as usize][inside] += 1;
+            by_inside[inside] += 1;
+            self.sizes.push(size_j);
+            self.inside.push(inside);
+        }
+        let pairs = |count: i64| count * (count - 1) / 2;
+        let all = [
+            pairs(by_inside[0]),
+            by_inside[0] * by_inside[1],
+            pairs(by_inside[1]),
+        ];
+        let mut full = [0i64; 3];
+        for w in 1..=size_i / 2 {
+            let [x0, x1] = self.histogram[w];
+            if 2 * w == size_i {
+                full[0] += pairs(x0);
+                full[1] += x0 * x1;
+                full[2] += pairs(x1);
+            } else {
+                let [y0, y1] = self.histogram[size_i - w];
+                full[0] += x0 * y0;
+                full[1] += x0 * y1 + x1 * y0;
+                full[2] += x1 * y1;
+            }
+        }
+        for inside in 0..3 {
+            self.open[open_key(true, inside)] += full[inside];
+            self.open[open_key(false, inside)] += all[inside] - full[inside];
+        }
+
+        // 2. Triangles whose smallest member is `e_i`.
+        let end = self.span.end;
+        let words = size_i.div_ceil(64);
+        let mut masks_filled = false;
+        for a in neighbors.partition_point(|&(j, _)| j < i)..n - 1 {
+            let (j, w_ij) = neighbors[a];
+            let (w_ij, size_j) = (w_ij as usize, self.sizes[a]);
+            for (p, w_jk) in later_shared(neighbors, a, &self.slot, projected.neighbors(j)) {
+                if !masks_filled {
+                    fill_masks(hypergraph, i, n, &self.slot, &mut self.masks);
+                    masks_filled = true;
+                }
+                let (k, w_ik) = neighbors[p];
+                let (w_ik, size_k) = (w_ik as usize, self.sizes[p]);
+                let triple = triple_intersection(
+                    &self.masks[a * words..(a + 1) * words],
+                    &self.masks[p * words..(p + 1) * words],
+                );
+                if let Some(motif) = self
+                    .catalog
+                    .classify_from_intersections(size_i, size_j, size_k, w_ij, w_jk, w_ik, triple)
+                {
+                    self.closed[(motif - 1) as usize] += 1;
+                }
+                self.open[open_key(w_ij + w_ik == size_i, self.inside[a] + self.inside[p])] -= 1;
+                if (j as usize) < end {
+                    let inside = usize::from(w_ij == size_i) + usize::from(w_jk == size_k);
+                    self.open[open_key(w_ij + w_jk == size_j, inside)] -= 1;
+                }
+                if (k as usize) < end {
+                    let inside = usize::from(w_ik == size_i) + usize::from(w_jk == size_j);
+                    self.open[open_key(w_ik + w_jk == size_k, inside)] -= 1;
+                }
+            }
+        }
+
+        // 3. Boundary scan: triangles whose smallest member precedes the span.
+        let before = neighbors.partition_point(|&(j, _)| (j as usize) < self.span.start);
+        for a in 0..before.min(n - 1) {
+            let (j, w_ij) = neighbors[a];
+            let target = size_i - w_ij as usize;
+            let inside_j = self.inside[a];
+            for (p, _) in later_shared(neighbors, a, &self.slot, projected.neighbors(j)) {
+                let key = open_key(neighbors[p].1 as usize == target, inside_j + self.inside[p]);
+                self.open[key] -= 1;
+            }
+        }
+    }
+}
+
+/// The common neighbours `e_k` of `e_i` and `e_j = N(i)[a]` with
+/// `k > j`, as each one's position `p` in `N(i)` and `ω_jk`: one scan of
+/// `N(j)` (`row`) from its partition point for `N(i)[a+1]` up to `max N(i)`,
+/// testing membership through `slot` (see [`CentreTally`]). `a` must be
+/// below `|N(i)| − 1`.
+fn later_shared<'a>(
+    neighbors: &'a [WeightedNeighbor],
+    a: usize,
+    slot: &'a [u32],
+    row: &'a [WeightedNeighbor],
+) -> impl Iterator<Item = (usize, usize)> + 'a {
+    let (next, last) = (neighbors[a + 1].0, neighbors[neighbors.len() - 1].0);
+    row[row.partition_point(|&(id, _)| id < next)..]
+        .iter()
+        .take_while(move |&&(k, _)| k <= last)
+        .filter_map(move |&(k, w_jk)| {
+            let p = slot[k as usize] as usize;
+            (p < neighbors.len() && neighbors[p].0 == k).then_some((p, w_jk as usize))
+        })
 }
 
 /// Enumerates every h-motif instance exactly once (Algorithm 3,
 /// MoCHy-E-ENUM), invoking `visit(e_i, e_j, e_k, motif)` per instance, with
-/// `e_i` the centre the instance is attributed to and `j < k`. The time
-/// complexity is the same as MoCHy-E.
+/// `e_i` the centre the instance is attributed to and `j < k`. It visits
+/// every neighbour pair of every centre, `Σ_i C(|N(i)|, 2)` of them, where
+/// counting ([`mochy_e`]) visits only the triangles.
 pub fn mochy_e_enumerate<F>(hypergraph: &Hypergraph, projected: &ProjectedGraph, mut visit: F)
 where
     F: FnMut(EdgeId, EdgeId, EdgeId, MotifId),
@@ -109,50 +394,42 @@ pub fn mochy_e_per_edge(hypergraph: &Hypergraph, projected: &ProjectedGraph) -> 
     per_edge
 }
 
-/// One worker's state for the inner loop of Algorithms 2 and 3: the motif
-/// catalog, an `|E|`-long slot array and a reusable mask buffer, so that
-/// visiting a centre allocates nothing once the buffers have grown. Every
-/// exact path builds one per worker and calls [`CentreWalk::visit`] once per
-/// centre hyperedge.
+/// The enumeration kernel, one per [`mochy_e_enumerate`] call: an
+/// `|E|`-long slot array and a reusable mask buffer, so that
+/// visiting a centre allocates nothing once the buffers have grown.
 ///
 /// **Cost.** Visiting centre `e_i` costs
 /// `Σ_{v∈e_i} |E_v| + Σ_a (|N(i)| − a + |N(j_a)|)` steps, where
-/// `j_a = N(i)[a]`: one pass over the incidence lists of `e_i`'s nodes (the
-/// same work projection does for `e_i`) plus one sorted merge per neighbour.
-/// Each pair whose other two members overlap adds `⌈|e_i|/64⌉` word `AND`s
-/// and popcounts.
+/// `j_a = N(i)[a]`: one [`fill_masks`] pass plus one sorted merge per
+/// neighbour. Each pair whose other two members overlap adds `⌈|e_i|/64⌉`
+/// word `AND`s and popcounts.
 ///
-/// **Bit-identity.** The walk visits the pairs `(j, k)` of `N(i)` in the
-/// same order as the per-pair loop of Algorithm 2. The merge reads each
-/// `ω_jk` from the same row of the same projected graph that a lookup would
-/// search. Bit `p` of a neighbour's mask is set iff it contains the `p`-th
-/// node of `e_i`, so `Σ popcount(mask_j & mask_k)` counts exactly the nodes
-/// of `e_i` in both `e_j` and `e_k`: `|e_i ∩ e_j ∩ e_k|`. With the same
-/// attribution rule and the same Lemma 2 classification
-/// ([`MotifCatalog::classify_from_intersections`]), every path emits the
-/// same instances with the same motifs in the same order, and every count,
-/// a sum of `+1.0` increments, stays bit-identical.
-pub(crate) struct CentreWalk<'g> {
+/// **Agreement with counting.** The walk visits the pairs `(j, k)` of `N(i)`
+/// in the order of the per-pair loop of Algorithm 2, reads each `ω_jk` from
+/// the same row of the same projected graph that a lookup would search, and
+/// reads each triple intersection from the same masks as the counting
+/// kernel. With the same attribution rule and the same Lemma 2
+/// classification ([`MotifCatalog::classify_from_intersections`]), it
+/// emits exactly the instances [`mochy_e`] counts, with the same motifs.
+struct CentreWalk<'g> {
     hypergraph: &'g Hypergraph,
     projected: &'g ProjectedGraph,
-    catalog: MotifCatalog,
+    catalog: &'static MotifCatalog,
     /// `slot[j]` is the position of `e_j` in the current centre's
     /// neighbourhood. Only the current centre's neighbours are ever read, so
     /// the array is overwritten per centre and never cleared.
     slot: Vec<u32>,
-    /// `⌈|e_i|/64⌉` words per neighbour of the current centre `e_i`: bit `p`
-    /// of neighbour `a`'s mask is set iff `N(i)[a]` contains the `p`-th node
-    /// of `e_i`.
+    /// The current centre's [`fill_masks`] masks.
     masks: Vec<u64>,
 }
 
 impl<'g> CentreWalk<'g> {
     /// A walk over `hypergraph` and its full eager projection `projected`.
-    pub(crate) fn new(hypergraph: &'g Hypergraph, projected: &'g ProjectedGraph) -> Self {
+    fn new(hypergraph: &'g Hypergraph, projected: &'g ProjectedGraph) -> Self {
         Self {
             hypergraph,
             projected,
-            catalog: MotifCatalog::new(),
+            catalog: catalog(),
             slot: vec![0; hypergraph.num_edges()],
             masks: Vec::new(),
         }
@@ -161,18 +438,18 @@ impl<'g> CentreWalk<'g> {
     /// Visits every instance attributed to centre hyperedge `i` exactly once,
     /// calling `emit(motif, j, k)` with `j < k`.
     ///
-    /// 1. One pass over the incidence lists of `e_i`'s nodes builds each
-    ///    neighbour's mask: the positions of `e_i` it contains.
+    /// 1. [`fill_masks`] gives each neighbour's mask: the positions of `e_i`
+    ///    it contains.
     /// 2. For each `j = N(i)[a]`, one sorted merge of `N(i)[a+1..]` against
     ///    `N(j)`, started at `N(j)`'s partition point for `N(i)[a+1]`, gives
     ///    every `ω_jk` (0 when `e_j` and `e_k` are disjoint).
     /// 3. A closed triple's `|e_i ∩ e_j ∩ e_k|` is
     ///    `Σ popcount(mask_j & mask_k)`.
     ///
-    /// Open triples (`ω_jk = 0`) are counted at their unique centre `e_i`;
+    /// Open triples (`ω_jk = 0`) are emitted at their unique centre `e_i`;
     /// closed ones only when `e_i` is their smallest member. `N(i)` is sorted,
     /// so `j < k` and the closed test is `j < i`.
-    pub(crate) fn visit<F>(&mut self, i: EdgeId, mut emit: F)
+    fn visit<F>(&mut self, i: EdgeId, mut emit: F)
     where
         F: FnMut(MotifId, EdgeId, EdgeId),
     {
@@ -181,24 +458,13 @@ impl<'g> CentreWalk<'g> {
         if neighbors.len() < 2 {
             return;
         }
-        let members = hypergraph.edge(i);
-        let words = members.len().div_ceil(64);
-
         for (position, &(j, _)) in neighbors.iter().enumerate() {
             self.slot[j as usize] = position as u32;
         }
-        self.masks.clear();
-        self.masks.resize(neighbors.len() * words, 0);
-        for (position, &v) in members.iter().enumerate() {
-            let (word, bit) = (position / 64, 1u64 << (position % 64));
-            for &other in hypergraph.edges_of_node(v) {
-                if other != i {
-                    self.masks[self.slot[other as usize] as usize * words + word] |= bit;
-                }
-            }
-        }
+        fill_masks(hypergraph, i, neighbors.len(), &self.slot, &mut self.masks);
 
-        let size_i = members.len();
+        let size_i = hypergraph.edge_size(i);
+        let words = size_i.div_ceil(64);
         let masks = &self.masks;
         for (a, (&(j, w_ij), mask_j)) in neighbors.iter().zip(masks.chunks_exact(words)).enumerate()
         {
@@ -227,11 +493,7 @@ impl<'g> CentreWalk<'g> {
                 let triple = if w_jk == 0 {
                     0
                 } else {
-                    mask_j
-                        .iter()
-                        .zip(mask_k)
-                        .map(|(x, y)| (x & y).count_ones() as usize)
-                        .sum()
+                    triple_intersection(mask_j, mask_k)
                 };
                 if let Some(motif) = self.catalog.classify_from_intersections(
                     size_i,
@@ -394,7 +656,7 @@ pub(crate) mod tests {
     }
 
     /// A random hypergraph whose large hyperedges (63–65 and 127–129 nodes)
-    /// straddle the 64-bit word boundaries of the pair walk's masks, mixed
+    /// straddle the 64-bit word boundaries of both kernels' masks, mixed
     /// in random id order with small ones. All edges draw from 160 nodes, so
     /// the large edges overlap one another heavily.
     pub(crate) fn word_boundary_hypergraph(seed: u64) -> Hypergraph {
@@ -432,6 +694,64 @@ pub(crate) mod tests {
             for id in 1..=26u8 {
                 let sum: f64 = per_edge.iter().map(|c| c.get(id)).sum();
                 assert_eq!(sum, 3.0 * brute.get(id), "per-edge motif {id}, seed {seed}");
+            }
+        }
+    }
+
+    /// A random hypergraph of 3–18 hyperedges over 4–14 nodes in which each
+    /// hyperedge after the first repeats an earlier one with probability
+    /// 0.15. Sizes of 1–6 give even centres, where the closed form's two-sum
+    /// meets its middle case `ω = |e_i|/2`.
+    fn random_hypergraph_with_duplicates(seed: u64) -> Hypergraph {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let nodes = rng.gen_range(4..=14u32);
+        let mut edges: Vec<Vec<u32>> = Vec::new();
+        for _ in 0..rng.gen_range(3..=18) {
+            let edge = if !edges.is_empty() && rng.gen_bool(0.15) {
+                edges[rng.gen_range(0..edges.len())].clone()
+            } else {
+                let size = rng.gen_range(1..=6);
+                (0..size).map(|_| rng.gen_range(0..nodes)).collect()
+            };
+            edges.push(edge);
+        }
+        let mut builder = HypergraphBuilder::new();
+        for edge in edges {
+            builder.add_edge(edge);
+        }
+        builder.build().unwrap()
+    }
+
+    #[test]
+    fn closed_form_matches_brute_force_with_duplicate_hyperedges() {
+        for seed in 0..200u64 {
+            let h = random_hypergraph_with_duplicates(seed);
+            let proj = project(&h);
+            let brute = brute_force_counts(&h);
+            for threads in 1..=3 {
+                assert_eq!(
+                    mochy_e_parallel(&h, &proj, threads),
+                    brute,
+                    "seed {seed}, {threads} threads"
+                );
+            }
+            let mut instances = Vec::new();
+            mochy_e_enumerate(&h, &proj, |i, _, _, motif| instances.push((i, motif)));
+            for shards in [2, 3, 5] {
+                let threads = 1 + seed as usize % 3;
+                for partial in crate::shard::count_sharded(&h, &proj, shards, threads) {
+                    let mut expected = MotifCounts::zero();
+                    for &(centre, motif) in &instances {
+                        if partial.edges.contains(&(centre as usize)) {
+                            expected.increment(motif);
+                        }
+                    }
+                    assert_eq!(
+                        partial.counts, expected,
+                        "seed {seed}, K={shards}, span {:?}",
+                        partial.edges
+                    );
+                }
             }
         }
     }

@@ -20,9 +20,11 @@
 //! they stay individually citable:
 //!
 //! - [`exact::mochy_e`] — Algorithm 2, exact counting of every h-motif's
-//!   instances; [`exact::mochy_e_enumerate`] — Algorithm 3, instance
-//!   enumeration; [`exact::mochy_e_per_edge`] — per-hyperedge participation
-//!   counts (used as prediction features in Section 4.4).
+//!   instances. Its counting kernel tallies open h-motifs in closed form
+//!   per centre and classifies only the triangles of the projected graph.
+//!   [`exact::mochy_e_enumerate`] — Algorithm 3, instance enumeration, by
+//!   the pair walk; [`exact::mochy_e_per_edge`] — per-hyperedge
+//!   participation counts (used as prediction features in Section 4.4).
 //! - [`sample::mochy_a_parallel`] — Algorithm 4, unbiased approximate
 //!   counting by hyperedge sampling. Each sample counts the instances that
 //!   contain it (its *star*) with the kernel the streaming engine also
@@ -30,9 +32,9 @@
 //! - [`sample::mochy_a_plus_parallel`] — Algorithm 5, unbiased approximate
 //!   counting by hyperwedge sampling.
 //! - [`exact::mochy_e_parallel`] and both samplers run on scoped threads
-//!   with per-thread accumulators (Section 3.4). The samplers take a seed
-//!   and derive one RNG stream per sample, so every thread count gives the
-//!   same estimate.
+//!   with per-thread accumulators (Section 3.4): exact integer tallies for
+//!   MoCHy-E. The samplers take a seed and derive one RNG stream per
+//!   sample, so every thread count gives the same estimate.
 //! - [`onthefly`] — MoCHy-A+ over a lazily projected, budget-memoized graph
 //!   (Section 3.4, Figure 11), run through `Method::OnTheFly`.
 //! - [`profile`] — significance (Eq. 1) and characteristic profiles (Eq. 2).

@@ -6,7 +6,7 @@
 //! instance, the smallest member of a closed one. Splitting the *centres*
 //! into the contiguous edge spans of [`shard_boundaries`] therefore splits
 //! the instances into disjoint sets that together hold every instance. A
-//! shard's [`ShardPartial`] is MoCHy-E over the centres in its span, walked
+//! shard's [`ShardPartial`] is MoCHy-E over the centres in its span, counted
 //! on the one full projection with the same parallel code as
 //! [`mochy_e_parallel`](crate::exact::mochy_e_parallel). With one shard it
 //! is exactly [`mochy_e`](crate::exact::mochy_e).
@@ -14,15 +14,27 @@
 //! The hyperwedge count decomposes the same way: each pair `{e_i, e_j}`
 //! with `i < j` is attributed to the shard whose span holds `i`.
 //!
-//! **Why the merge is bit-identical.** Every contribution is a `+1.0`
-//! increment into an `f64` accumulator. The totals stay below `2^53`, where
-//! floating-point addition of integers is exact, so any grouping of the same
-//! instance multiset sums to identical bits. The merge is nevertheless
-//! defined order-fixed (shard 0, 1, …, K−1), so the gather step is
-//! deterministic by construction, not by arithmetic accident. Partials that
-//! cross a process boundary keep the premise: [`ShardPartial::from_json`]
-//! accepts only exact integer counts below `2^53`. The `shard_invariance.rs`
-//! suite pins the merged reports bit-equal to unsharded MoCHy-E.
+//! **Why a partial holds exactly its span's instances.** The counting
+//! kernel tallies every neighbour pair of a centre as open, and a triangle
+//! then takes each closed pair back out. A span lists the triangles whose
+//! smallest member it holds and takes the pair back out only at members
+//! inside the span. A triangle whose smallest member lies before the span
+//! is found per centre by a boundary scan, which takes the pair back out
+//! at that centre only. So each closed pair of a span centre leaves its
+//! tally exactly once, inside the span. Taking pairs out at every member
+//! instead would move counts between partials and could make an entry
+//! negative, which [`ShardPartial::from_json`] rejects.
+//!
+//! **Why the merge is bit-identical.** A span's counts are exact signed
+//! integer tallies, summed over its workers and converted to `f64` once.
+//! The totals stay below `2^53`, where floating-point addition of integers
+//! is exact, so any grouping of the same instance multiset sums to
+//! identical bits. The merge is nevertheless defined order-fixed (shard 0,
+//! 1, …, K−1), so the gather step is deterministic by construction, not by
+//! arithmetic accident. Partials that cross a process boundary keep the
+//! premise: [`ShardPartial::from_json`] accepts only exact integer counts
+//! below `2^53`. The `shard_invariance.rs` suite pins the merged reports
+//! bit-equal to unsharded MoCHy-E.
 
 use std::ops::Range;
 
@@ -166,7 +178,7 @@ pub fn shard_boundaries(num_edges: usize, num_shards: usize) -> Vec<Range<usize>
 /// [`shard_boundaries`], in shard order. `projected` must be the full eager
 /// projection of `hypergraph`.
 ///
-/// `threads` parallelizes each shard's walk on the shared worker pool
+/// `threads` parallelizes each shard's count on the shared worker pool
 /// exactly like unsharded counting; the partials are thread-count invariant.
 pub fn count_sharded(
     hypergraph: &Hypergraph,

@@ -1052,8 +1052,8 @@ fn ratio_samples(num_hyperwedges: usize, ratio: f64) -> Result<usize, ApiError> 
 /// The body is rendered with the same field set and the same exact-integer
 /// `f64` counts as a standalone `/count` on the same snapshot, so
 /// `counts`/`total`/`num_hyperwedges` are **bit-identical** to the
-/// unsharded run (every contribution on both paths is a `+1.0` into an
-/// accumulator far below 2^53, and the shortest-round-trip JSON numbers
+/// unsharded run (both paths convert exact integer tallies to `f64` far
+/// below 2^53 and add them exactly, and the shortest-round-trip JSON numbers
 /// survive the worker wire format bit-exactly). Merged bodies are memoized
 /// in the same [`QueryCache`], so a repeat query is a byte-identical cache
 /// hit without touching any worker.

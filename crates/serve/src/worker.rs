@@ -15,14 +15,13 @@
 //!
 //! The shard partial itself is computed by
 //! [`mochy_core::shard::count_shard_partial`]: MoCHy-E over the centre
-//! hyperedges in the shard's edge span, walked on the full projected
+//! hyperedges in the shard's edge span, counted on the full projected
 //! graph, since an instance centred in the span reaches hyperedges of any
 //! shard. Every instance has exactly one centre, so the shards' partials
-//! are disjoint and together complete. Each adds exact `+1.0`
-//! contributions into `f64` accumulators, and real-world totals sit far
-//! below 2^53, so addition is exact integer arithmetic — no grouping of the
-//! work (by shard, by worker, by thread) can change a bit of the merged
-//! counts.
+//! are disjoint and together complete. Each holds exact integer tallies
+//! converted to `f64`, and real-world totals sit far below 2^53, so
+//! addition is exact integer arithmetic — no grouping of the work (by
+//! shard, by worker, by thread) can change a bit of the merged counts.
 
 use std::path::Path;
 
