@@ -109,8 +109,7 @@ impl EvolutionAnalysis {
     /// Analyses a sequence of yearly snapshots with exact counting (one
     /// independent from-scratch MoCHy-E run per year).
     pub fn from_snapshots(snapshots: &[YearlySnapshot]) -> Self {
-        let catalog = MotifCatalog::new();
-        let open_ids = catalog.open_motif_ids();
+        let open_ids = MotifCatalog::shared().open_motif_ids();
         let points = snapshots
             .iter()
             .map(|snapshot| {
@@ -132,8 +131,7 @@ impl EvolutionAnalysis {
     /// already-removed edge): silently skipping one would leave phantom
     /// contributions in every later point.
     pub fn from_event_stream(events: &[EdgeEvent]) -> Self {
-        let catalog = MotifCatalog::new();
-        let open_ids = catalog.open_motif_ids();
+        let open_ids = MotifCatalog::shared().open_motif_ids();
         let mut points = Vec::new();
         replay_event_stream(events, |year, stream| {
             points.push(point_from_counts(year, stream.counts().clone(), &open_ids));

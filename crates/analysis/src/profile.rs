@@ -1,13 +1,16 @@
 //! Characteristic-profile estimation against randomized references.
 
+use std::convert::Infallible;
+
 use mochy_core::count::MotifCounts;
-use mochy_core::engine::{CountConfig, CountReport, Method};
+use mochy_core::engine::{CountConfig, CountReport, Method, MotifEngine};
 use mochy_core::profile::{
     characteristic_profile, pearson_correlation, relative_counts, significance, SignificanceOptions,
 };
 use mochy_hypergraph::Hypergraph;
 use mochy_motif::NUM_MOTIFS;
 use mochy_nullmodel::{chung_lu_randomize, NullModel};
+use mochy_projection::{project_parallel, ProjectedGraph};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -84,29 +87,55 @@ impl ProfileEstimator {
     /// Counts through the [`mochy_core::engine::MotifEngine`], returning the
     /// full report (samples drawn, projection mode, elapsed time).
     pub fn count_report(&self, hypergraph: &Hypergraph) -> CountReport {
+        self.engine().count(hypergraph)
+    }
+
+    fn engine(&self) -> MotifEngine {
         let method = match self.method {
             CountingMethod::Exact => Method::Exact,
             CountingMethod::SampleEdges(samples) => Method::EdgeSample { samples },
             CountingMethod::SampleWedges(samples) => Method::WedgeSample { samples },
-            // The engine sizes the sample from the projection it builds
-            // anyway, so the ratio parameterization costs no extra pass.
+            // The engine sizes the sample from the projection it counts on,
+            // so the ratio parameterization costs no extra pass.
             CountingMethod::SampleWedgeRatio(ratio) => Method::WedgeSampleRatio { ratio },
         };
         CountConfig::new(method)
             .threads(self.threads)
             .seed(self.seed.wrapping_add(0x9E37))
             .build()
-            .count(hypergraph)
     }
 
     /// Estimates the characteristic profile of `hypergraph`.
     pub fn estimate(&self, hypergraph: &Hypergraph) -> CharacteristicProfile {
-        let real_counts = self.count(hypergraph);
+        let Ok(profile) = self.estimate_admitting(hypergraph, |_, _| Ok::<(), Infallible>(()));
+        profile
+    }
+
+    /// [`ProfileEstimator::estimate`], with a check between projecting each
+    /// hypergraph and counting on it: `admit(reference, projected)` sees the
+    /// analysed hypergraph's projection (`reference` is `None`), then that of
+    /// each Chung–Lu reference in turn (`Some(r)`, from 0). Its first error
+    /// ends the estimate, so that hypergraph is never counted and no later
+    /// reference is generated. Each hypergraph is projected once, and the
+    /// profile equals [`ProfileEstimator::estimate`]'s when every check
+    /// passes.
+    pub fn estimate_admitting<E>(
+        &self,
+        hypergraph: &Hypergraph,
+        mut admit: impl FnMut(Option<usize>, &ProjectedGraph) -> Result<(), E>,
+    ) -> Result<CharacteristicProfile, E> {
+        let engine = self.engine();
+        let mut count = |graph: &Hypergraph, reference: Option<usize>| {
+            let projected = project_parallel(graph, self.threads);
+            admit(reference, &projected)?;
+            Ok(engine.count_projected(graph, &projected).counts)
+        };
+        let real_counts = count(hypergraph, None)?;
         let mut randomized_counts = Vec::with_capacity(self.num_randomizations);
         for i in 0..self.num_randomizations {
             let mut rng = StdRng::seed_from_u64(self.seed.wrapping_add(1 + i as u64));
             let randomized = chung_lu_randomize(hypergraph, &mut rng);
-            randomized_counts.push(self.count(&randomized));
+            randomized_counts.push(count(&randomized, Some(i))?);
         }
         let randomized_mean = MotifCounts::mean(&randomized_counts);
         let significances = significance(
@@ -116,13 +145,13 @@ impl ProfileEstimator {
         );
         let cp = characteristic_profile(&significances);
         let relative = relative_counts(&real_counts, &randomized_mean);
-        CharacteristicProfile {
+        Ok(CharacteristicProfile {
             real_counts,
             randomized_mean,
             significances,
             cp,
             relative_counts: relative,
-        }
+        })
     }
 
     /// The null model used by this estimator (always Chung-Lu, as in the
@@ -207,6 +236,40 @@ mod tests {
         for t in 0..NUM_MOTIFS {
             assert!((sequential.cp[t] - parallel.cp[t]).abs() < 1e-12);
         }
+    }
+
+    /// `admit` sees each hypergraph's projection before it is counted, and
+    /// its first error ends the estimate at once: the refused reference is
+    /// never counted and no later one is generated. `estimate`, which admits
+    /// everything, still counts exactly what the engine counts on the real
+    /// hypergraph and on each seeded reference.
+    #[test]
+    fn admit_checks_each_projection_before_its_count() {
+        let h = dataset(DomainKind::Contact, 8);
+        let estimator = ProfileEstimator {
+            method: CountingMethod::SampleWedgeRatio(0.05),
+            num_randomizations: 3,
+            ..Default::default()
+        };
+        let mut seen = Vec::new();
+        let refused = estimator.estimate_admitting(&h, |reference, projected| {
+            seen.push((reference, projected.num_hyperwedges()));
+            match reference {
+                Some(1) => Err(projected.num_hyperwedges()),
+                _ => Ok(()),
+            }
+        });
+        let references: Vec<Option<usize>> = seen.iter().map(|&(reference, _)| reference).collect();
+        assert_eq!(references, [None, Some(0), Some(1)]);
+        assert_eq!(refused.err(), Some(seen[2].1));
+        assert_eq!(seen[0].1, mochy_projection::project(&h).num_hyperwedges());
+
+        let estimated = estimator.estimate(&h);
+        assert_eq!(estimated.real_counts, estimator.count(&h));
+        let references: Vec<MotifCounts> = (0..3u64)
+            .map(|i| estimator.count(&chung_lu_randomize(&h, &mut StdRng::seed_from_u64(1 + i))))
+            .collect();
+        assert_eq!(estimated.randomized_mean, MotifCounts::mean(&references));
     }
 
     #[test]

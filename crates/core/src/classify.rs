@@ -11,19 +11,21 @@
 //! the public single-triple API and the samplers' test oracle; no counter
 //! calls them. The counters classify many triples around one hyperedge or
 //! hyperwedge at once and pass each triple's intersection sizes to the same
-//! catalog call, so every route gives the same motif for the same triple:
+//! catalog call, so every route gives the same motif for the same triple.
+//! Two of them classify only closed triples that way and tally open ones
+//! by their [`open_key`], whose motifs [`open_motifs`] classifies once:
 //! - the exact counting kernel (`exact::CentreTally`) classifies each
 //!   triangle of the projected graph once, at its smallest member `e_i`,
 //!   with the triple intersection read as a popcount over bitmasks of
-//!   `e_i`'s nodes. It classifies the six kinds of open triple once, on
-//!   synthetic triples, and tallies open triples by kind;
-//! - the exact enumeration kernel (`exact::CentreWalk`) reads every `ω_jk`
-//!   of a centre `e_i` from one sorted merge per neighbour and every triple
-//!   intersection from the same bitmasks;
+//!   `e_i`'s nodes, and tallies every neighbour pair of `e_i` by open key;
 //! - the hyperwedge sampling kernel (`sample::WedgeWalk`) counts, per
 //!   sampled hyperwedge `∧_ij`, how many nodes of `e_i ∩ e_j` each
-//!   hyperedge contains, and reads a closed triple's `|e_i ∩ e_j ∩ e_k|`
-//!   from that counter;
+//!   hyperedge contains, and reads the triple intersection of each common
+//!   neighbour of `e_i` and `e_j` from that counter. Every other neighbour
+//!   of either is tallied by open key;
+//! - the exact enumeration kernel (`exact::CentreWalk`) reads every `ω_jk`
+//!   of a centre `e_i` from one sorted merge per neighbour and every triple
+//!   intersection from the same bitmasks as the counting kernel;
 //! - the star kernel (`star::StarWalk`), which MoCHy-A and the streaming
 //!   engine share, counts each neighbour's row of a hyperedge `e` from the
 //!   incidence lists and reads every triple intersection as a popcount over
@@ -32,6 +34,33 @@
 use mochy_hypergraph::{EdgeId, Hypergraph};
 use mochy_motif::{MotifCatalog, MotifId};
 use mochy_projection::ProjectedGraph;
+
+/// The number of open keys: whether `ω_ij + ω_ik = |e_i|`, times how many of
+/// `e_j`, `e_k` lie inside `e_i` (0, 1 or 2).
+pub(crate) const OPEN_KEYS: usize = 6;
+
+/// The open key of an open triple centred at `e_i`, whose other members
+/// `e_j` and `e_k` are disjoint: `full` is `ω_ij + ω_ik = |e_i|`, and
+/// `inside` is `[e_j ⊆ e_i] + [e_k ⊆ e_i]`.
+#[inline]
+pub(crate) fn open_key(full: bool, inside: usize) -> usize {
+    usize::from(full) * 3 + inside
+}
+
+/// The motif of each open key. An open triple has `e_j ∩ e_k = ∅`, so its
+/// seven Venn regions are empty or not by three bits: `e_i`'s private region
+/// is empty iff `ω_ij + ω_ik = |e_i|`, `e_j`'s iff `e_j ⊆ e_i`, `e_k`'s iff
+/// `e_k ⊆ e_i`. Each key is classified once, on a synthetic triple whose
+/// leaves meet `e_i` in one node each.
+pub(crate) fn open_motifs(catalog: &MotifCatalog) -> [Option<MotifId>; OPEN_KEYS] {
+    std::array::from_fn(|key| {
+        let (full, inside) = (key / 3 == 1, key % 3);
+        let size_i = if full { 2 } else { 3 };
+        let size_j = if inside >= 1 { 1 } else { 2 };
+        let size_k = if inside >= 2 { 1 } else { 2 };
+        catalog.classify_from_intersections(size_i, size_j, size_k, 1, 0, 1, 0)
+    })
+}
 
 /// Classifies the instance `{e_i, e_j, e_k}`, returning its motif id, or
 /// `None` when the three hyperedges are not a valid instance (not connected,

@@ -17,12 +17,12 @@
 //!   on that.
 
 use std::ops::Range;
-use std::sync::OnceLock;
 
 use mochy_hypergraph::{default_chunk_size, map_reduce_chunks, EdgeId, Hypergraph};
 use mochy_motif::{MotifCatalog, MotifId, NUM_MOTIFS};
 use mochy_projection::{ProjectedGraph, WeightedNeighbor};
 
+use crate::classify::{open_key, open_motifs, OPEN_KEYS};
 use crate::count::MotifCounts;
 
 /// Counts the instances of every h-motif exactly (Algorithm 2, MoCHy-E).
@@ -84,7 +84,7 @@ pub(crate) fn mochy_e_centres(
         },
     );
 
-    let open_motifs = open_motifs(catalog());
+    let open_motifs = open_motifs(MotifCatalog::shared());
     let mut totals = [0i64; NUM_MOTIFS];
     for tally in &tallies {
         for (total, closed) in totals.iter_mut().zip(&tally.closed) {
@@ -97,38 +97,6 @@ pub(crate) fn mochy_e_centres(
         }
     }
     MotifCounts::from_slice(&totals.map(|count| count as f64))
-}
-
-/// The motif catalog both kernels classify with, built once per process.
-fn catalog() -> &'static MotifCatalog {
-    static CATALOG: OnceLock<MotifCatalog> = OnceLock::new();
-    CATALOG.get_or_init(MotifCatalog::new)
-}
-
-/// The number of open keys: whether `ω_ij + ω_ik = |e_i|`, times how many of
-/// `e_j`, `e_k` lie inside `e_i` (0, 1 or 2).
-const OPEN_KEYS: usize = 6;
-
-/// The open key of a neighbour pair `{e_j, e_k}` of centre `e_i`: `full` is
-/// `ω_ij + ω_ik = |e_i|`, and `inside` is `[e_j ⊆ e_i] + [e_k ⊆ e_i]`.
-#[inline]
-fn open_key(full: bool, inside: usize) -> usize {
-    usize::from(full) * 3 + inside
-}
-
-/// The motif of each open key. An open triple has `e_j ∩ e_k = ∅`, so its
-/// seven Venn regions are empty or not by three bits: `e_i`'s private region
-/// is empty iff `ω_ij + ω_ik = |e_i|`, `e_j`'s iff `e_j ⊆ e_i`, `e_k`'s iff
-/// `e_k ⊆ e_i`. Each key is classified once, on a synthetic triple whose
-/// leaves meet `e_i` in one node each.
-fn open_motifs(catalog: &MotifCatalog) -> [Option<MotifId>; OPEN_KEYS] {
-    std::array::from_fn(|key| {
-        let (full, inside) = (key / 3 == 1, key % 3);
-        let size_i = if full { 2 } else { 3 };
-        let size_j = if inside >= 1 { 1 } else { 2 };
-        let size_k = if inside >= 2 { 1 } else { 2 };
-        catalog.classify_from_intersections(size_i, size_j, size_k, 1, 0, 1, 0)
-    })
 }
 
 /// Sets bit `p` of neighbour `a`'s mask iff `N(i)[a]` contains the `p`-th
@@ -233,7 +201,7 @@ impl<'g> CentreTally<'g> {
         Self {
             hypergraph,
             projected,
-            catalog: catalog(),
+            catalog: MotifCatalog::shared(),
             span,
             slot: vec![0; hypergraph.num_edges()],
             masks: Vec::new(),
@@ -429,7 +397,7 @@ impl<'g> CentreWalk<'g> {
         Self {
             hypergraph,
             projected,
-            catalog: catalog(),
+            catalog: MotifCatalog::shared(),
             slot: vec![0; hypergraph.num_edges()],
             masks: Vec::new(),
         }
@@ -702,7 +670,7 @@ pub(crate) mod tests {
     /// hyperedge after the first repeats an earlier one with probability
     /// 0.15. Sizes of 1–6 give even centres, where the closed form's two-sum
     /// meets its middle case `ω = |e_i|/2`.
-    fn random_hypergraph_with_duplicates(seed: u64) -> Hypergraph {
+    pub(crate) fn random_hypergraph_with_duplicates(seed: u64) -> Hypergraph {
         let mut rng = StdRng::seed_from_u64(seed);
         let nodes = rng.gen_range(4..=14u32);
         let mut edges: Vec<Vec<u32>> = Vec::new();

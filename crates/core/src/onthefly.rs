@@ -86,7 +86,7 @@ pub(crate) fn mochy_a_plus_onthefly_impl<R: Rng + ?Sized>(
     }
 
     rescale_wedge_estimates(
-        &MotifCatalog::new(),
+        MotifCatalog::shared(),
         &mut raw,
         num_hyperwedges,
         config.num_samples,
@@ -103,21 +103,11 @@ pub(crate) fn mochy_a_plus_onthefly_impl<R: Rng + ?Sized>(
 mod tests {
     use super::*;
     use crate::exact::mochy_e;
+    use crate::exact::tests::random_hypergraph;
     use mochy_hypergraph::HypergraphBuilder;
     use mochy_projection::project;
     use rand::prelude::*;
     use rand::rngs::StdRng;
-
-    fn random_hypergraph(seed: u64, nodes: u32, edges: usize, max_size: usize) -> Hypergraph {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut builder = HypergraphBuilder::new();
-        for _ in 0..edges {
-            let size = rng.gen_range(1..=max_size);
-            let members: Vec<u32> = (0..size).map(|_| rng.gen_range(0..nodes)).collect();
-            builder.add_edge(members);
-        }
-        builder.build().unwrap()
-    }
 
     #[test]
     fn hyperwedge_count_matches_eager_projection() {

@@ -191,9 +191,9 @@ pub struct PairwiseCensus {
 impl PairwiseCensus {
     /// Counts pairwise patterns by enumerating every h-motif instance.
     pub fn count(hypergraph: &Hypergraph, projected: &ProjectedGraph) -> Self {
-        let catalog = MotifCatalog::new();
+        let catalog = MotifCatalog::shared();
         let motif_to_pattern: Vec<PairwisePattern> = (1..=NUM_MOTIFS as MotifId)
-            .map(|id| pairwise_pattern_of_motif(&catalog, id))
+            .map(|id| pairwise_pattern_of_motif(catalog, id))
             .collect();
         // mochy-lint: allow(no-hashmap-iter-order) reason="accumulator drained into a Vec that is sorted by pattern before it becomes the census"
         let mut counts: FxHashMap<PairwisePattern, u64> = FxHashMap::default();
@@ -210,7 +210,7 @@ impl PairwiseCensus {
     /// Derives the census by collapsing already-computed h-motif counts
     /// (exact or estimated).
     pub fn from_motif_counts(counts: &MotifCounts) -> Self {
-        let catalog = MotifCatalog::new();
+        let catalog = MotifCatalog::shared();
         // mochy-lint: allow(no-hashmap-iter-order) reason="accumulator drained into a Vec that is sorted by pattern before it becomes the census"
         let mut collapsed: FxHashMap<PairwisePattern, f64> = FxHashMap::default();
         for (id, value) in counts.iter() {
@@ -218,7 +218,7 @@ impl PairwiseCensus {
                 continue;
             }
             *collapsed
-                .entry(pairwise_pattern_of_motif(&catalog, id))
+                .entry(pairwise_pattern_of_motif(catalog, id))
                 .or_insert(0.0) += value;
         }
         let mut counts: Vec<(PairwisePattern, u64)> = collapsed

@@ -10,19 +10,22 @@
 //! reads member and incidence lists only, never the projected graph.
 //! Every hyperwedge sampler — parallel and sequential MoCHy-A+ (and through
 //! the latter adaptive sampling) and on-the-fly MoCHy-A+
-//! ([`crate::onthefly`]) — classifies the hyperedges around each sampled
-//! hyperwedge through one kernel, `WedgeWalk`: it counts, once per
-//! hyperwedge `∧_ij`, how many nodes of `e_i ∩ e_j` every hyperedge
-//! contains, and reads each closed triple's `|e_i ∩ e_j ∩ e_k|` from that
-//! counter during the merge of `N(e_i)` and `N(e_j)`.
+//! ([`crate::onthefly`]) — counts the instances containing each sampled
+//! hyperwedge `∧_ij` through one kernel, `WedgeWalk`. A neighbour of only
+//! one of `e_i`, `e_j` forms an open triple centred at the other, whose
+//! motif three bits fix (its open key, [`crate::classify::open_key`]), so
+//! the kernel tallies those by key. Only the common neighbours of `e_i` and
+//! `e_j` are classified one by one, each with its `|e_i ∩ e_j ∩ e_k|` read
+//! from a per-hyperwedge counter of shared nodes.
 
 use mochy_hypergraph::{default_chunk_size, map_reduce_chunks, EdgeId, Hypergraph};
-use mochy_motif::MotifCatalog;
+use mochy_motif::{MotifCatalog, MotifId};
 use mochy_projection::{ProjectedGraph, WeightedNeighbor};
 use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
 
+use crate::classify::{open_key, open_motifs, OPEN_KEYS};
 use crate::count::MotifCounts;
 use crate::star::StarWalk;
 
@@ -119,7 +122,7 @@ pub(crate) fn mochy_a_plus_impl<R: Rng + ?Sized>(
         walk.count_wedge(projected, i, offset, &mut raw);
     }
     rescale_wedge_estimates(
-        &walk.catalog,
+        walk.catalog,
         &mut raw,
         sampler.num_hyperwedges(),
         num_samples,
@@ -138,7 +141,6 @@ pub fn mochy_a_plus_parallel(
     num_threads: usize,
     seed: u64,
 ) -> MotifCounts {
-    let catalog = MotifCatalog::new();
     let sampler = WedgeSampler::new(projected);
     if sampler.num_hyperwedges() == 0 || num_samples == 0 {
         return MotifCounts::zero();
@@ -163,7 +165,7 @@ pub fn mochy_a_plus_parallel(
         counts.merge(partial);
     }
     rescale_wedge_estimates(
-        &catalog,
+        MotifCatalog::shared(),
         &mut counts,
         sampler.num_hyperwedges(),
         num_samples,
@@ -227,46 +229,61 @@ impl WedgeSampler {
     }
 }
 
-/// One worker's state for the per-sample work of Algorithm 5: the motif
-/// catalog, an `|E|`-long shared-node counter and the list of counter
-/// entries the current hyperwedge touched, so that classifying a hyperwedge
-/// allocates nothing once the list has grown. Every hyperwedge sampler
-/// builds one per worker (sequential MoCHy-A+ one per run, across adaptive
-/// batches) and classifies each hyperwedge through
-/// [`WedgeWalk::count_pair`]: the sampling counterpart of
-/// [`crate::exact`]'s `CentreWalk`.
+/// One worker's state for the per-sample work of Algorithm 5: two
+/// `|E|`-long arrays (a shared-node counter and a slot per neighbour of
+/// `e_i`), the list of counter entries the current hyperwedge touched, and
+/// the motif of each open key, so that counting a hyperwedge allocates
+/// nothing once the list has grown. Every hyperwedge sampler builds one per
+/// worker (sequential MoCHy-A+ one per run, across adaptive batches) and
+/// counts each hyperwedge through [`WedgeWalk::count_pair`]: the sampling
+/// counterpart of [`crate::exact`]'s `CentreTally`.
 ///
-/// **Cost.** Classifying hyperwedge `∧_ij` costs one merge of `e_i` and
-/// `e_j`, `Σ_{v∈e_i∩e_j} |E_v|` counter increments, one merge of `N(i)` and
-/// `N(j)`, and one reset per touched entry. A closed `e_k` accounts for
-/// `|e_i ∩ e_j ∩ e_k| ≤ min(|e_i|, |e_j|, |e_k|)` of the increments, where a
-/// per-triple intersection pays that many pairs of binary searches.
+/// **Cost.** Counting hyperwedge `∧_ij` costs one merge of `e_i` and `e_j`,
+/// `Σ_{v∈e_i∩e_j} |E_v|` counter increments, two passes over `N(i)` and
+/// one over `N(j)`, one reset per touched entry, and one Lemma 2
+/// classification per common neighbour of `e_i` and `e_j`. A neighbour of
+/// only one of them costs one open key and one increment. A common `e_k`
+/// accounts for `|e_i ∩ e_j ∩ e_k| ≤ min(|e_i|, |e_j|, |e_k|)` of the
+/// counter increments, where a per-triple intersection pays that many pairs
+/// of binary searches.
 ///
 /// **Bit-identity.** Once the shared nodes are counted, `shared[k]` is the
 /// number of nodes of `e_i ∩ e_j` that `e_k` contains: `|e_i ∩ e_j ∩ e_k|`.
-/// The union merge reports the same `e_k` in the same order with the same
-/// weights, and the Lemma 2 classification
-/// ([`MotifCatalog::classify_from_intersections`]) gets the same seven
-/// numbers that [`crate::classify::classify_triple_with_weights`] computes,
-/// so every sample adds the same `+1.0` increments to the same motifs.
+/// A common neighbour therefore reaches the Lemma 2 classification
+/// ([`MotifCatalog::classify_from_intersections`]) with the seven numbers
+/// that [`crate::classify::classify_triple_with_weights`] computes. Any
+/// other `e_k` of `N(e_i) ∪ N(e_j)` is disjoint from one of `e_i`, `e_j`,
+/// so its triple is open, centred at the other, and its open key's motif is
+/// the one Lemma 2 gives ([`open_motifs`]). A sample thus adds to each motif
+/// the integer number of its instances there, which is what one `+1.0` per
+/// triple added: every count stays an exact integer in `f64`, whatever the
+/// order of the additions.
 pub(crate) struct WedgeWalk<'g> {
     hypergraph: &'g Hypergraph,
-    catalog: MotifCatalog,
+    catalog: &'static MotifCatalog,
+    /// The motif of each [`open_key`].
+    open_motifs: [Option<MotifId>; OPEN_KEYS],
     /// `shared[k] = |e_i ∩ e_j ∩ e_k|` while hyperwedge `∧_ij` is being
-    /// classified; all zero in between.
+    /// counted; all zero in between.
     shared: Vec<u32>,
     /// The entries of `shared` the current hyperwedge made non-zero.
     touched: Vec<EdgeId>,
+    /// `slot[k] = ω_ik` for every `e_k ∈ N(e_i) \ {e_j}` while hyperwedge
+    /// `∧_ij` is being counted; all zero in between.
+    slot: Vec<u32>,
 }
 
 impl<'g> WedgeWalk<'g> {
     /// A walk over the hyperwedges of `hypergraph`.
     pub(crate) fn new(hypergraph: &'g Hypergraph) -> Self {
+        let catalog = MotifCatalog::shared();
         Self {
             hypergraph,
-            catalog: MotifCatalog::new(),
+            catalog,
+            open_motifs: open_motifs(catalog),
             shared: vec![0; hypergraph.num_edges()],
             touched: Vec::new(),
+            slot: vec![0; hypergraph.num_edges()],
         }
     }
 
@@ -287,18 +304,24 @@ impl<'g> WedgeWalk<'g> {
         self.count_pair(i, (j, w_ij), neighbors_i, neighbors_j, raw);
     }
 
-    /// Classifies every `e_k ∈ N(e_i) ∪ N(e_j) \ {e_i, e_j}` of the
-    /// hyperwedge `∧_ij` with `ω(∧_ij) = w_ij`, adding 1 to its motif in
-    /// `raw`. `list_i` and `list_j` are `N(e_i)` and `N(e_j)`, passed
-    /// explicitly so the on-the-fly sampler can supply lazily computed
-    /// neighbourhoods.
+    /// Adds to `raw` the instance `{e_i, e_j, e_k}` of every
+    /// `e_k ∈ N(e_i) ∪ N(e_j) \ {e_i, e_j}`, for the hyperwedge `∧_ij` with
+    /// `ω(∧_ij) = w_ij`. `list_i` and `list_j` are `N(e_i)` and `N(e_j)`,
+    /// passed explicitly so the on-the-fly sampler can supply lazily
+    /// computed neighbourhoods.
     ///
     /// 1. One merge of the sorted member lists of `e_i` and `e_j` finds their
-    ///    shared nodes.
-    /// 2. Each shared node `v` adds 1 to `shared[e]` for every `e ∈ E_v`.
-    /// 3. The union merge ([`for_each_union_neighbor`]) reads a closed
-    ///    triple's `|e_i ∩ e_j ∩ e_k|` as `shared[k]`.
-    /// 4. Only the touched entries are reset to zero.
+    ///    shared nodes. Each shared node `v` adds 1 to `shared[e]` for every
+    ///    `e ∈ E_v`.
+    /// 2. One pass over `N(e_i) \ {e_j}` sets `slot[k] = ω_ik` and tallies
+    ///    each `e_k` under `e_i`'s open key: `ω_ij + ω_ik = |e_i|` and
+    ///    `[e_j ⊆ e_i] + [e_k ⊆ e_i]`.
+    /// 3. One pass over `N(e_j) \ {e_i}`. An `e_k` with a slot is a common
+    ///    neighbour: its triple is classified by Lemma 2, with
+    ///    `|e_i ∩ e_j ∩ e_k| = shared[k]`, and taken back out of `e_i`'s
+    ///    tally. Any other `e_k` is tallied under `e_j`'s open key.
+    /// 4. The slots over `N(e_i)` and the touched counter entries are reset,
+    ///    and each non-zero tally is added to its open key's motif.
     pub(crate) fn count_pair(
         &mut self,
         i: EdgeId,
@@ -310,8 +333,10 @@ impl<'g> WedgeWalk<'g> {
         let Self {
             hypergraph,
             catalog,
+            open_motifs,
             shared,
             touched,
+            slot,
         } = self;
         let hypergraph = *hypergraph;
 
@@ -334,38 +359,73 @@ impl<'g> WedgeWalk<'g> {
             }
         }
 
-        let (size_i, size_j) = (hypergraph.edge_size(i), hypergraph.edge_size(j));
-        for_each_union_neighbor(list_i, list_j, i, j, |k, w_ik, w_jk| {
-            // Only a closed triple can have a non-zero triple intersection.
-            let triple = if w_ik != 0 && w_jk != 0 {
-                shared[k as usize] as usize
-            } else {
-                0
-            };
-            if let Some(motif) = catalog.classify_from_intersections(
-                size_i,
-                size_j,
-                hypergraph.edge_size(k),
-                w_ij as usize,
-                w_jk as usize,
-                w_ik as usize,
-                triple,
-            ) {
-                raw.increment(motif);
+        let (size_i, size_j, w_ij) = (
+            hypergraph.edge_size(i),
+            hypergraph.edge_size(j),
+            w_ij as usize,
+        );
+        // The open key of `{e_i, e_j, e_k}` centred at `e_i`, and at `e_j`.
+        let key_i = |w_ik: usize, size_k: usize| {
+            let inside = usize::from(w_ij == size_j) + usize::from(w_ik == size_k);
+            open_key(w_ij + w_ik == size_i, inside)
+        };
+        let key_j = |w_jk: usize, size_k: usize| {
+            let inside = usize::from(w_ij == size_i) + usize::from(w_jk == size_k);
+            open_key(w_ij + w_jk == size_j, inside)
+        };
+        // Open instances by centre (`e_i`, then `e_j`) and open key.
+        let mut open = [[0u32; OPEN_KEYS]; 2];
+        for &(k, w_ik) in list_i {
+            if k != j {
+                slot[k as usize] = w_ik;
+                open[0][key_i(w_ik as usize, hypergraph.edge_size(k))] += 1;
             }
-        });
+        }
+        for &(k, w_jk) in list_j {
+            if k == i {
+                continue;
+            }
+            let (w_jk, size_k) = (w_jk as usize, hypergraph.edge_size(k));
+            match slot[k as usize] as usize {
+                0 => open[1][key_j(w_jk, size_k)] += 1,
+                w_ik => {
+                    if let Some(motif) = catalog.classify_from_intersections(
+                        size_i,
+                        size_j,
+                        size_k,
+                        w_ij,
+                        w_jk,
+                        w_ik,
+                        shared[k as usize] as usize,
+                    ) {
+                        raw.increment(motif);
+                    }
+                    open[0][key_i(w_ik, size_k)] -= 1;
+                }
+            }
+        }
 
+        for &(k, _) in list_i {
+            slot[k as usize] = 0;
+        }
         for e in touched.drain(..) {
             shared[e as usize] = 0;
+        }
+        for tally in &open {
+            for (&count, &motif) in tally.iter().zip(open_motifs.iter()) {
+                if let (true, Some(motif)) = (count > 0, motif) {
+                    raw.add(motif, f64::from(count));
+                }
+            }
         }
     }
 }
 
 /// Iterates over `N(e_i) ∪ N(e_j) \ {e_i, e_j}` by merging the two sorted
 /// neighbourhood lists, reporting each candidate `e_k` together with
-/// `ω(∧_ik)` and `ω(∧_jk)` (0 when not adjacent). The lists are passed
-/// explicitly so the on-the-fly variant can supply lazily computed
-/// neighbourhoods.
+/// `ω(∧_ik)` and `ω(∧_jk)` (0 when not adjacent). The test oracles of the
+/// hyperwedge and star kernels classify each candidate on its own.
+#[cfg(test)]
 pub(crate) fn for_each_union_neighbor<F>(
     list_i: &[WeightedNeighbor],
     list_j: &[WeightedNeighbor],
@@ -414,7 +474,7 @@ pub(crate) fn for_each_union_neighbor<F>(
 pub(crate) mod tests {
     use super::*;
     use crate::classify::classify_triple_with_weights;
-    use crate::exact::tests::random_hypergraph;
+    use crate::exact::tests::{random_hypergraph, random_hypergraph_with_duplicates};
     use crate::exact::{brute_force_counts, mochy_e};
     use mochy_hypergraph::HypergraphBuilder;
     use mochy_projection::project;
@@ -519,6 +579,38 @@ pub(crate) mod tests {
             }
             assert!(closed_with_core > 0.0, "input {n} has no triple core");
         }
+    }
+
+    /// The kernel's raw counts equal the per-triple oracle's for every
+    /// directed hyperwedge of 200 small seeded hypergraphs with repeated
+    /// hyperedges. Sizes of 1–6 reach `ω_ij + ω_ik = |e_i|` at both ends of
+    /// a hyperwedge, so every open key is met; a repeated hyperedge is a
+    /// common neighbour whose triple has no motif, and a hyperwedge between
+    /// two copies has no instance at all.
+    #[test]
+    fn kernel_matches_the_per_triple_oracle_with_duplicate_hyperedges() {
+        let catalog = MotifCatalog::shared();
+        let mut open = MotifCounts::zero();
+        let mut between_copies = 0usize;
+        for seed in 0..200u64 {
+            let h = random_hypergraph_with_duplicates(seed);
+            let proj = project(&h);
+            let mut walk = WedgeWalk::new(&h);
+            for i in h.edge_ids() {
+                for offset in 0..proj.degree(i) {
+                    let (mut actual, mut expected) = (MotifCounts::zero(), MotifCounts::zero());
+                    walk.count_wedge(&proj, i, offset, &mut actual);
+                    oracle_wedge(&h, &proj, catalog, i, offset, &mut expected);
+                    assert_eq!(actual, expected, "seed {seed}, hyperwedge ({i}, {offset})");
+                    open.merge(&expected);
+                    between_copies += usize::from(h.edge(i) == h.edge(proj.neighbors(i)[offset].0));
+                }
+            }
+        }
+        for id in catalog.open_motif_ids() {
+            assert!(open.get(id) > 0.0, "open motif {id} never met");
+        }
+        assert!(between_copies > 0, "no hyperwedge between two copies");
     }
 
     /// MoCHy-A is *exactly* unbiased: averaging the estimator over the full

@@ -80,7 +80,7 @@ impl Incidence for DynamicHypergraph {
 /// motif.
 #[derive(Debug, Clone)]
 pub(crate) struct StarWalk {
-    catalog: MotifCatalog,
+    catalog: &'static MotifCatalog,
     /// `slot[f]` is one more than the position of `e_f` in `neighbors`
     /// during a visit, and 0 for every hyperedge outside `N(e)`.
     slot: Vec<u32>,
@@ -99,7 +99,7 @@ impl StarWalk {
     /// A walk with empty buffers.
     pub(crate) fn new() -> Self {
         Self {
-            catalog: MotifCatalog::new(),
+            catalog: MotifCatalog::shared(),
             slot: Vec::new(),
             neighbors: Vec::new(),
             masks: Vec::new(),

@@ -39,7 +39,7 @@ pub fn instance_overlap_stats(
     hypergraph: &Hypergraph,
     projected: &ProjectedGraph,
 ) -> InstanceOverlapStats {
-    let catalog = MotifCatalog::new();
+    let catalog = MotifCatalog::shared();
     let mut per_motif: Vec<Vec<[EdgeId; 3]>> = vec![Vec::new(); NUM_MOTIFS];
     mochy_e_enumerate(hypergraph, projected, |i, j, k, motif| {
         let mut triple = [i, j, k];

@@ -2,8 +2,9 @@
 //!
 //! Sharded MoCHy-E scatters over K contiguous hyperedge shards (each counts
 //! the instances centred in its edge span, on the one full projection) and
-//! gathers with an order-fixed merge. Every contribution is a `+1.0`
-//! integer-valued `f64` increment, so the merged report must be
+//! gathers with an order-fixed merge. Each partial's counts are exact
+//! integer tallies converted to `f64` once, below `2^53`, where adding
+//! integers in any order is exact, so the merged report must be
 //! **bit-identical** — not merely close — to the unsharded run for every
 //! shard count, the same guarantee thread invariance already pins for
 //! thread counts. This suite asserts K ∈ {1, 2, 4, 8} == unsharded on the

@@ -68,8 +68,7 @@ pub fn run(options: &EvolveOptions) -> Result<String, String> {
         window_years: options.window,
     });
 
-    let catalog = MotifCatalog::new();
-    let open_ids = catalog.open_motif_ids();
+    let open_ids = MotifCatalog::shared().open_motif_ids();
     let mut last_insertions = 0u64;
     let mut last_removals = 0u64;
     let mut scratch_time = Duration::ZERO;

@@ -15,8 +15,7 @@ use crate::common::{scientific, suite, ExperimentScale};
 /// pairwise patterns — and (b), per domain, how many distinct patterns each
 /// view observes in one representative dataset.
 pub fn run(scale: ExperimentScale) -> String {
-    let catalog = MotifCatalog::new();
-    let collapse = PairwiseCollapse::new(&catalog);
+    let collapse = PairwiseCollapse::new(MotifCatalog::shared());
 
     let mut out = String::from("# Pairwise baseline: h-motifs vs directed-projection patterns\n\n");
     out.push_str("## (a) collapse of the 26 h-motifs onto pairwise patterns\n");

@@ -550,7 +550,7 @@ mod tests {
     /// `counts_fnv`, and a row without `counts_fnv` fails on either side.
     #[test]
     fn check_pins_every_count_not_only_their_sum() {
-        let closed = mochy_motif::MotifCatalog::new().closed_motif_ids();
+        let closed = mochy_motif::MotifCatalog::shared().closed_motif_ids();
         let (a, b) = (closed[0], closed[1]);
         let mut counts = MotifCounts::zero();
         counts.set(a, 3.0);

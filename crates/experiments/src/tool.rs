@@ -76,7 +76,7 @@ pub fn count_report(hypergraph: &Hypergraph, method: Method, threads: usize, see
         .build()
         .count(hypergraph);
     let counts = &report.counts;
-    let catalog = MotifCatalog::new();
+    let catalog = MotifCatalog::shared();
     let mut out = format!(
         "# |V| = {}, |E| = {}, |wedges| = {}\nmotif\tclass\tcount\n",
         hypergraph.num_nodes(),

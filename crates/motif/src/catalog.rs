@@ -1,5 +1,7 @@
 //! The catalog of the 26 h-motifs and the pattern → motif lookup table.
 
+use std::sync::OnceLock;
+
 use serde::{Deserialize, Serialize};
 
 use crate::cardinalities::RegionCardinalities;
@@ -79,9 +81,16 @@ impl Default for MotifCatalog {
 }
 
 impl MotifCatalog {
-    /// Builds the catalog. The result is deterministic; constructing it takes
-    /// a few microseconds, so most callers simply build one per algorithm
-    /// invocation (or share one with `lazy` initialization).
+    /// The process-wide catalog, built on first use. Counters and analyses
+    /// classify with it rather than building their own.
+    pub fn shared() -> &'static MotifCatalog {
+        static CATALOG: OnceLock<MotifCatalog> = OnceLock::new();
+        CATALOG.get_or_init(MotifCatalog::new)
+    }
+
+    /// Builds the catalog. The result is deterministic, but a build costs
+    /// tens of microseconds (far more in unoptimized builds); code that runs
+    /// per query or per worker reads [`MotifCatalog::shared`] instead.
     pub fn new() -> Self {
         // Collect canonical representatives of all valid patterns.
         let mut canonicals: Vec<Pattern> = Pattern::all_raw()
@@ -288,6 +297,17 @@ mod tests {
         assert_eq!(catalog.motifs().len(), 26);
         let ids: Vec<MotifId> = catalog.motifs().iter().map(|m| m.id).collect();
         assert_eq!(ids, (1..=26).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn shared_catalog_is_one_instance_equal_to_a_fresh_build() {
+        let shared = MotifCatalog::shared();
+        assert!(std::ptr::eq(shared, MotifCatalog::shared()));
+        let fresh = MotifCatalog::new();
+        assert_eq!(shared.motifs(), fresh.motifs());
+        for raw in Pattern::all_raw() {
+            assert_eq!(shared.classify_pattern(raw), fresh.classify_pattern(raw));
+        }
     }
 
     #[test]

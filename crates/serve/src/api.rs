@@ -1281,13 +1281,6 @@ fn profile(ctx: &ApiContext, body: &str) -> Result<ApiResponse, ApiError> {
             format!("dataset `{name}` is empty; profiles need at least one hyperedge"),
         ));
     };
-    if let CountingMethod::SampleWedgeRatio(ratio) = method {
-        let num_hyperwedges = snapshot
-            .projection(threads)
-            .map_or(0, |projected| projected.num_hyperwedges());
-        ratio_samples(num_hyperwedges, ratio)?;
-    }
-
     let mut canonical_members = vec![("method".to_string(), JsonValue::string(canonical_name))];
     match method {
         CountingMethod::Exact => {}
@@ -1322,7 +1315,22 @@ fn profile(ctx: &ApiContext, body: &str) -> Result<ApiResponse, ApiError> {
         threads,
         seed,
     };
-    let profile = estimator.estimate(&hypergraph);
+    // A `mochy-a+-ratio` draw is checked on every hypergraph the profile
+    // counts, once it is projected and before it is sampled: a Chung–Lu
+    // reference's |∧| is known only then.
+    let profile = estimator.estimate_admitting(&hypergraph, |reference, projected| {
+        let CountingMethod::SampleWedgeRatio(ratio) = method else {
+            return Ok(());
+        };
+        ratio_samples(projected.num_hyperwedges(), ratio)
+            .map(drop)
+            .map_err(|error| match reference {
+                None => error,
+                Some(r) => {
+                    ApiError::bad(format!("Chung–Lu reference {}: {}", r + 1, error.message))
+                }
+            })
+    })?;
     let rendered: Arc<str> = JsonValue::Object(vec![
         (
             "generation".to_string(),
@@ -1997,6 +2005,41 @@ mod tests {
             ),
         );
         assert_eq!(profiled.status, 200, "{}", profiled.body);
+    }
+
+    /// A profile's Chung–Lu references draw under the same ceiling as the
+    /// real hypergraph. Here the real one is a chain of 200 hyperedges of
+    /// 400 nodes, each meeting the next in one node: 199 hyperwedges, so
+    /// ratio 100 draws 19,900 samples. Its references spread the same sizes
+    /// over the same nodes at random, so most pairs of their hyperedges
+    /// overlap: the first reference has 17,374 hyperwedges, and its draw of
+    /// 1,737,400 is above the ceiling. It is refused once that reference is
+    /// projected, before it is sampled (`estimate_admitting` counts no
+    /// hypergraph its check refuses).
+    #[test]
+    fn profile_bounds_each_reference_draw_before_sampling_it() {
+        let mut builder = HypergraphBuilder::new();
+        for e in 0..200u32 {
+            builder.add_edge(e * 399..e * 399 + 400);
+        }
+        let chain = builder.build().unwrap();
+        let real_draw =
+            wedge_ratio_samples(mochy_projection::project(&chain).num_hyperwedges(), 100.0);
+        assert_eq!(real_draw, 19_900);
+        let ctx = serving("chain", chain);
+        let rejected = handle(
+            &ctx,
+            &post(
+                "/v1/profile",
+                r#"{"dataset": "chain", "method": "mochy-a+-ratio", "ratio": 100,
+                    "randomizations": 2}"#,
+            ),
+        );
+        assert_eq!(rejected.status, 400, "{}", rejected.body);
+        for part in ["Chung–Lu reference 1", "`ratio` 100 draws 1737400 samples"] {
+            assert!(rejected.body.contains(part), "{part}: {}", rejected.body);
+        }
+        assert_eq!(ctx.cache.stats().2, 0, "a refused profile caches nothing");
     }
 
     #[test]
