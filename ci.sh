@@ -82,7 +82,12 @@ run_stage() {
   CURRENT_STAGE=""
 }
 
-run_stage fmt cargo fmt --all --check
+# perfbench is a cargo workspace of its own, which `--all` does not reach.
+check_fmt() {
+  cargo fmt --all --check
+  cargo fmt --manifest-path perfbench/Cargo.toml --check
+}
+run_stage fmt check_fmt
 run_stage clippy cargo clippy --locked --workspace --all-targets -- \
   -D warnings -W clippy::dbg_macro -W clippy::todo
 run_stage build cargo build "${CARGO_FLAGS[@]}"

@@ -10,7 +10,9 @@
 //!   tallies the open h-motifs of `e_i` in closed form from a histogram of
 //!   `N(i)`, in `O(|N(i)| + |e_i|)`. Per-triple work is left only for the
 //!   triangles of the projected graph, each listed once at its smallest
-//!   member by a scan of `N(j)` per neighbour `e_j`.
+//!   member by a scan of `N(j)` per neighbour `e_j` and tallied under a
+//!   10-bit key of its Venn regions (Lemma 2). Each key is classified once
+//!   per worker.
 //! - **Enumeration kernel** (`CentreWalk`). It visits every neighbour pair
 //!   of each centre and emits each instance. [`mochy_e_enumerate`] runs it,
 //!   and the per-edge, per-node, variance and pairwise statistics are built
@@ -22,7 +24,7 @@ use mochy_hypergraph::{default_chunk_size, map_reduce_chunks, EdgeId, Hypergraph
 use mochy_motif::{MotifCatalog, MotifId, NUM_MOTIFS};
 use mochy_projection::{ProjectedGraph, WeightedNeighbor};
 
-use crate::classify::{open_key, open_motifs, OPEN_KEYS};
+use crate::classify::{closed_class, closed_key, open_key, open_motifs, CLOSED_KEYS, OPEN_KEYS};
 use crate::count::MotifCounts;
 
 /// Counts the instances of every h-motif exactly (Algorithm 2, MoCHy-E).
@@ -61,11 +63,12 @@ pub fn mochy_e_parallel(
 ///
 /// Worker threads claim blocks of `centres` from an atomic work queue (work
 /// stealing, so skewed-degree datasets do not serialize on one heavy static
-/// block), each with its own `CentreTally`. A worker's tallies are signed
-/// `i64`s, because its triangle pass subtracts closed pairs from the open
-/// tallies of centres that another worker may have tallied. The tallies are
-/// summed once and converted to `f64` once. Every one is an exact integer,
-/// so the output does not depend on the thread count or the schedule.
+/// block), each with its own `CentreTally`. Each worker folds its tallies
+/// into signed `i64`s per motif, because its triangles take closed pairs
+/// back out of the open tallies of centres that another worker may have
+/// tallied. The folds are summed once and converted to `f64` once. Every
+/// one is an exact integer, so the output does not depend on the thread
+/// count or the schedule.
 pub(crate) fn mochy_e_centres(
     hypergraph: &Hypergraph,
     projected: &ProjectedGraph,
@@ -84,16 +87,10 @@ pub(crate) fn mochy_e_centres(
         },
     );
 
-    let open_motifs = open_motifs(MotifCatalog::shared());
     let mut totals = [0i64; NUM_MOTIFS];
     for tally in &tallies {
-        for (total, closed) in totals.iter_mut().zip(&tally.closed) {
-            *total += closed;
-        }
-        for (&motif, open) in open_motifs.iter().zip(&tally.open) {
-            if let Some(motif) = motif {
-                totals[(motif - 1) as usize] += open;
-            }
+        for (total, count) in totals.iter_mut().zip(tally.motif_tallies()) {
+            *total += count;
         }
     }
     MotifCounts::from_slice(&totals.map(|count| count as f64))
@@ -153,28 +150,30 @@ fn triple_intersection(mask_j: &[u64], mask_k: &[u64]) -> usize {
 ///    and the others are the complement of the totals by subset count.
 /// 2. *Triangles whose smallest member is `e_i`.* For each `j = N(i)[a] > i`,
 ///    a scan of `N(j)` from its partition point for `N(i)[a+1]` up to
-///    `max N(i)` finds every `k > j` in `N(i)`. Each triangle adds its closed
-///    motif and leaves the open tally of each member in `[s, e)`: there the
-///    pair of the other two members was tallied as open.
+///    `max N(i)` finds every `k > j` in `N(i)`. Each triangle adds one to its
+///    [`closed_key`]. [`CentreTally::motif_tallies`] decodes each key once
+///    ([`closed_class`]): its triangles add their closed motif and leave the
+///    open tally of each member in `[s, e)`, where the pair of the other two
+///    members was tallied as open. A member at or past `e` keeps its tally,
+///    so the keys are tallied apart by how many of `e_j`, `e_k` lie there.
 /// 3. *Boundary scan, only when `s > 0`.* For each `j = N(i)[a] < s`, the
 ///    same scan finds the triangles `{e_i, e_j, e_k}` with `k > j`. Their
 ///    smallest member lies before the span, so no centre of the span lists
 ///    them in step 2; the pair `{e_j, e_k}` leaves `e_i`'s open tally only.
 ///
 /// Every closed pair of a span centre thus leaves its open tally exactly
-/// once: in step 2 of the triangle's smallest member when the pair's smaller
-/// member is in the span, in step 3 otherwise. The span's tallies therefore
-/// hold exactly the instances centred in it.
+/// once: through the key of step 2 of the triangle's smallest member when
+/// the pair's smaller member is in the span, in step 3 otherwise. The span's
+/// tallies therefore hold exactly the instances centred in it.
 ///
 /// **Cost.** Steps 1 and 3 per centre: `O(|N(i)| + |e_i|)` and the scans of
 /// the neighbours before the span. Step 2: one scan per later neighbour,
-/// and per triangle the [`fill_masks`] popcount and one Lemma 2
-/// classification. The masks are filled once per centre, on its first
-/// triangle.
+/// and per triangle the [`fill_masks`] popcount and one key tally. The masks
+/// are filled once per centre, on its first triangle. Per worker, at most
+/// `3 · 2^10` keys are decoded, once each.
 struct CentreTally<'g> {
     hypergraph: &'g Hypergraph,
     projected: &'g ProjectedGraph,
-    catalog: &'static MotifCatalog,
     /// The span `[s, e)` whose centres this worker may be handed.
     span: Range<usize>,
     /// `slot[j]` is the position of `e_j` in the current centre's
@@ -190,10 +189,11 @@ struct CentreTally<'g> {
     /// The neighbours of the current centre by `ω_ij`, then by
     /// `[e_j ⊆ e_i]`.
     histogram: Vec<[i64; 2]>,
-    /// Open pairs by [`open_key`], net of the closed pairs subtracted.
+    /// Neighbour pairs by [`open_key`], closed ones included.
     open: [i64; OPEN_KEYS],
-    /// Closed instances by motif id − 1.
-    closed: [i64; NUM_MOTIFS],
+    /// Triangles by [`closed_key`], in one table per number of members at
+    /// or past the span end (0, 1: `e_k`, or 2: `e_j` and `e_k`).
+    closed: Box<[[i64; CLOSED_KEYS]; 3]>,
 }
 
 impl<'g> CentreTally<'g> {
@@ -201,7 +201,6 @@ impl<'g> CentreTally<'g> {
         Self {
             hypergraph,
             projected,
-            catalog: MotifCatalog::shared(),
             span,
             slot: vec![0; hypergraph.num_edges()],
             masks: Vec::new(),
@@ -209,7 +208,7 @@ impl<'g> CentreTally<'g> {
             inside: Vec::new(),
             histogram: Vec::new(),
             open: [0; OPEN_KEYS],
-            closed: [0; NUM_MOTIFS],
+            closed: Box::new([[0; CLOSED_KEYS]; 3]),
         }
     }
 
@@ -270,32 +269,25 @@ impl<'g> CentreTally<'g> {
         for a in neighbors.partition_point(|&(j, _)| j < i)..n - 1 {
             let (j, w_ij) = neighbors[a];
             let (w_ij, size_j) = (w_ij as usize, self.sizes[a]);
+            let j_past = usize::from(j as usize >= end);
             for (p, w_jk) in later_shared(neighbors, a, &self.slot, projected.neighbors(j)) {
                 if !masks_filled {
                     fill_masks(hypergraph, i, n, &self.slot, &mut self.masks);
                     masks_filled = true;
                 }
                 let (k, w_ik) = neighbors[p];
-                let (w_ik, size_k) = (w_ik as usize, self.sizes[p]);
                 let triple = triple_intersection(
                     &self.masks[a * words..(a + 1) * words],
                     &self.masks[p * words..(p + 1) * words],
                 );
-                if let Some(motif) = self
-                    .catalog
-                    .classify_from_intersections(size_i, size_j, size_k, w_ij, w_jk, w_ik, triple)
-                {
-                    self.closed[(motif - 1) as usize] += 1;
-                }
-                self.open[open_key(w_ij + w_ik == size_i, self.inside[a] + self.inside[p])] -= 1;
-                if (j as usize) < end {
-                    let inside = usize::from(w_ij == size_i) + usize::from(w_jk == size_k);
-                    self.open[open_key(w_ij + w_jk == size_j, inside)] -= 1;
-                }
-                if (k as usize) < end {
-                    let inside = usize::from(w_ik == size_i) + usize::from(w_jk == size_j);
-                    self.open[open_key(w_ik + w_jk == size_k, inside)] -= 1;
-                }
+                let key = closed_key(
+                    [size_i, size_j, self.sizes[p]],
+                    w_ij,
+                    w_jk,
+                    w_ik as usize,
+                    triple,
+                );
+                self.closed[j_past + usize::from(k as usize >= end)][key] += 1;
             }
         }
 
@@ -310,6 +302,33 @@ impl<'g> CentreTally<'g> {
                 self.open[key] -= 1;
             }
         }
+    }
+
+    /// The worker's tallies by motif id − 1. Each triangle key with a
+    /// non-zero tally is decoded once ([`closed_class`]): it adds its closed
+    /// motif and takes its pairs back out of the open tallies of the members
+    /// before the span end. Each open key's net tally then adds its motif.
+    fn motif_tallies(&self) -> [i64; NUM_MOTIFS] {
+        let catalog = MotifCatalog::shared();
+        let mut totals = [0i64; NUM_MOTIFS];
+        let mut open = self.open;
+        for (past, closed) in self.closed.iter().enumerate() {
+            for (key, &count) in closed.iter().enumerate().filter(|&(_, &count)| count != 0) {
+                let (motif, members) = closed_class(catalog, key);
+                if let Some(motif) = motif {
+                    totals[(motif - 1) as usize] += count;
+                }
+                for &member in &members[..3 - past] {
+                    open[member] -= count;
+                }
+            }
+        }
+        for (&motif, open) in open_motifs(catalog).iter().zip(&open) {
+            if let Some(motif) = motif {
+                totals[(motif - 1) as usize] += open;
+            }
+        }
+        totals
     }
 }
 
@@ -376,9 +395,11 @@ pub fn mochy_e_per_edge(hypergraph: &Hypergraph, projected: &ProjectedGraph) -> 
 /// in the order of the per-pair loop of Algorithm 2, reads each `ω_jk` from
 /// the same row of the same projected graph that a lookup would search, and
 /// reads each triple intersection from the same masks as the counting
-/// kernel. With the same attribution rule and the same Lemma 2
-/// classification ([`MotifCatalog::classify_from_intersections`]), it
-/// emits exactly the instances [`mochy_e`] counts, with the same motifs.
+/// kernel. It keeps the same attribution rule, and its Lemma 2
+/// classification ([`MotifCatalog::classify_from_intersections`]) is the
+/// motif the counting kernel's closed key decodes to for every closed
+/// triple ([`closed_class`]). So it emits exactly the instances
+/// [`mochy_e`] counts, with the same motifs.
 struct CentreWalk<'g> {
     hypergraph: &'g Hypergraph,
     projected: &'g ProjectedGraph,

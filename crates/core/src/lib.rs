@@ -21,7 +21,8 @@
 //!
 //! - [`exact::mochy_e`] — Algorithm 2, exact counting of every h-motif's
 //!   instances. Its counting kernel tallies open h-motifs in closed form
-//!   per centre and classifies only the triangles of the projected graph.
+//!   per centre, tallies the triangles of the projected graph by a 10-bit
+//!   key of their Venn regions, and classifies each key once.
 //!   [`exact::mochy_e_enumerate`] — Algorithm 3, instance enumeration, by
 //!   the pair walk; [`exact::mochy_e_per_edge`] — per-hyperedge
 //!   participation counts (used as prediction features in Section 4.4).
