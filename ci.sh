@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # CI entry point: formatting, lints (clippy plus the workspace's own
 # mochy-lint pass — determinism, panic-safety, and untrusted-input
-# invariants, writing LINT.json), build, tests (among them the
-# shard_invariance suite: scatter-gather MoCHy-E at every shard count must
-# merge bit-identically to the unsharded run), the .mochy snapshot
-# round-trip gate, the serve smoke (booted from a binary snapshot, with
+# invariants, writing LINT.json), rustdoc with warnings denied, build,
+# tests (among them the shard_invariance suite: scatter-gather MoCHy-E at
+# every shard count must merge bit-identically to the unsharded run), the
+# .mochy snapshot round-trip gate, the serve smoke (booted from a binary snapshot, with
 # a runtime snapshot upload), an explicit thread- and shard-invariance run
 # on a minimal pool, the tiny-scale run of the repository benchmark
 # (perfbench), the deterministic perf smoke behind BENCH.json, the perf-regression gate against the committed
@@ -90,6 +90,9 @@ check_fmt() {
 run_stage fmt check_fmt
 run_stage clippy cargo clippy --locked --workspace --all-targets -- \
   -D warnings -W clippy::dbg_macro -W clippy::todo
+# Neither clippy nor the tests resolve intra-doc links, so a deleted or
+# private item would otherwise leave a dangling link behind.
+run_stage doc env RUSTDOCFLAGS="-D warnings" cargo doc --locked --workspace --no-deps
 run_stage build cargo build "${CARGO_FLAGS[@]}"
 
 # Workspace static analysis (both lanes): the mochy-lint pass enforces the

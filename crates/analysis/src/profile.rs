@@ -9,7 +9,7 @@ use mochy_core::profile::{
 };
 use mochy_hypergraph::Hypergraph;
 use mochy_motif::NUM_MOTIFS;
-use mochy_nullmodel::{chung_lu_randomize, NullModel};
+use mochy_nullmodel::chung_lu_randomize;
 use mochy_projection::{project_parallel, ProjectedGraph};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -153,12 +153,6 @@ impl ProfileEstimator {
             relative_counts: relative,
         })
     }
-
-    /// The null model used by this estimator (always Chung-Lu, as in the
-    /// paper); exposed for documentation purposes.
-    pub fn null_model(&self) -> NullModel {
-        NullModel::ChungLu
-    }
 }
 
 #[cfg(test)]
@@ -282,6 +276,5 @@ mod tests {
         };
         let profile = estimator.estimate(&h);
         assert!(profile.real_counts.total() > 0.0);
-        assert_eq!(estimator.null_model(), NullModel::ChungLu);
     }
 }

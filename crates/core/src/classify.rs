@@ -12,12 +12,12 @@
 //! calls them. The counters classify many triples around one hyperedge or
 //! hyperwedge at once, from the same seven numbers, so every route gives the
 //! same motif for the same triple. Two of them tally open triples by their
-//! [`open_key`], whose motifs [`open_motifs`] classifies once:
+//! `open_key`, whose motifs `open_motifs` classifies once:
 //! - the exact counting kernel (`exact::CentreTally`) tallies every
 //!   neighbour pair of a centre `e_i` by open key, and each triangle of the
-//!   projected graph once, at its smallest member, by its [`closed_key`],
+//!   projected graph once, at its smallest member, by its `closed_key`,
 //!   with the triple intersection read as a popcount over bitmasks of
-//!   `e_i`'s nodes. [`closed_class`] decodes each key once per worker into
+//!   `e_i`'s nodes. `closed_class` decodes each key once per worker into
 //!   its closed motif and the open pairs the triangle gives back;
 //! - the hyperwedge sampling kernel (`sample::WedgeWalk`) counts, per
 //!   sampled hyperwedge `∧_ij`, how many nodes of `e_i ∩ e_j` each

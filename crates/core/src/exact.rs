@@ -15,8 +15,7 @@
 //!   per worker.
 //! - **Enumeration kernel** (`CentreWalk`). It visits every neighbour pair
 //!   of each centre and emits each instance. [`mochy_e_enumerate`] runs it,
-//!   and the per-edge, per-node, variance and pairwise statistics are built
-//!   on that.
+//!   and the per-edge and variance statistics are built on that.
 
 use std::ops::Range;
 

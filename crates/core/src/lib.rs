@@ -65,7 +65,6 @@ pub mod exact;
 pub mod general;
 pub mod onthefly;
 pub mod pairwise;
-pub mod pernode;
 pub mod profile;
 pub mod sample;
 pub mod shard;
@@ -80,7 +79,6 @@ pub use engine::{CountConfig, CountReport, Method, MotifEngine, ProjectionMode};
 pub use exact::{mochy_e, mochy_e_enumerate, mochy_e_parallel, mochy_e_per_edge};
 pub use general::{enumerate_connected_sets, mochy_e_general, GeneralCounts};
 pub use pairwise::{PairRelation, PairwiseCensus, PairwiseCollapse, PairwisePattern};
-pub use pernode::{mochy_e_per_node, node_participation_totals};
 pub use profile::{characteristic_profile, significance, SignificanceOptions};
 pub use sample::{mochy_a_parallel, mochy_a_plus_parallel};
 pub use shard::{count_sharded, merge_partials, ShardPartial};

@@ -4,8 +4,8 @@
 //! can be computed on demand and memoized within a budget. Memoization never
 //! changes results — only speed — because the exact neighbourhood is always
 //! used, whether freshly computed or read from the cache. Figure 11 of the
-//! paper (and the `fig11_memo` bench here) studies the speed effect of the
-//! budget and of the prioritization policy.
+//! paper (and `mochy-exp fig11` here) studies the speed effect of the budget
+//! and of the prioritization policy.
 
 use mochy_hypergraph::{EdgeId, Hypergraph};
 use mochy_motif::MotifCatalog;

@@ -12,16 +12,13 @@
 //! - [`pairwise_pattern_of`]: the pairwise pattern of an h-motif's canonical
 //!   region pattern.
 //! - [`PairwiseCensus`]: counts of pairwise patterns in a hypergraph,
-//!   obtained either directly or by collapsing exact h-motif counts, plus the
-//!   collapse map showing which h-motifs become indistinguishable.
+//!   obtained by collapsing h-motif counts, plus the collapse map showing
+//!   which h-motifs become indistinguishable.
 
-use mochy_hypergraph::Hypergraph;
-use mochy_motif::{MotifCatalog, MotifId, Pattern, NUM_MOTIFS};
-use mochy_projection::ProjectedGraph;
+use mochy_motif::{MotifCatalog, MotifId, Pattern};
 use rustc_hash::FxHashMap;
 
 use crate::count::MotifCounts;
-use crate::exact::mochy_e_enumerate;
 
 /// The relation between two distinct hyperedges as visible to a (directed)
 /// projected graph.
@@ -189,24 +186,6 @@ pub struct PairwiseCensus {
 }
 
 impl PairwiseCensus {
-    /// Counts pairwise patterns by enumerating every h-motif instance.
-    pub fn count(hypergraph: &Hypergraph, projected: &ProjectedGraph) -> Self {
-        let catalog = MotifCatalog::shared();
-        let motif_to_pattern: Vec<PairwisePattern> = (1..=NUM_MOTIFS as MotifId)
-            .map(|id| pairwise_pattern_of_motif(catalog, id))
-            .collect();
-        // mochy-lint: allow(no-hashmap-iter-order) reason="accumulator drained into a Vec that is sorted by pattern before it becomes the census"
-        let mut counts: FxHashMap<PairwisePattern, u64> = FxHashMap::default();
-        mochy_e_enumerate(hypergraph, projected, |_, _, _, motif| {
-            *counts
-                .entry(motif_to_pattern[(motif - 1) as usize])
-                .or_insert(0) += 1;
-        });
-        let mut counts: Vec<(PairwisePattern, u64)> = counts.into_iter().collect();
-        counts.sort_by_key(|&(p, _)| p);
-        Self { counts }
-    }
-
     /// Derives the census by collapsing already-computed h-motif counts
     /// (exact or estimated).
     pub fn from_motif_counts(counts: &MotifCounts) -> Self {
@@ -245,6 +224,7 @@ mod tests {
     use super::*;
     use crate::exact::mochy_e;
     use mochy_hypergraph::{HypergraphBuilder, NodeId};
+    use mochy_motif::NUM_MOTIFS;
     use mochy_projection::project;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -318,12 +298,9 @@ mod tests {
         let h = builder.dedup_hyperedges(true).build().unwrap();
         let projected = project(&h);
         let exact = mochy_e(&h, &projected);
-        let census = PairwiseCensus::count(&h, &projected);
+        let census = PairwiseCensus::from_motif_counts(&exact);
         assert_eq!(census.total() as f64, exact.total());
         assert!(census.support() <= 8);
-        // Collapsing the exact counts gives the same census.
-        let collapsed = PairwiseCensus::from_motif_counts(&exact);
-        assert_eq!(census.counts, collapsed.counts);
     }
 
     #[test]

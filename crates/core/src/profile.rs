@@ -54,15 +54,6 @@ pub fn characteristic_profile(significances: &[f64; NUM_MOTIFS]) -> [f64; NUM_MO
     cp
 }
 
-/// Convenience: significance followed by normalization.
-pub fn characteristic_profile_from_counts(
-    real: &MotifCounts,
-    randomized_mean: &MotifCounts,
-    options: SignificanceOptions,
-) -> [f64; NUM_MOTIFS] {
-    characteristic_profile(&significance(real, randomized_mean, options))
-}
-
 /// The *relative count* used in Table 3 of the paper:
 /// `(M[t] − M_rand[t]) / (M[t] + M_rand[t])`, with 0 when both counts are 0.
 pub fn relative_counts(real: &MotifCounts, randomized_mean: &MotifCounts) -> [f64; NUM_MOTIFS] {
@@ -145,7 +136,11 @@ mod tests {
     fn characteristic_profile_has_unit_norm() {
         let real = counts(&[(1, 100.0), (2, 50.0), (22, 1000.0)]);
         let random = counts(&[(1, 10.0), (2, 500.0), (22, 900.0)]);
-        let cp = characteristic_profile_from_counts(&real, &random, SignificanceOptions::default());
+        let cp = characteristic_profile(&significance(
+            &real,
+            &random,
+            SignificanceOptions::default(),
+        ));
         let norm: f64 = cp.iter().map(|x| x * x).sum::<f64>().sqrt();
         assert!((norm - 1.0).abs() < 1e-12);
         assert!(cp.iter().all(|x| (-1.0..=1.0).contains(x)));

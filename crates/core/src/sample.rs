@@ -13,7 +13,7 @@
 //! ([`crate::onthefly`]) — counts the instances containing each sampled
 //! hyperwedge `∧_ij` through one kernel, `WedgeWalk`. A neighbour of only
 //! one of `e_i`, `e_j` forms an open triple centred at the other, whose
-//! motif three bits fix (its open key, [`crate::classify::open_key`]), so
+//! motif three bits fix (its open key, `classify::open_key`), so
 //! the kernel tallies those by key. Only the common neighbours of `e_i` and
 //! `e_j` are classified one by one, each with its `|e_i ∩ e_j ∩ e_k|` read
 //! from a per-hyperwedge counter of shared nodes.
@@ -65,7 +65,7 @@ fn mochy_a_impl<R: Rng + ?Sized>(
 
 /// Parallel MoCHy-A: sample indices are claimed in blocks from an atomic
 /// work queue by `num_threads` workers, and each sample draws from its own
-/// RNG stream derived from `(seed, index)` — see [`sample_rng`] — so the
+/// RNG stream derived from `(seed, index)` — see `sample_rng` — so the
 /// estimate is identical for every thread count (including 1).
 pub fn mochy_a_parallel(
     hypergraph: &Hypergraph,

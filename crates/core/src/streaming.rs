@@ -17,8 +17,8 @@
 //!
 //! All contributions are integer-valued `f64` increments, so after any
 //! sequence of insertions and deletions the counts are **bit-identical** to
-//! a from-scratch [`mochy_e`](crate::exact::mochy_e) run on the surviving
-//! hyperedges — the property the streaming equivalence tests pin down.
+//! a from-scratch [`mochy_e`] run on the surviving hyperedges — the property
+//! the streaming equivalence tests pin down.
 //!
 //! ```
 //! use mochy_core::streaming::{StreamConfig, StreamingEngine};

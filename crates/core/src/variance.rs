@@ -39,7 +39,6 @@ pub fn instance_overlap_stats(
     hypergraph: &Hypergraph,
     projected: &ProjectedGraph,
 ) -> InstanceOverlapStats {
-    let catalog = MotifCatalog::shared();
     let mut per_motif: Vec<Vec<[EdgeId; 3]>> = vec![Vec::new(); NUM_MOTIFS];
     mochy_e_enumerate(hypergraph, projected, |i, j, k, motif| {
         let mut triple = [i, j, k];
@@ -57,13 +56,12 @@ pub fn instance_overlap_stats(
 
     for (t, instances) in per_motif.iter().enumerate() {
         stats.counts[t] = instances.len() as u64;
-        let is_open = catalog.is_open((t + 1) as MotifId);
         for (a, lhs) in instances.iter().enumerate() {
             for rhs in instances.iter().skip(a + 1) {
                 let shared_edges = shared_count(lhs, rhs);
                 // Ordered pairs: each unordered pair contributes twice.
                 stats.edge_share_pairs[t][shared_edges] += 2;
-                let shared_wedges = shared_hyperwedges(projected, lhs, rhs, is_open);
+                let shared_wedges = shared_hyperwedges(projected, lhs, rhs);
                 stats.wedge_share_pairs[t][shared_wedges] += 2;
             }
         }
@@ -81,12 +79,7 @@ fn shared_count(a: &[EdgeId; 3], b: &[EdgeId; 3]) -> usize {
 /// hyperedges that are adjacent *and* belong to both instances as wedges.
 /// For instances of the same motif two distinct instances can share at most
 /// one hyperwedge.
-fn shared_hyperwedges(
-    projected: &ProjectedGraph,
-    a: &[EdgeId; 3],
-    b: &[EdgeId; 3],
-    _is_open: bool,
-) -> usize {
+fn shared_hyperwedges(projected: &ProjectedGraph, a: &[EdgeId; 3], b: &[EdgeId; 3]) -> usize {
     let shared: Vec<EdgeId> = a.iter().copied().filter(|e| b.contains(e)).collect();
     if shared.len() < 2 {
         return 0;

@@ -17,7 +17,7 @@
 //! turns into a non-zero exit — the CI stage gates on it.
 
 use std::io::{BufRead, BufReader, Read};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::{Child, Command, Stdio};
 use std::time::Duration;
 
@@ -428,9 +428,4 @@ fn truncate(text: &str) -> String {
 pub fn write_report(document: &JsonValue, path: &Path) -> Result<(), String> {
     let rendered = document.render();
     std::fs::write(path, rendered + "\n").map_err(|error| format!("writing {path:?}: {error}"))
-}
-
-/// The default report path used by `ci.sh`.
-pub fn default_report_path() -> PathBuf {
-    PathBuf::from("target/DIST.json")
 }

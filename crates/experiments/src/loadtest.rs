@@ -1,11 +1,11 @@
 //! `mochy-exp loadtest` — a deterministic closed-loop load harness for
 //! `mochy-serve`, and the table of the CI throughput gate behind `--check`.
 //!
-//! Boots an in-process [`Server`](mochy_serve::server::Server) on an
-//! ephemeral port (tiny fixed datasets, fixed seeds) and drives it with
-//! closed-loop concurrent clients — every client waits for its response
-//! before sending the next request, so offered load adapts to the server
-//! rather than overrunning it. Three scenarios run per invocation:
+//! Boots an in-process [`Server`] on an ephemeral port (tiny fixed datasets,
+//! fixed seeds) and drives it with closed-loop concurrent clients — every
+//! client waits for its response before sending the next request, so
+//! offered load adapts to the server rather than overrunning it. Three
+//! scenarios run per invocation:
 //!
 //! - **`cache-hit-keepalive`** — each client repeats one cacheable
 //!   `/v1/count` query on a single persistent connection. After the first

@@ -38,35 +38,6 @@ impl BipartiteGraph {
         }
     }
 
-    /// Builds a bipartite graph directly from explicit incidence pairs.
-    /// Used by the Chung-Lu null model, which samples pairs.
-    pub fn from_incidences(
-        num_left: usize,
-        num_right: usize,
-        incidences: &[(NodeId, EdgeId)],
-    ) -> Self {
-        let mut left_adjacency = vec![Vec::new(); num_left];
-        let mut right_adjacency = vec![Vec::new(); num_right];
-        for &(v, e) in incidences {
-            left_adjacency[v as usize].push(e);
-            right_adjacency[e as usize].push(v);
-        }
-        for list in &mut left_adjacency {
-            list.sort_unstable();
-            list.dedup();
-        }
-        for list in &mut right_adjacency {
-            list.sort_unstable();
-            list.dedup();
-        }
-        let num_incidences = right_adjacency.iter().map(Vec::len).sum();
-        Self {
-            left_adjacency,
-            right_adjacency,
-            num_incidences,
-        }
-    }
-
     /// Number of left vertices (hypergraph nodes).
     pub fn num_left(&self) -> usize {
         self.left_adjacency.len()
@@ -102,25 +73,11 @@ impl BipartiteGraph {
         self.right_adjacency[e as usize].len()
     }
 
-    /// Left-vertex degree sequence.
-    pub fn left_degrees(&self) -> Vec<usize> {
-        self.left_adjacency.iter().map(Vec::len).collect()
-    }
-
-    /// Right-vertex degree sequence.
-    pub fn right_degrees(&self) -> Vec<usize> {
-        self.right_adjacency.iter().map(Vec::len).collect()
-    }
-
-    /// Converts the bipartite graph back into a hypergraph, dropping right
-    /// vertices that ended up with no members (these can be produced by the
-    /// Chung-Lu model).
+    /// Converts the bipartite graph back into a hypergraph.
     pub fn to_hypergraph(&self) -> Option<Hypergraph> {
         let mut builder = crate::builder::HypergraphBuilder::with_capacity(self.num_right());
         for members in &self.right_adjacency {
-            if !members.is_empty() {
-                builder.add_edge(members.iter().copied());
-            }
+            builder.add_edge(members.iter().copied());
         }
         builder.build().ok()
     }
@@ -175,8 +132,6 @@ mod tests {
         assert_eq!(b.nodes_of_edge(0), &[0, 1, 2]);
         assert_eq!(b.left_degree(3), 2);
         assert_eq!(b.right_degree(1), 2);
-        assert_eq!(b.left_degrees(), vec![2, 1, 2, 2]);
-        assert_eq!(b.right_degrees(), vec![3, 2, 2]);
     }
 
     #[test]
@@ -200,20 +155,6 @@ mod tests {
         for e in h.edge_ids() {
             assert_eq!(restored.edge(e), h.edge(e));
         }
-    }
-
-    #[test]
-    fn from_incidences_dedups() {
-        let b = BipartiteGraph::from_incidences(2, 1, &[(0, 0), (0, 0), (1, 0)]);
-        assert_eq!(b.num_incidences(), 2);
-        assert_eq!(b.nodes_of_edge(0), &[0, 1]);
-    }
-
-    #[test]
-    fn empty_edges_dropped_on_conversion() {
-        let b = BipartiteGraph::from_incidences(2, 3, &[(0, 0), (1, 0), (0, 2)]);
-        let h = b.to_hypergraph().unwrap();
-        assert_eq!(h.num_edges(), 2);
     }
 
     #[test]

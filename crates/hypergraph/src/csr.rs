@@ -45,12 +45,6 @@ impl<T> Csr<T> {
         self.offsets.push(self.values.len());
     }
 
-    /// Appends one row from an iterator.
-    pub fn push_row_from_iter(&mut self, row: impl IntoIterator<Item = T>) {
-        self.values.extend(row);
-        self.offsets.push(self.values.len());
-    }
-
     /// Builds a CSR from explicit parts. `offsets` must start at 0, be
     /// non-decreasing, and end at `values.len()`.
     pub fn from_parts(offsets: Vec<usize>, values: Vec<T>) -> Self {
@@ -58,19 +52,6 @@ impl<T> Csr<T> {
         debug_assert_eq!(*offsets.last().unwrap(), values.len());
         debug_assert!(offsets.windows(2).all(|w| w[0] <= w[1]));
         Self { offsets, values }
-    }
-
-    /// Builds a CSR by concatenating per-row vectors.
-    pub fn from_rows<I>(rows: I) -> Self
-    where
-        I: IntoIterator,
-        I::Item: IntoIterator<Item = T>,
-    {
-        let mut csr = Self::new();
-        for row in rows {
-            csr.push_row_from_iter(row);
-        }
-        csr
     }
 
     /// Number of rows.
@@ -127,7 +108,7 @@ mod tests {
         let mut csr: Csr<u32> = Csr::with_capacity(3, 6);
         csr.push_row(&[1, 2, 3]);
         csr.push_row(&[]);
-        csr.push_row_from_iter([7, 9]);
+        csr.push_row(&[7, 9]);
         assert_eq!(csr.num_rows(), 3);
         assert_eq!(csr.num_entries(), 5);
         assert_eq!(csr.row(0), &[1, 2, 3]);
@@ -135,14 +116,8 @@ mod tests {
         assert_eq!(csr.row(2), &[7, 9]);
         assert_eq!(csr.row_len(2), 2);
         assert_eq!(csr.offsets(), &[0, 3, 3, 5]);
-    }
-
-    #[test]
-    fn from_rows_round_trips() {
-        let rows = vec![vec![4u32, 5], vec![6], vec![]];
-        let csr = Csr::from_rows(rows.clone());
-        let back: Vec<Vec<u32>> = csr.rows().map(<[u32]>::to_vec).collect();
-        assert_eq!(back, rows);
+        let rows: Vec<&[u32]> = csr.rows().collect();
+        assert_eq!(rows, [&[1, 2, 3][..], &[], &[7, 9]]);
     }
 
     #[test]

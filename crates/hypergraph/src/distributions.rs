@@ -2,11 +2,9 @@
 //!
 //! The null model of the paper (Section 2.3, Appendix D) is designed to
 //! preserve exactly these two distributions; this module provides the
-//! machinery for checking how well they are preserved: histograms, CCDFs,
-//! summary moments, a discrete power-law exponent fit (maximum likelihood,
-//! Clauset-style with fixed `x_min`), the Gini coefficient, and distances
-//! between two empirical distributions (total variation and
-//! Kolmogorov–Smirnov).
+//! machinery for checking how well they are preserved: summary moments,
+//! quantiles, the Gini coefficient, and the Kolmogorov–Smirnov distance
+//! between two empirical distributions.
 
 use crate::graph::Hypergraph;
 
@@ -93,42 +91,6 @@ impl EmpiricalDistribution {
         self.values[rank.saturating_sub(1).min(self.values.len() - 1)]
     }
 
-    /// Histogram as `(value, count)` pairs in increasing value order.
-    pub fn histogram(&self) -> Vec<(usize, usize)> {
-        let mut out: Vec<(usize, usize)> = Vec::new();
-        for &v in &self.values {
-            match out.last_mut() {
-                Some((value, count)) if *value == v => *count += 1,
-                _ => out.push((v, 1)),
-            }
-        }
-        out
-    }
-
-    /// Complementary cumulative distribution: `(value, P[X ≥ value])` for
-    /// every distinct value, in increasing value order.
-    pub fn ccdf(&self) -> Vec<(usize, f64)> {
-        let n = self.values.len() as f64;
-        let histogram = self.histogram();
-        let mut remaining = self.values.len();
-        let mut out = Vec::with_capacity(histogram.len());
-        for (value, count) in histogram {
-            out.push((value, remaining as f64 / n));
-            remaining -= count;
-        }
-        out
-    }
-
-    /// Probability mass `P[X = value]`.
-    pub fn pmf(&self, value: usize) -> f64 {
-        if self.values.is_empty() {
-            return 0.0;
-        }
-        let lo = self.values.partition_point(|&v| v < value);
-        let hi = self.values.partition_point(|&v| v <= value);
-        (hi - lo) as f64 / self.values.len() as f64
-    }
-
     /// Gini coefficient of the observations — 0 for perfectly equal values,
     /// approaching 1 for extreme concentration. Heavy-tailed degree
     /// distributions (power laws, Section 1 of the paper) have high Gini.
@@ -149,34 +111,6 @@ impl EmpiricalDistribution {
             .map(|(i, &v)| (i as f64 + 1.0) * v as f64)
             .sum();
         (2.0 * weighted) / (n as f64 * total) - (n as f64 + 1.0) / n as f64
-    }
-
-    /// Maximum-likelihood estimate of the exponent `α` of a discrete power
-    /// law `P[X = x] ∝ x^{−α}` fitted to the observations ≥ `x_min`, using
-    /// the standard continuous approximation
-    /// `α ≈ 1 + n / Σ ln(x_i / (x_min − 0.5))`.
-    ///
-    /// Returns `None` if fewer than two observations are ≥ `x_min` or if
-    /// `x_min` is 0.
-    pub fn power_law_alpha(&self, x_min: usize) -> Option<f64> {
-        if x_min == 0 {
-            return None;
-        }
-        let tail: Vec<usize> = self
-            .values
-            .iter()
-            .copied()
-            .filter(|&v| v >= x_min)
-            .collect();
-        if tail.len() < 2 {
-            return None;
-        }
-        let shift = x_min as f64 - 0.5;
-        let log_sum: f64 = tail.iter().map(|&v| (v as f64 / shift).ln()).sum();
-        if log_sum <= 0.0 {
-            return None;
-        }
-        Some(1.0 + tail.len() as f64 / log_sum)
     }
 
     /// Kolmogorov–Smirnov distance between two empirical distributions:
@@ -205,16 +139,6 @@ impl EmpiricalDistribution {
         }
         worst
     }
-
-    /// Total-variation distance between the two empirical PMFs.
-    pub fn total_variation(&self, other: &EmpiricalDistribution) -> f64 {
-        let max_value = self.max().max(other.max());
-        let mut sum = 0.0;
-        for value in 0..=max_value {
-            sum += (self.pmf(value) - other.pmf(value)).abs();
-        }
-        sum / 2.0
-    }
 }
 
 #[cfg(test)]
@@ -240,28 +164,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_and_ccdf_are_consistent() {
-        let d = sample();
-        let hist = d.histogram();
-        assert_eq!(hist, vec![(1, 1), (2, 2), (3, 3), (10, 1)]);
-        let ccdf = d.ccdf();
-        assert_eq!(ccdf.len(), 4);
-        assert!((ccdf[0].1 - 1.0).abs() < 1e-12);
-        assert!((ccdf[3].1 - 1.0 / 7.0).abs() < 1e-12);
-        // CCDF is non-increasing.
-        assert!(ccdf.windows(2).all(|w| w[0].1 >= w[1].1));
-    }
-
-    #[test]
-    fn pmf_sums_to_one() {
-        let d = sample();
-        let total: f64 = (0..=d.max()).map(|v| d.pmf(v)).sum();
-        assert!((total - 1.0).abs() < 1e-12);
-        assert!((d.pmf(3) - 3.0 / 7.0).abs() < 1e-12);
-        assert_eq!(d.pmf(4), 0.0);
-    }
-
-    #[test]
     fn gini_of_equal_values_is_zero() {
         let equal = EmpiricalDistribution::new(vec![5; 100]);
         assert!(equal.gini().abs() < 1e-9);
@@ -270,38 +172,6 @@ mod tests {
         skewed.push(1000);
         let skewed = EmpiricalDistribution::new(skewed);
         assert!(skewed.gini() > 0.8);
-    }
-
-    #[test]
-    fn power_law_alpha_recovers_exponent_roughly() {
-        // Draw from a discrete power law with alpha = 2.5 via inverse CDF on
-        // a fixed pseudo-random sequence (deterministic, no rand dependency).
-        let alpha = 2.5f64;
-        let mut values = Vec::new();
-        let mut state = 0x12345678u64;
-        for _ in 0..20_000 {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let u = ((state >> 11) as f64) / ((1u64 << 53) as f64);
-            let x = (1.0 - u).powf(-1.0 / (alpha - 1.0));
-            values.push(x.floor() as usize);
-        }
-        let d = EmpiricalDistribution::new(values);
-        // Fit on the tail (x_min = 5) where the discretization of the
-        // continuous Pareto draw is negligible.
-        let estimate = d.power_law_alpha(5).unwrap();
-        assert!(
-            (estimate - alpha).abs() < 0.35,
-            "estimated alpha {estimate} too far from {alpha}"
-        );
-    }
-
-    #[test]
-    fn power_law_alpha_edge_cases() {
-        let d = EmpiricalDistribution::new(vec![1, 1, 1]);
-        assert!(d.power_law_alpha(0).is_none());
-        assert!(d.power_law_alpha(100).is_none());
     }
 
     #[test]
@@ -314,14 +184,6 @@ mod tests {
         let empty = EmpiricalDistribution::new(vec![]);
         assert_eq!(empty.ks_distance(&empty), 0.0);
         assert_eq!(a.ks_distance(&empty), 1.0);
-    }
-
-    #[test]
-    fn total_variation_properties() {
-        let a = sample();
-        assert!(a.total_variation(&a).abs() < 1e-12);
-        let b = EmpiricalDistribution::new(vec![7, 7, 7, 7, 7, 7, 7]);
-        assert!((a.total_variation(&b) - 1.0).abs() < 1e-12);
     }
 
     #[test]

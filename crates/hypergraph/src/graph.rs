@@ -221,7 +221,7 @@ const GALLOP_RATIO: usize = 8;
 /// Size of the intersection of two ascending-sorted slices.
 ///
 /// Degree-ordered hybrid: balanced inputs use a linear merge; skewed inputs
-/// (one side ≥ [`GALLOP_RATIO`]× longer) gallop the short slice through the
+/// (one side ≥ `GALLOP_RATIO`× longer) gallop the short slice through the
 /// long one with an advancing binary search.
 pub fn sorted_intersection_size(a: &[NodeId], b: &[NodeId]) -> usize {
     let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };

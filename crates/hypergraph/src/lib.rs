@@ -28,7 +28,6 @@
 
 pub mod bipartite;
 pub mod builder;
-pub mod components;
 pub mod csr;
 pub mod distributions;
 pub mod dynamic;
@@ -38,11 +37,9 @@ pub mod io;
 pub mod parallel;
 pub mod snapshot;
 pub mod stats;
-pub mod transform;
 
 pub use bipartite::BipartiteGraph;
 pub use builder::HypergraphBuilder;
-pub use components::{edge_components, node_components, Components, DistanceStats};
 pub use csr::Csr;
 pub use distributions::EmpiricalDistribution;
 pub use dynamic::DynamicHypergraph;
@@ -54,4 +51,3 @@ pub use snapshot::{
     write_snapshot, write_snapshot_file, SnapshotError,
 };
 pub use stats::HypergraphStats;
-pub use transform::{clique_expansion, dual, WeightedGraph};

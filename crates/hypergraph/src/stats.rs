@@ -77,19 +77,6 @@ impl HypergraphStats {
             degree_histogram,
         }
     }
-
-    /// Renders a one-line, Table 2 style summary.
-    pub fn table_row(&self, name: &str) -> String {
-        format!(
-            "{name}\t|V|={}\t|E|={}\tmax|e|={}\tmean|e|={:.2}\tmax deg={}\tmean deg={:.2}",
-            self.num_nodes,
-            self.num_edges,
-            self.max_edge_size,
-            self.mean_edge_size,
-            self.max_node_degree,
-            self.mean_node_degree,
-        )
-    }
 }
 
 /// Total variation distance between two discrete distributions given as
@@ -160,15 +147,6 @@ mod tests {
         let stats = HypergraphStats::compute(&h);
         assert_eq!(stats.num_nodes, 2);
         assert_eq!(stats.num_node_ids, 10);
-    }
-
-    #[test]
-    fn table_row_contains_key_figures() {
-        let stats = HypergraphStats::compute(&sample());
-        let row = stats.table_row("toy");
-        assert!(row.contains("toy"));
-        assert!(row.contains("|V|=8"));
-        assert!(row.contains("|E|=4"));
     }
 
     #[test]

@@ -146,25 +146,13 @@ fn permute_all<F: FnMut(&[usize])>(items: &mut [usize], start: usize, visit: &mu
     }
 }
 
-/// Counts the generalized h-motifs over `k` hyperedges by explicit
-/// enumeration of all `2^(2^k − 1)` emptiness patterns.
-///
-/// Supported values are `k ∈ {2, 3, 4}` (for `k = 5` the raw pattern space
-/// has 2³¹ elements, which the paper also does not enumerate directly).
-///
-/// Expected results: 2 motifs for `k = 2` (overlap with/without containment
-/// is not distinguished; the two patterns are "proper overlap" and
-/// "containment"), 26 for `k = 3`, 1 853 for `k = 4`.
-pub fn count_generalized_motifs(k: u32) -> usize {
-    GeneralizedCatalog::new(k).len()
-}
-
 /// The catalog of generalized h-motifs over `k` hyperedges: every valid
 /// canonical emptiness pattern, assigned a dense identifier `0..len()` in
 /// increasing order of its canonical bitset.
 ///
-/// For `k = 3` this contains 26 motifs (the classic catalog), for `k = 4`
-/// it contains 1 853, matching Section 2.2 of the paper. Construction
+/// For `k = 2` this contains 2 motifs ("proper overlap" and
+/// "containment"), for `k = 3` 26 (the classic catalog), and for `k = 4`
+/// 1 853, matching Section 2.2 of the paper. Construction
 /// enumerates all `2^(2^k − 1)` raw patterns, so it is supported for
 /// `k ∈ {2, 3, 4}` only (the same limit the paper's appendix works within
 /// when it reports exact motif counts).
@@ -272,12 +260,12 @@ mod tests {
 
     #[test]
     fn k3_matches_the_dedicated_catalog() {
-        assert_eq!(count_generalized_motifs(3), 26);
+        assert_eq!(GeneralizedCatalog::new(3).len(), 26);
     }
 
     #[test]
     fn k4_matches_the_paper() {
-        assert_eq!(count_generalized_motifs(4), 1853);
+        assert_eq!(GeneralizedCatalog::new(4).len(), 1853);
     }
 
     #[test]
@@ -285,7 +273,7 @@ mod tests {
         // Two adjacent, distinct hyperedges can only relate in two ways:
         // strict containment (one edge has no private nodes) or proper
         // overlap (both have private nodes).
-        assert_eq!(count_generalized_motifs(2), 2);
+        assert_eq!(GeneralizedCatalog::new(2).len(), 2);
     }
 
     #[test]
@@ -388,6 +376,6 @@ mod tests {
         for p in Pattern::all_raw().filter(|p| p.is_valid()) {
             from_pattern.insert(p.canonical().bits());
         }
-        assert_eq!(from_pattern.len(), count_generalized_motifs(3));
+        assert_eq!(from_pattern.len(), GeneralizedCatalog::new(3).len());
     }
 }

@@ -45,5 +45,5 @@ pub mod pattern;
 
 pub use cardinalities::RegionCardinalities;
 pub use catalog::{HMotif, MotifCatalog, MotifClass, MotifId, NUM_MOTIFS};
-pub use generalized::{count_generalized_motifs, GeneralPattern, GeneralizedCatalog};
+pub use generalized::{GeneralPattern, GeneralizedCatalog};
 pub use pattern::Pattern;

@@ -90,11 +90,6 @@ impl<'a> LazyProjection<'a> {
         }
     }
 
-    /// The underlying hypergraph.
-    pub fn hypergraph(&self) -> &Hypergraph {
-        self.hypergraph
-    }
-
     /// Cache statistics so far.
     pub fn stats(&self) -> MemoStats {
         self.stats
@@ -120,11 +115,6 @@ impl<'a> LazyProjection<'a> {
         let neighbors = compute_neighborhood(self.hypergraph, e);
         self.try_admit(e, &neighbors);
         neighbors
-    }
-
-    /// Degree of `e` in the projected graph (length of its neighbourhood).
-    pub fn degree(&mut self, e: EdgeId) -> usize {
-        self.neighborhood(e).len()
     }
 
     fn try_admit(&mut self, e: EdgeId, neighbors: &[WeightedNeighbor]) {
@@ -298,15 +288,6 @@ mod tests {
         lazy.neighborhood(0);
         assert_eq!(lazy.stats().misses, misses_before + 1);
         assert!(lazy.stats().evictions > 0);
-    }
-
-    #[test]
-    fn degree_helper_matches_neighborhood_length() {
-        let h = sample();
-        let mut lazy = LazyProjection::new(&h, 100, MemoPolicy::Lru);
-        for e in h.edge_ids() {
-            assert_eq!(lazy.degree(e), lazy.neighborhood(e).len());
-        }
     }
 
     #[test]

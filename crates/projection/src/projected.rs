@@ -95,18 +95,6 @@ impl ProjectedGraph {
                     .map(move |&(j, w)| (i as EdgeId, j, w))
             })
     }
-
-    /// Total work term `Σ_{e_i} |e_i| · |N_{e_i}|²` appearing in the time
-    /// complexity of MoCHy (Theorems 1, 3, 5). Useful for experiment sizing.
-    pub fn mochy_work_estimate(&self, hypergraph: &Hypergraph) -> u128 {
-        self.adjacency
-            .rows()
-            .enumerate()
-            .map(|(i, neighbors)| {
-                hypergraph.edge_size(i as EdgeId) as u128 * (neighbors.len() as u128).pow(2)
-            })
-            .sum()
-    }
 }
 
 /// Reusable dense accumulator for building hyperedge neighbourhoods.
@@ -406,14 +394,6 @@ mod tests {
         assert_eq!(proj.num_hyperwedges(), 0);
         assert_eq!(proj.degree(0), 0);
         assert_eq!(proj.degree(1), 0);
-    }
-
-    #[test]
-    fn work_estimate_counts_triples() {
-        let h = figure2();
-        let proj = project(&h);
-        // Σ |e_i| · |N_i|²  = 3·9 + 3·4 + 3·4 + 3·1 = 27 + 12 + 12 + 3 = 54.
-        assert_eq!(proj.mochy_work_estimate(&h), 54);
     }
 
     #[test]

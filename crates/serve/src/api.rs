@@ -1,12 +1,10 @@
 //! The JSON API of `mochy-serve`: versioned routing, request parsing, query
 //! execution, response rendering, and the byte-identical LRU result cache.
 //!
-//! Routes are versioned under `/v1` (the only version). The historical
-//! unversioned paths remain as **deprecated aliases**: they answer exactly
-//! like their `/v1` spelling plus a `deprecation: true` response header, so
-//! existing clients keep working while new ones can detect the old spelling.
-//! A request under an unknown version prefix (`/v2/...`) is a structured
-//! 404 (`kind: "unknown-version"`), distinct from a plain unknown path.
+//! Routes are versioned under `/v1` (the only version). A request under an
+//! unknown version prefix (`/v2/...`) is a structured 404
+//! (`kind: "unknown-version"`), distinct from the plain 404
+//! (`kind: "not-found"`) of an unversioned or unknown path.
 //!
 //! | Route | Body | Answer |
 //! |---|---|---|
@@ -17,14 +15,11 @@
 //! | `POST /v1/profile` | `{"dataset", "randomizations", …}` | characteristic profile (Eqs. 1–2) |
 //! | `POST /v1/mutate` | `{"dataset", "insert", "remove"}` | applies churn, publishes a new snapshot |
 //! | `POST /v1/admin/shutdown` | — | acknowledges, then stops the accept loop |
-//! | `POST /v1/internal/count-shard` | `{"dataset", "snapshot", "shards", "shard", "threads"}` | one [`ShardPartial`], worker role only (`/v1`-only, no alias) |
-//!
-//! (`POST /shutdown` aliases `/v1/admin/shutdown`; the other aliases drop
-//! the `/v1` prefix.)
+//! | `POST /v1/internal/count-shard` | `{"dataset", "snapshot", "shards", "shard", "threads"}` | one [`ShardPartial`], worker role only |
 //!
 //! **Errors.** Every error response carries one uniform envelope,
 //! `{"error": {"code", "kind", "message", "detail"?}}`, built through a
-//! single typed [`ApiError`] constructor — including transport-level errors
+//! single typed `ApiError` constructor — including transport-level errors
 //! (the accept loop's 503, the request reader's 400/408/413) via
 //! [`error_body`]. Fan-out partial failures list per-worker outcomes under
 //! `detail`.
@@ -189,9 +184,6 @@ pub struct ApiResponse {
     pub cache_state: Option<CacheState>,
     /// Whether the server should stop accepting after this response.
     pub shutdown: bool,
-    /// Whether the request used a deprecated unversioned path alias (the
-    /// transport answers with a `deprecation: true` header).
-    pub deprecated: bool,
 }
 
 impl ApiResponse {
@@ -201,7 +193,6 @@ impl ApiResponse {
             body: body.into(),
             cache_state: None,
             shutdown: false,
-            deprecated: false,
         }
     }
 }
@@ -250,7 +241,6 @@ impl ApiError {
             body: render_error(self.status, self.kind, &self.message, self.detail).into(),
             cache_state: None,
             shutdown: false,
-            deprecated: false,
         }
     }
 }
@@ -323,28 +313,16 @@ pub struct ApiContext {
     pub role: Role,
 }
 
-/// Where a request path landed after version resolution.
-enum Resolved {
-    /// A `/v1/...` path, stripped to the canonical route.
-    Canonical(String),
-    /// An unversioned legacy path, mapped to its canonical route; the
-    /// response carries `deprecation: true`.
-    Legacy(String),
-    /// A `/v{N}/...` prefix for an unsupported version `N`.
-    UnknownVersion(String),
-}
-
-/// Resolves the versioned route space: `/v1/...` is canonical, a known
-/// version prefix other than 1 is rejected as such, and everything else is
-/// treated as a legacy alias of the same path (`/shutdown` specifically
-/// aliases the canonical `/admin/shutdown`).
-fn resolve_path(path: &str) -> Resolved {
+/// Resolves the versioned route space: a `/v1/...` path is stripped to its
+/// route, a version prefix other than 1 (`/v2/...`) is rejected as such, and
+/// every other path is a plain unknown route.
+fn resolve_path(path: &str) -> Result<&str, ApiError> {
     if let Some(rest) = path.strip_prefix("/v1") {
         if rest.is_empty() {
-            return Resolved::Canonical("/".to_string());
+            return Ok("/");
         }
         if rest.starts_with('/') {
-            return Resolved::Canonical(rest.to_string());
+            return Ok(rest);
         }
     }
     if let Some(rest) = path.strip_prefix("/v") {
@@ -352,43 +330,22 @@ fn resolve_path(path: &str) -> Resolved {
         let after = rest.get(digits..).unwrap_or("");
         if digits > 0 && (after.is_empty() || after.starts_with('/')) {
             let version = rest.get(..digits).unwrap_or("");
-            return Resolved::UnknownVersion(format!("/v{version}"));
+            return Err(ApiError::new(
+                404,
+                "unknown-version",
+                format!("unknown API version `/v{version}` (supported: /v1)"),
+            ));
         }
     }
-    let canonical = match path {
-        "/shutdown" => "/admin/shutdown",
-        other => other,
-    };
-    Resolved::Legacy(canonical.to_string())
+    Err(ApiError::not_found(format!(
+        "no route for `{path}` (the API is /v1-only)"
+    )))
 }
 
 /// Routes a parsed request to its handler.
 pub fn handle(ctx: &ApiContext, request: &Request) -> ApiResponse {
-    let (canonical, deprecated) = match resolve_path(&request.path) {
-        Resolved::Canonical(path) => (path, false),
-        Resolved::Legacy(path) => (path, true),
-        Resolved::UnknownVersion(prefix) => {
-            return ApiError::new(
-                404,
-                "unknown-version",
-                format!(
-                    "unknown API version `{prefix}` (supported: /v1; unversioned paths are \
-                     deprecated aliases of /v1)"
-                ),
-            )
-            .into_response()
-        }
-    };
-    // Internal routes exist only under /v1 — they are new with the
-    // versioned API and deliberately get no legacy alias.
-    let internal_only = canonical.starts_with("/internal/");
-    let result = if internal_only && deprecated {
-        Err(ApiError::not_found(format!(
-            "no route for `{}` (internal routes are /v1-only)",
-            request.path
-        )))
-    } else {
-        match (request.method.as_str(), canonical.as_str()) {
+    let result =
+        resolve_path(&request.path).and_then(|route| match (request.method.as_str(), route) {
             ("GET", "/healthz") => Ok(healthz(ctx)),
             ("GET", "/datasets") => Ok(datasets(ctx)),
             ("POST", "/datasets") => ingest(ctx, &request.body),
@@ -424,11 +381,8 @@ pub fn handle(ctx: &ApiContext, request: &Request) -> ApiResponse {
                 "no route for `{}`",
                 request.path
             ))),
-        }
-    };
-    let mut response = result.unwrap_or_else(ApiError::into_response);
-    response.deprecated = deprecated;
-    response
+        });
+    result.unwrap_or_else(ApiError::into_response)
 }
 
 fn healthz(ctx: &ApiContext) -> ApiResponse {
@@ -571,7 +525,7 @@ fn datasets(ctx: &ApiContext) -> ApiResponse {
 }
 
 // ---------------------------------------------------------------------------
-// POST /datasets — snapshot ingestion.
+// POST /v1/datasets — snapshot ingestion.
 
 /// Ingests a client-uploaded `.mochy` snapshot (base64 inside the JSON body,
 /// keeping the wire JSON-only) as a **fresh** registry entry.
@@ -709,7 +663,7 @@ fn f64_array(values: &[f64]) -> JsonValue {
 }
 
 // ---------------------------------------------------------------------------
-// POST /count
+// POST /v1/count
 
 /// A normalized `/count` query: parsing fills every default, so rendering
 /// [`CountQuery::canonical`] yields the same key for every spelling of the
@@ -861,7 +815,6 @@ fn count(ctx: &ApiContext, body: &str) -> Result<ApiResponse, ApiError> {
             body,
             cache_state: Some(CacheState::Hit),
             shutdown: false,
-            deprecated: false,
         });
     }
     let body: Arc<str> = render_count(&query, &snapshot)?.into();
@@ -871,7 +824,6 @@ fn count(ctx: &ApiContext, body: &str) -> Result<ApiResponse, ApiError> {
         body,
         cache_state: Some(CacheState::Miss),
         shutdown: false,
-        deprecated: false,
     })
 }
 
@@ -1090,7 +1042,6 @@ fn count_distributed(
             body,
             cache_state: Some(CacheState::Hit),
             shutdown: false,
-            deprecated: false,
         });
     }
     let partials = coordinator
@@ -1134,7 +1085,6 @@ fn count_distributed(
         body,
         cache_state: Some(CacheState::Miss),
         shutdown: false,
-        deprecated: false,
     })
 }
 
@@ -1236,7 +1186,7 @@ fn count_shard(ctx: &ApiContext, body: &str) -> Result<ApiResponse, ApiError> {
 }
 
 // ---------------------------------------------------------------------------
-// POST /profile
+// POST /v1/profile
 
 fn profile(ctx: &ApiContext, body: &str) -> Result<ApiResponse, ApiError> {
     let parsed = parse_body(body)?;
@@ -1305,7 +1255,6 @@ fn profile(ctx: &ApiContext, body: &str) -> Result<ApiResponse, ApiError> {
             body,
             cache_state: Some(CacheState::Hit),
             shutdown: false,
-            deprecated: false,
         });
     }
 
@@ -1363,12 +1312,11 @@ fn profile(ctx: &ApiContext, body: &str) -> Result<ApiResponse, ApiError> {
         body: rendered,
         cache_state: Some(CacheState::Miss),
         shutdown: false,
-        deprecated: false,
     })
 }
 
 // ---------------------------------------------------------------------------
-// POST /mutate
+// POST /v1/mutate
 
 fn mutate(ctx: &ApiContext, body: &str) -> Result<ApiResponse, ApiError> {
     let parsed = parse_body(body)?;
@@ -1518,7 +1466,7 @@ mod tests {
     #[test]
     fn count_is_cached_byte_identically() {
         let ctx = context();
-        let request = post("/count", r#"{"dataset": "fig2"}"#);
+        let request = post("/v1/count", r#"{"dataset": "fig2"}"#);
         let first = handle(&ctx, &request);
         assert_eq!(first.status, 200, "{}", first.body);
         assert_eq!(first.cache_state, Some(CacheState::Miss));
@@ -1527,7 +1475,7 @@ mod tests {
         assert_eq!(first.body, second.body);
         // Equivalent spellings of the same query share the cache entry.
         let spelled = post(
-            "/count",
+            "/v1/count",
             r#"{"dataset": "fig2", "method": "exact", "seed": 0, "threads": 1}"#,
         );
         let third = handle(&ctx, &spelled);
@@ -1580,7 +1528,7 @@ mod tests {
                 "`ratio`",
             ),
         ] {
-            let response = handle(&ctx, &post("/count", body));
+            let response = handle(&ctx, &post("/v1/count", body));
             assert_ne!(response.status, 200, "body `{body}` was accepted");
             assert!(
                 response.body.contains(needle),
@@ -1593,9 +1541,12 @@ mod tests {
     #[test]
     fn sharded_counts_match_unsharded_and_key_the_cache_by_shard_config() {
         let ctx = context();
-        let unsharded = handle(&ctx, &post("/count", r#"{"dataset": "fig2"}"#));
+        let unsharded = handle(&ctx, &post("/v1/count", r#"{"dataset": "fig2"}"#));
         assert_eq!(unsharded.status, 200, "{}", unsharded.body);
-        let sharded = handle(&ctx, &post("/count", r#"{"dataset": "fig2", "shards": 2}"#));
+        let sharded = handle(
+            &ctx,
+            &post("/v1/count", r#"{"dataset": "fig2", "shards": 2}"#),
+        );
         assert_eq!(sharded.status, 200, "{}", sharded.body);
         // Different execution strategy, so a distinct cache entry…
         assert_eq!(sharded.cache_state, Some(CacheState::Miss));
@@ -1607,11 +1558,17 @@ mod tests {
         }
         assert_eq!(b.get("shards").and_then(JsonValue::as_f64), Some(2.0));
         // Explicit `shards: 1` is the default spelling — shared entry.
-        let explicit = handle(&ctx, &post("/count", r#"{"dataset": "fig2", "shards": 1}"#));
+        let explicit = handle(
+            &ctx,
+            &post("/v1/count", r#"{"dataset": "fig2", "shards": 1}"#),
+        );
         assert_eq!(explicit.cache_state, Some(CacheState::Hit));
         assert_eq!(unsharded.body, explicit.body);
         // And a repeat of the sharded query hits its own entry.
-        let again = handle(&ctx, &post("/count", r#"{"dataset": "fig2", "shards": 2}"#));
+        let again = handle(
+            &ctx,
+            &post("/v1/count", r#"{"dataset": "fig2", "shards": 2}"#),
+        );
         assert_eq!(again.cache_state, Some(CacheState::Hit));
         assert_eq!(sharded.body, again.body);
     }
@@ -1622,7 +1579,7 @@ mod tests {
         let response = handle(
             &ctx,
             &post(
-                "/mutate",
+                "/v1/mutate",
                 r#"{"dataset": "fig2", "insert": [[1, 6]], "remove": [3, 3, 5000000000]}"#,
             ),
         );
@@ -1640,12 +1597,12 @@ mod tests {
 
         let bad = handle(
             &ctx,
-            &post("/mutate", r#"{"dataset": "fig2", "insert": [[]]}"#),
+            &post("/v1/mutate", r#"{"dataset": "fig2", "insert": [[]]}"#),
         );
         assert_eq!(bad.status, 400);
         let bad = handle(
             &ctx,
-            &post("/mutate", r#"{"dataset": "fig2", "remove": ["x"]}"#),
+            &post("/v1/mutate", r#"{"dataset": "fig2", "remove": ["x"]}"#),
         );
         assert_eq!(bad.status, 400);
         // Node ids above MAX_NODE_ID are rejected with a 400, not answered
@@ -1653,7 +1610,7 @@ mod tests {
         let bad = handle(
             &ctx,
             &post(
-                "/mutate",
+                "/v1/mutate",
                 r#"{"dataset": "fig2", "insert": [[4294967295]]}"#,
             ),
         );
@@ -1666,7 +1623,7 @@ mod tests {
         let ctx = context();
         let first = handle(
             &ctx,
-            &post("/profile", r#"{"dataset": "fig2", "randomizations": 2}"#),
+            &post("/v1/profile", r#"{"dataset": "fig2", "randomizations": 2}"#),
         );
         assert_eq!(first.status, 200, "{}", first.body);
         assert_eq!(first.cache_state, Some(CacheState::Miss));
@@ -1675,7 +1632,7 @@ mod tests {
         let spelled = handle(
             &ctx,
             &post(
-                "/profile",
+                "/v1/profile",
                 r#"{"dataset": "fig2", "method": "exact", "randomizations": 2, "samples": 77}"#,
             ),
         );
@@ -1709,7 +1666,7 @@ mod tests {
             ),
         ])
         .render();
-        let response = handle(&ctx, &post("/datasets", &body));
+        let response = handle(&ctx, &post("/v1/datasets", &body));
         assert_eq!(response.status, 201, "{}", response.body);
         let doc = json::parse(&response.body).unwrap();
         assert_eq!(doc.get("num_nodes").and_then(JsonValue::as_f64), Some(8.0));
@@ -1721,19 +1678,19 @@ mod tests {
             &ctx,
             &Request {
                 method: "GET".to_string(),
-                path: "/datasets".to_string(),
+                path: "/v1/datasets".to_string(),
                 body: String::new(),
                 keep_alive: true,
             },
         );
         assert!(listing.body.contains("uploaded"), "{}", listing.body);
-        let counted = handle(&ctx, &post("/count", r#"{"dataset": "uploaded"}"#));
+        let counted = handle(&ctx, &post("/v1/count", r#"{"dataset": "uploaded"}"#));
         assert_eq!(counted.status, 200, "{}", counted.body);
         let doc = json::parse(&counted.body).unwrap();
         assert_eq!(doc.get("total").and_then(JsonValue::as_f64), Some(3.0));
 
         // Re-uploading the same name is a conflict, not a replace.
-        let again = handle(&ctx, &post("/datasets", &body));
+        let again = handle(&ctx, &post("/v1/datasets", &body));
         assert_eq!(again.status, 409, "{}", again.body);
     }
 
@@ -1746,7 +1703,7 @@ mod tests {
                 ("snapshot".to_string(), JsonValue::string(snapshot)),
             ])
             .render();
-            handle(&ctx, &post("/datasets", &body))
+            handle(&ctx, &post("/v1/datasets", &body))
         };
         let good = fig2_snapshot_base64();
         for (name, needle) in [
@@ -1778,7 +1735,7 @@ mod tests {
         assert!(response.body.contains("checksum"), "{}", response.body);
 
         // Missing fields are 400s, and nothing was registered along the way.
-        let response = handle(&ctx, &post("/datasets", r#"{"name": "ok"}"#));
+        let response = handle(&ctx, &post("/v1/datasets", r#"{"name": "ok"}"#));
         assert_eq!(response.status, 400);
         assert_eq!(ctx.registry.len(), 1, "only the seeded fig2 remains");
     }
@@ -1797,36 +1754,18 @@ mod tests {
         assert_eq!(handle(&ctx, &get("/v1/count")).status, 405);
         assert_eq!(handle(&ctx, &post("/v1/healthz", "")).status, 405);
         assert_eq!(handle(&ctx, &get("/v1/nope")).status, 404);
-        // Legacy aliases answer identically (modulo the deprecation flag).
-        assert_eq!(handle(&ctx, &get("/healthz")).status, 200);
-        assert_eq!(handle(&ctx, &get("/datasets")).status, 200);
-        assert_eq!(handle(&ctx, &get("/count")).status, 405);
-        assert_eq!(handle(&ctx, &post("/healthz", "")).status, 405);
+        // Unversioned paths are unknown routes.
+        assert_eq!(handle(&ctx, &get("/healthz")).status, 404);
+        assert_eq!(handle(&ctx, &get("/datasets")).status, 404);
+        assert_eq!(handle(&ctx, &get("/count")).status, 404);
+        assert_eq!(handle(&ctx, &post("/healthz", "")).status, 404);
         assert_eq!(handle(&ctx, &get("/nope")).status, 404);
         let shutdown = handle(&ctx, &post("/v1/admin/shutdown", ""));
         assert_eq!(shutdown.status, 200);
         assert!(shutdown.shutdown);
-        assert!(!shutdown.deprecated);
-        let legacy_shutdown = handle(&ctx, &post("/shutdown", ""));
-        assert_eq!(legacy_shutdown.status, 200);
-        assert!(legacy_shutdown.shutdown);
-        assert!(legacy_shutdown.deprecated);
-    }
-
-    #[test]
-    fn versioned_and_legacy_paths_resolve_to_the_same_bytes() {
-        let ctx = context();
-        let versioned = handle(&ctx, &post("/v1/count", r#"{"dataset": "fig2"}"#));
-        assert_eq!(versioned.status, 200, "{}", versioned.body);
-        assert!(!versioned.deprecated);
-        assert_eq!(versioned.cache_state, Some(CacheState::Miss));
-        let legacy = handle(&ctx, &post("/count", r#"{"dataset": "fig2"}"#));
-        assert!(
-            legacy.deprecated,
-            "unversioned paths are deprecated aliases"
-        );
-        assert_eq!(legacy.cache_state, Some(CacheState::Hit));
-        assert_eq!(versioned.body, legacy.body, "same route, same cache entry");
+        let unversioned_shutdown = handle(&ctx, &post("/shutdown", ""));
+        assert_eq!(unversioned_shutdown.status, 404);
+        assert!(!unversioned_shutdown.shutdown);
     }
 
     #[test]
@@ -1909,10 +1848,14 @@ mod tests {
             "{}",
             standalone.body
         );
-        // No legacy alias for internal routes.
-        let legacy = handle(&ctx, &post("/internal/count-shard", body));
-        assert_eq!(legacy.status, 404, "{}", legacy.body);
-        assert!(legacy.body.contains("/v1-only"), "{}", legacy.body);
+        // Internal routes, like every route, are /v1-only.
+        let unversioned = handle(&ctx, &post("/internal/count-shard", body));
+        assert_eq!(unversioned.status, 404, "{}", unversioned.body);
+        assert!(
+            unversioned.body.contains("/v1-only"),
+            "{}",
+            unversioned.body
+        );
     }
 
     #[test]

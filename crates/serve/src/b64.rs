@@ -1,5 +1,5 @@
 //! Standard base64 (RFC 4648, with padding) — the transport encoding of
-//! binary `.mochy` snapshots inside the JSON `POST /datasets` body.
+//! binary `.mochy` snapshots inside the JSON `POST /v1/datasets` body.
 //!
 //! The workspace vendors no encoding crate and the HTTP layer is
 //! deliberately JSON-only on the wire (every body, every error), so binary

@@ -21,12 +21,10 @@
 //!   `GET /v1/datasets`, `POST /v1/datasets` (ingest an uploaded base64
 //!   `.mochy` snapshot as a fresh dataset), `POST /v1/count`,
 //!   `POST /v1/profile`, `POST /v1/mutate`, `POST /v1/admin/shutdown`, and
-//!   the worker-internal `POST /v1/internal/count-shard`. The pre-versioning
-//!   paths (`/healthz`, `/count`, …, `POST /shutdown`) remain as deprecated
-//!   aliases answering identical bytes plus a `deprecation: true` header.
-//!   Errors share one envelope: `{"error": {"code", "kind", "message",
-//!   "detail"?}}`. Responses are rendered deterministically (no timestamps
-//!   or timings in cacheable bodies) and memoized in an LRU
+//!   the worker-internal `POST /v1/internal/count-shard`; an unversioned
+//!   path is a 404. Errors share one envelope: `{"error": {"code", "kind",
+//!   "message", "detail"?}}`. Responses are rendered deterministically (no
+//!   timestamps or timings in cacheable bodies) and memoized in an LRU
 //!   [`api::QueryCache`] keyed by `(dataset, generation, normalized query)`
 //!   — a cache hit returns the exact bytes the uncached run produced.
 //! - [`http`] — a hand-rolled HTTP/1.1 front end over
@@ -73,7 +71,7 @@
 //! );
 //! let server = Server::start(ServerConfig::default(), registry).unwrap();
 //! println!("listening on {}", server.local_addr());
-//! server.wait(); // until POST /shutdown
+//! server.wait(); // until POST /v1/admin/shutdown
 //! ```
 
 #![forbid(unsafe_code)]

@@ -274,6 +274,5 @@ fn print_usage() {
     eprintln!(" --worker and --coordinator take the same .mochy snapshot, one shard per peer)");
     eprintln!("routes: GET /v1/healthz, GET /v1/datasets, POST /v1/datasets, POST /v1/count,");
     eprintln!("        POST /v1/profile, POST /v1/mutate, POST /v1/admin/shutdown,");
-    eprintln!("        POST /v1/internal/count-shard (--worker only; see README);");
-    eprintln!("        unversioned paths remain as deprecated aliases");
+    eprintln!("        POST /v1/internal/count-shard (--worker only; see README)");
 }

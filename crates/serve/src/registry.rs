@@ -282,8 +282,8 @@ impl Dataset {
 
 /// The set of datasets a server instance exposes.
 ///
-/// Seeded at startup and extensible at runtime: `POST /datasets` ingests an
-/// uploaded snapshot into a fresh entry, so the map lives behind a
+/// Seeded at startup and extensible at runtime: `POST /v1/datasets` ingests
+/// an uploaded snapshot into a fresh entry, so the map lives behind a
 /// [`RwLock`]. Readers (`/count`, `/profile`, the listing) take the read
 /// lock only long enough to clone one `Arc`; ingestion takes the write lock
 /// for a map insert. Per-dataset state never needs the registry lock —

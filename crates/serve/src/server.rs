@@ -11,10 +11,11 @@
 //! tiny JSON body and `connection: close`) and moves on. Overload degrades
 //! service, it never stops it.
 //!
-//! Shutdown is cooperative: `POST /shutdown` (or [`Server::shutdown`]) sets
-//! a flag and pokes the listener with a wake connection so the blocking
-//! `accept` returns. Queued requests drain before the workers exit, and
-//! persistent connections close after their in-flight exchange.
+//! Shutdown is cooperative: `POST /v1/admin/shutdown` (or
+//! [`Server::shutdown`]) sets a flag and pokes the listener with a wake
+//! connection so the blocking `accept` returns. Queued requests drain before
+//! the workers exit, and persistent connections close after their in-flight
+//! exchange.
 
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -159,8 +160,8 @@ impl Server {
     }
 
     /// Blocks until the accept loop exits (via [`Server::shutdown`] or
-    /// `POST /shutdown`), then joins it. The worker pool drains its queued
-    /// requests before this returns.
+    /// `POST /v1/admin/shutdown`), then joins it. The worker pool drains its
+    /// queued requests before this returns.
     pub fn wait(mut self) {
         if let Some(handle) = self.accept_thread.take() {
             let _ = handle.join();
@@ -320,11 +321,6 @@ fn handle_connection(
         let mut headers: Vec<(&str, &str)> = Vec::new();
         if let Some(state) = response.cache_state {
             headers.push(("x-mochy-cache", state.as_str()));
-        }
-        if response.deprecated {
-            // The route was reached through a pre-versioning alias; the body
-            // is byte-identical to the `/v1` route, only this header differs.
-            headers.push(("deprecation", "true"));
         }
         let written = http::write_response(
             stream,

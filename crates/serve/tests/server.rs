@@ -113,13 +113,13 @@ fn all_routes_answer_over_tcp() {
     let server = boot(ServerConfig::default());
     let addr = server.local_addr();
 
-    let health = request(addr, "GET", "/healthz", "");
+    let health = request(addr, "GET", "/v1/healthz", "");
     assert_eq!(health.status, 200, "{}", health.body);
     let doc = json::parse(&health.body).unwrap();
     assert_eq!(doc.get("status").and_then(JsonValue::as_str), Some("ok"));
     assert_eq!(doc.get("datasets").and_then(JsonValue::as_f64), Some(1.0));
 
-    let listing = request(addr, "GET", "/datasets", "");
+    let listing = request(addr, "GET", "/v1/datasets", "");
     let doc = json::parse(&listing.body).unwrap();
     let datasets = doc.get("datasets").unwrap().as_array().unwrap();
     assert_eq!(datasets.len(), 1);
@@ -132,7 +132,7 @@ fn all_routes_answer_over_tcp() {
         Some(4.0)
     );
 
-    let count = request(addr, "POST", "/count", r#"{"dataset": "fig2"}"#);
+    let count = request(addr, "POST", "/v1/count", r#"{"dataset": "fig2"}"#);
     assert_eq!(count.status, 200, "{}", count.body);
     let doc = json::parse(&count.body).unwrap();
     assert_eq!(doc.get("total").and_then(JsonValue::as_f64), Some(3.0));
@@ -144,7 +144,7 @@ fn all_routes_answer_over_tcp() {
 
     // A sampling method with an explicit seed is deterministic end to end.
     let sampled = r#"{"dataset": "fig2", "method": "mochy-a+", "samples": 50, "seed": 7}"#;
-    let first = request(addr, "POST", "/count", sampled);
+    let first = request(addr, "POST", "/v1/count", sampled);
     assert_eq!(first.status, 200, "{}", first.body);
     let doc = json::parse(&first.body).unwrap();
     assert_eq!(
@@ -156,7 +156,7 @@ fn all_routes_answer_over_tcp() {
     let general = request(
         addr,
         "POST",
-        "/count",
+        "/v1/count",
         r#"{"dataset": "fig2", "generalized": 4}"#,
     );
     let doc = json::parse(&general.body).unwrap();
@@ -170,7 +170,7 @@ fn all_routes_answer_over_tcp() {
     let profile = request(
         addr,
         "POST",
-        "/profile",
+        "/v1/profile",
         r#"{"dataset": "fig2", "randomizations": 2}"#,
     );
     assert_eq!(profile.status, 200, "{}", profile.body);
@@ -178,13 +178,43 @@ fn all_routes_answer_over_tcp() {
     assert_eq!(doc.get("cp").unwrap().as_array().unwrap().len(), 26);
 
     // Errors surface as JSON, not dropped connections.
-    let missing = request(addr, "POST", "/count", r#"{"dataset": "nope"}"#);
+    let missing = request(addr, "POST", "/v1/count", r#"{"dataset": "nope"}"#);
     assert_eq!(missing.status, 404);
     assert!(missing.body.contains("unknown dataset"));
-    let bad = request(addr, "POST", "/count", "{not json");
+    let bad = request(addr, "POST", "/v1/count", "{not json");
     assert_eq!(bad.status, 400);
     let lost = request(addr, "GET", "/lost", "");
     assert_eq!(lost.status, 404);
+
+    server.shutdown();
+    server.wait();
+}
+
+#[test]
+fn unversioned_and_unknown_version_paths_are_404s_over_tcp() {
+    let server = boot(ServerConfig::default());
+    let mut http = client::HttpClient::new(server.local_addr().to_string());
+    let kind = |body: &str| {
+        let doc = json::parse(body).expect("error envelope");
+        let kind = doc.get("error").and_then(|e| e.get("kind"));
+        kind.and_then(JsonValue::as_str).map(str::to_string)
+    };
+    let count_body = r#"{"dataset": "fig2"}"#;
+
+    for (method, path, body) in [("GET", "/healthz", ""), ("POST", "/count", count_body)] {
+        let response = http.request(method, path, body, DEADLINE).expect(path);
+        assert_eq!(response.status, 404, "{path}: {}", response.body);
+        assert_eq!(kind(&response.body).as_deref(), Some("not-found"), "{path}");
+        assert!(response.body.contains("/v1-only"), "{}", response.body);
+        assert_eq!(response.header("deprecation"), None, "{path}");
+    }
+    let response = http.get("/v2/healthz", DEADLINE).expect("/v2/healthz");
+    assert_eq!(response.status, 404, "{}", response.body);
+    assert_eq!(kind(&response.body).as_deref(), Some("unknown-version"));
+    let response = http
+        .post("/v1/count", count_body, DEADLINE)
+        .expect("/v1/count");
+    assert_eq!(response.status, 200, "{}", response.body);
 
     server.shutdown();
     server.wait();
@@ -202,29 +232,29 @@ fn snapshot_upload_ingests_a_live_dataset_over_tcp() {
         r#"{{"name": "uploaded.v1", "snapshot": "{}"}}"#,
         mochy_serve::b64::encode(&snapshot_bytes)
     );
-    let created = request(addr, "POST", "/datasets", &body);
+    let created = request(addr, "POST", "/v1/datasets", &body);
     assert_eq!(created.status, 201, "{}", created.body);
     let doc = json::parse(&created.body).unwrap();
     assert_eq!(doc.get("num_edges").and_then(JsonValue::as_f64), Some(4.0));
 
     // It lists, counts, and mutates like any boot-time dataset.
-    let listing = request(addr, "GET", "/datasets", "");
+    let listing = request(addr, "GET", "/v1/datasets", "");
     assert!(listing.body.contains("uploaded.v1"), "{}", listing.body);
-    let counted = request(addr, "POST", "/count", r#"{"dataset": "uploaded.v1"}"#);
+    let counted = request(addr, "POST", "/v1/count", r#"{"dataset": "uploaded.v1"}"#);
     assert_eq!(counted.status, 200, "{}", counted.body);
     let doc = json::parse(&counted.body).unwrap();
     assert_eq!(doc.get("total").and_then(JsonValue::as_f64), Some(3.0));
     let mutated = request(
         addr,
         "POST",
-        "/mutate",
+        "/v1/mutate",
         r#"{"dataset": "uploaded.v1", "insert": [[1, 4, 6]], "remove": []}"#,
     );
     assert_eq!(mutated.status, 200, "{}", mutated.body);
 
     // A duplicate upload conflicts; a corrupted payload is a 400 with the
     // typed decoder error — and neither disturbed the live dataset.
-    let conflict = request(addr, "POST", "/datasets", &body);
+    let conflict = request(addr, "POST", "/v1/datasets", &body);
     assert_eq!(conflict.status, 409, "{}", conflict.body);
     // Flip a payload byte past the 40-byte header so the checksum (not the
     // header length check) is what rejects it.
@@ -234,10 +264,10 @@ fn snapshot_upload_ingests_a_live_dataset_over_tcp() {
         r#"{{"name": "corrupt", "snapshot": "{}"}}"#,
         mochy_serve::b64::encode(&corrupted)
     );
-    let rejected = request(addr, "POST", "/datasets", &bad_body);
+    let rejected = request(addr, "POST", "/v1/datasets", &bad_body);
     assert_eq!(rejected.status, 400, "{}", rejected.body);
     assert!(rejected.body.contains("checksum"), "{}", rejected.body);
-    let health = request(addr, "GET", "/healthz", "");
+    let health = request(addr, "GET", "/v1/healthz", "");
     let doc = json::parse(&health.body).unwrap();
     assert_eq!(doc.get("datasets").and_then(JsonValue::as_f64), Some(2.0));
 }
@@ -248,9 +278,9 @@ fn cached_and_uncached_responses_are_byte_identical() {
     let addr = server.local_addr();
     let body = r#"{"dataset": "fig2", "method": "mochy-a+", "samples": 40, "seed": 3}"#;
 
-    let uncached = request(addr, "POST", "/count", body);
+    let uncached = request(addr, "POST", "/v1/count", body);
     assert_eq!(uncached.cache.as_deref(), Some("miss"));
-    let cached = request(addr, "POST", "/count", body);
+    let cached = request(addr, "POST", "/v1/count", body);
     assert_eq!(cached.cache.as_deref(), Some("hit"));
     assert_eq!(
         uncached.body, cached.body,
@@ -259,9 +289,9 @@ fn cached_and_uncached_responses_are_byte_identical() {
 
     // Profiles are cached the same way.
     let body = r#"{"dataset": "fig2", "randomizations": 2, "seed": 5}"#;
-    let uncached = request(addr, "POST", "/profile", body);
+    let uncached = request(addr, "POST", "/v1/profile", body);
     assert_eq!(uncached.cache.as_deref(), Some("miss"));
-    let cached = request(addr, "POST", "/profile", body);
+    let cached = request(addr, "POST", "/v1/profile", body);
     assert_eq!(cached.cache.as_deref(), Some("hit"));
     assert_eq!(uncached.body, cached.body);
 }
@@ -277,7 +307,7 @@ fn concurrent_readers_observe_consistent_snapshots_during_mutation() {
     let count_body = r#"{"dataset": "fig2"}"#;
 
     // Pin the two legal response bodies: generation 0 before the mutation…
-    let before = request(addr, "POST", "/count", count_body).body;
+    let before = request(addr, "POST", "/v1/count", count_body).body;
     let doc = json::parse(&before).unwrap();
     assert_eq!(doc.get("generation").and_then(JsonValue::as_f64), Some(0.0));
 
@@ -289,7 +319,7 @@ fn concurrent_readers_observe_consistent_snapshots_during_mutation() {
             std::thread::spawn(move || {
                 let mut bodies = Vec::new();
                 while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-                    let response = request(addr, "POST", "/count", r#"{"dataset": "fig2"}"#);
+                    let response = request(addr, "POST", "/v1/count", r#"{"dataset": "fig2"}"#);
                     assert_eq!(response.status, 200, "{}", response.body);
                     bodies.push(response.body);
                 }
@@ -303,7 +333,7 @@ fn concurrent_readers_observe_consistent_snapshots_during_mutation() {
     let mutation = request(
         addr,
         "POST",
-        "/mutate",
+        "/v1/mutate",
         r#"{"dataset": "fig2", "insert": [[1, 4, 6], [2, 5]], "remove": [0]}"#,
     );
     assert_eq!(mutation.status, 200, "{}", mutation.body);
@@ -318,7 +348,7 @@ fn concurrent_readers_observe_consistent_snapshots_during_mutation() {
 
     // …and pin the post-mutation body (still generation 1: the readers are
     // done and nothing has mutated since).
-    let after = request(addr, "POST", "/count", count_body).body;
+    let after = request(addr, "POST", "/v1/count", count_body).body;
     let doc = json::parse(&after).unwrap();
     assert_eq!(doc.get("generation").and_then(JsonValue::as_f64), Some(1.0));
     assert_ne!(before, after);
@@ -342,12 +372,12 @@ fn concurrent_readers_observe_consistent_snapshots_during_mutation() {
     // The streaming writer's incremental total must equal the from-scratch
     // count of the published snapshot (an empty batch republishes).
     let mutated_total =
-        json::parse(&request(addr, "POST", "/mutate", r#"{"dataset": "fig2"}"#).body)
+        json::parse(&request(addr, "POST", "/v1/mutate", r#"{"dataset": "fig2"}"#).body)
             .unwrap()
             .get("total")
             .and_then(JsonValue::as_f64)
             .unwrap();
-    let counted_total = json::parse(&request(addr, "POST", "/count", count_body).body)
+    let counted_total = json::parse(&request(addr, "POST", "/v1/count", count_body).body)
         .unwrap()
         .get("total")
         .and_then(JsonValue::as_f64)
@@ -376,7 +406,7 @@ fn overload_returns_503_without_wedging_the_accept_loop() {
     stalled
         .write_all(
             format!(
-                "POST /count HTTP/1.1\r\nhost: mochy\r\nconnection: close\r\ncontent-length: {}\r\n\r\n",
+                "POST /v1/count HTTP/1.1\r\nhost: mochy\r\nconnection: close\r\ncontent-length: {}\r\n\r\n",
                 body.len()
             )
             .as_bytes(),
@@ -393,13 +423,13 @@ fn overload_returns_503_without_wedging_the_accept_loop() {
         .unwrap();
     queued
         .write_all(
-            b"GET /healthz HTTP/1.1\r\nhost: mochy\r\nconnection: close\r\ncontent-length: 0\r\n\r\n",
+            b"GET /v1/healthz HTTP/1.1\r\nhost: mochy\r\nconnection: close\r\ncontent-length: 0\r\n\r\n",
         )
         .unwrap();
     std::thread::sleep(Duration::from_millis(200));
 
     // Connection C: pool saturated — the accept loop answers 503 inline.
-    let overloaded = request(addr, "GET", "/healthz", "");
+    let overloaded = request(addr, "GET", "/v1/healthz", "");
     assert_eq!(overloaded.status, 503, "{}", overloaded.body);
     assert!(
         overloaded.body.contains("overloaded"),
@@ -415,7 +445,7 @@ fn overload_returns_503_without_wedging_the_accept_loop() {
     let response = read_response(&mut queued);
     assert_eq!(response.status, 200, "{}", response.body);
     // …and the accept loop takes fresh requests as if nothing happened.
-    let fresh = request(addr, "POST", "/count", body);
+    let fresh = request(addr, "POST", "/v1/count", body);
     assert_eq!(fresh.status, 200, "{}", fresh.body);
 }
 
@@ -431,18 +461,18 @@ fn keep_alive_serves_many_requests_on_one_connection() {
     // Three sequential exchanges on one connection; the second /count is a
     // byte-identical cache hit, proving the session reaches the same API
     // layer as one-shot connections.
-    send_request(&mut stream, "GET", "/healthz", "");
+    send_request(&mut stream, "GET", "/v1/healthz", "");
     let (health, connection) = read_framed_response(&mut stream);
     assert_eq!(health.status, 200, "{}", health.body);
     assert_eq!(connection, "keep-alive");
 
     let count_body = r#"{"dataset": "fig2", "seed": 11}"#;
-    send_request(&mut stream, "POST", "/count", count_body);
+    send_request(&mut stream, "POST", "/v1/count", count_body);
     let (first, connection) = read_framed_response(&mut stream);
     assert_eq!(first.status, 200, "{}", first.body);
     assert_eq!(first.cache.as_deref(), Some("miss"));
     assert_eq!(connection, "keep-alive");
-    send_request(&mut stream, "POST", "/count", count_body);
+    send_request(&mut stream, "POST", "/v1/count", count_body);
     let (second, _) = read_framed_response(&mut stream);
     assert_eq!(second.cache.as_deref(), Some("hit"));
     assert_eq!(first.body, second.body);
@@ -450,7 +480,7 @@ fn keep_alive_serves_many_requests_on_one_connection() {
     // `Connection: close` mid-stream is honored: the response advertises
     // close and the server hangs up afterwards.
     stream
-        .write_all(b"GET /healthz HTTP/1.1\r\nhost: mochy\r\nconnection: close\r\ncontent-length: 0\r\n\r\n")
+        .write_all(b"GET /v1/healthz HTTP/1.1\r\nhost: mochy\r\nconnection: close\r\ncontent-length: 0\r\n\r\n")
         .unwrap();
     let (last, connection) = read_framed_response(&mut stream);
     assert_eq!(last.status, 200);
@@ -474,8 +504,8 @@ fn pipelined_requests_are_answered_in_order() {
     // the rolling buffer.
     let body = r#"{"dataset": "fig2", "seed": 21}"#;
     let exchange = format!(
-        "POST /count HTTP/1.1\r\nhost: mochy\r\ncontent-length: {len}\r\n\r\n{body}\
-         POST /count HTTP/1.1\r\nhost: mochy\r\ncontent-length: {len}\r\n\r\n{body}",
+        "POST /v1/count HTTP/1.1\r\nhost: mochy\r\ncontent-length: {len}\r\n\r\n{body}\
+         POST /v1/count HTTP/1.1\r\nhost: mochy\r\ncontent-length: {len}\r\n\r\n{body}",
         len = body.len()
     );
     stream.write_all(exchange.as_bytes()).unwrap();
@@ -502,10 +532,10 @@ fn request_cap_closes_the_connection_cleanly() {
         .set_read_timeout(Some(Duration::from_secs(30)))
         .unwrap();
 
-    send_request(&mut stream, "GET", "/healthz", "");
+    send_request(&mut stream, "GET", "/v1/healthz", "");
     let (_, connection) = read_framed_response(&mut stream);
     assert_eq!(connection, "keep-alive", "request 1 of 2 stays open");
-    send_request(&mut stream, "GET", "/healthz", "");
+    send_request(&mut stream, "GET", "/v1/healthz", "");
     let (response, connection) = read_framed_response(&mut stream);
     assert_eq!(response.status, 200);
     assert_eq!(connection, "close", "the cap response advertises close");
@@ -515,7 +545,7 @@ fn request_cap_closes_the_connection_cleanly() {
     );
 
     // The cap frees the worker for other clients; a fresh connection works.
-    assert_eq!(request(addr, "GET", "/healthz", "").status, 200);
+    assert_eq!(request(addr, "GET", "/v1/healthz", "").status, 200);
 }
 
 #[test]
@@ -529,7 +559,7 @@ fn idle_keep_alive_connections_are_reaped_after_the_deadline() {
     stream
         .set_read_timeout(Some(Duration::from_secs(30)))
         .unwrap();
-    send_request(&mut stream, "GET", "/healthz", "");
+    send_request(&mut stream, "GET", "/v1/healthz", "");
     let (response, connection) = read_framed_response(&mut stream);
     assert_eq!(response.status, 200);
     assert_eq!(connection, "keep-alive");
@@ -540,7 +570,7 @@ fn idle_keep_alive_connections_are_reaped_after_the_deadline() {
         closed_by_server(&mut stream, Duration::from_secs(5)),
         "idle connection must be reaped"
     );
-    assert_eq!(request(addr, "GET", "/healthz", "").status, 200);
+    assert_eq!(request(addr, "GET", "/v1/healthz", "").status, 200);
 }
 
 #[test]
@@ -562,7 +592,7 @@ fn idle_keepalive_connection_saturates_pool_and_new_clients_get_503() {
     parked
         .set_read_timeout(Some(Duration::from_secs(30)))
         .unwrap();
-    send_request(&mut parked, "GET", "/healthz", "");
+    send_request(&mut parked, "GET", "/v1/healthz", "");
     let (response, connection) = read_framed_response(&mut parked);
     assert_eq!(response.status, 200);
     assert_eq!(connection, "keep-alive");
@@ -574,7 +604,7 @@ fn idle_keepalive_connection_saturates_pool_and_new_clients_get_503() {
         .unwrap();
     queued
         .write_all(
-            b"GET /healthz HTTP/1.1\r\nhost: mochy\r\nconnection: close\r\ncontent-length: 0\r\n\r\n",
+            b"GET /v1/healthz HTTP/1.1\r\nhost: mochy\r\nconnection: close\r\ncontent-length: 0\r\n\r\n",
         )
         .unwrap();
     std::thread::sleep(Duration::from_millis(200));
@@ -585,7 +615,7 @@ fn idle_keepalive_connection_saturates_pool_and_new_clients_get_503() {
         .set_read_timeout(Some(Duration::from_secs(30)))
         .unwrap();
     rejected
-        .write_all(b"GET /healthz HTTP/1.1\r\nhost: mochy\r\ncontent-length: 0\r\n\r\n")
+        .write_all(b"GET /v1/healthz HTTP/1.1\r\nhost: mochy\r\ncontent-length: 0\r\n\r\n")
         .unwrap();
     let mut raw = String::new();
     rejected.read_to_string(&mut raw).unwrap();
@@ -602,15 +632,15 @@ fn idle_keepalive_connection_saturates_pool_and_new_clients_get_503() {
         "parked connection must be reaped, not answered"
     );
     // The accept loop takes fresh requests as if nothing happened.
-    assert_eq!(request(addr, "GET", "/healthz", "").status, 200);
+    assert_eq!(request(addr, "GET", "/v1/healthz", "").status, 200);
 }
 
 #[test]
 fn shutdown_route_stops_the_accept_loop_cleanly() {
     let server = boot(ServerConfig::default());
     let addr = server.local_addr();
-    assert_eq!(request(addr, "GET", "/healthz", "").status, 200);
-    let response = request(addr, "POST", "/shutdown", "");
+    assert_eq!(request(addr, "GET", "/v1/healthz", "").status, 200);
+    let response = request(addr, "POST", "/v1/admin/shutdown", "");
     assert_eq!(response.status, 200);
     assert!(response.body.contains("shutting-down"));
     server.wait(); // must return: the accept loop observed the flag

@@ -23,7 +23,7 @@
 //!   with immutable snapshots, JSON API, result cache, backpressure. Boots
 //!   from text datasets or binary `.mochy` snapshots
 //!   ([`hypergraph::snapshot`]) and ingests uploaded snapshots at runtime
-//!   via `POST /datasets`.
+//!   via `POST /v1/datasets`.
 //!
 //! ## Quickstart
 //!
