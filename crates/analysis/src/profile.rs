@@ -4,6 +4,7 @@ use std::convert::Infallible;
 
 use mochy_core::count::MotifCounts;
 use mochy_core::engine::{CountConfig, CountReport, Method, MotifEngine};
+use mochy_core::mochy_a_parallel;
 use mochy_core::profile::{
     characteristic_profile, pearson_correlation, relative_counts, significance, SignificanceOptions,
 };
@@ -119,6 +120,10 @@ impl ProfileEstimator {
     /// reference is generated. Each hypergraph is projected once, and the
     /// profile equals [`ProfileEstimator::estimate`]'s when every check
     /// passes.
+    ///
+    /// [`CountingMethod::SampleEdges`] (MoCHy-A) counts around sampled
+    /// hyperedges from their incidence lists and reads no projection, so it
+    /// projects nothing and never calls `admit`.
     pub fn estimate_admitting<E>(
         &self,
         hypergraph: &Hypergraph,
@@ -126,6 +131,17 @@ impl ProfileEstimator {
     ) -> Result<CharacteristicProfile, E> {
         let engine = self.engine();
         let mut count = |graph: &Hypergraph, reference: Option<usize>| {
+            if let CountingMethod::SampleEdges(samples) = self.method {
+                // The engine's MoCHy-A branch, minus the projection it
+                // builds only to report |∧|.
+                let threads = engine.config().threads.max(1);
+                return Ok(mochy_a_parallel(
+                    graph,
+                    samples,
+                    threads,
+                    engine.config().seed,
+                ));
+            }
             let projected = project_parallel(graph, self.threads);
             admit(reference, &projected)?;
             Ok(engine.count_projected(graph, &projected).counts)
@@ -264,6 +280,28 @@ mod tests {
             .map(|i| estimator.count(&chung_lu_randomize(&h, &mut StdRng::seed_from_u64(1 + i))))
             .collect();
         assert_eq!(estimated.randomized_mean, MotifCounts::mean(&references));
+    }
+
+    /// A MoCHy-A profile projects nothing, so `admit` is never called, and
+    /// it counts exactly what the engine counts on the real hypergraph and
+    /// on each seeded reference.
+    #[test]
+    fn edge_sample_profiles_count_without_projecting() {
+        let h = dataset(DomainKind::Email, 9);
+        let estimator = ProfileEstimator {
+            method: CountingMethod::SampleEdges(300),
+            num_randomizations: 3,
+            threads: 2,
+            seed: 4,
+        };
+        let profile = estimator
+            .estimate_admitting(&h, |reference, _| Err(reference))
+            .expect("MoCHy-A admits nothing");
+        assert_eq!(profile.real_counts, estimator.count(&h));
+        let references: Vec<MotifCounts> = (0..3u64)
+            .map(|i| estimator.count(&chung_lu_randomize(&h, &mut StdRng::seed_from_u64(5 + i))))
+            .collect();
+        assert_eq!(profile.randomized_mean, MotifCounts::mean(&references));
     }
 
     #[test]

@@ -53,11 +53,12 @@
 //!   the configured `u64` seed; no RNG value crosses the API. Parallel
 //!   sampling derives one stream per *sample index*, so counts are
 //!   identical for every thread count.
-//! - **Thread dispatch** — `threads > 1` routes projection and counting
-//!   through the shared work-stealing pool
-//!   ([`mochy_hypergraph::parallel`]): workers claim hyperedge (or sample)
-//!   blocks from an atomic chunked queue, so skewed-degree datasets do not
-//!   serialize on one heavy static shard.
+//! - **Thread dispatch** — `threads > 1` routes counting through the shared
+//!   work-stealing pool ([`mochy_hypergraph::parallel`]): workers claim
+//!   hyperedge (or sample) blocks from an atomic chunked queue, so
+//!   skewed-degree datasets do not serialize on one heavy static shard.
+//!   Projection ([`project_parallel`]) gives each worker one block of
+//!   hyperedges, balanced by the work each costs.
 //! - **Per-stage timings** — every [`CountReport`] records
 //!   [`CountReport::projection_time`] and [`CountReport::counting_time`]
 //!   alongside the total [`CountReport::elapsed`], which is what the

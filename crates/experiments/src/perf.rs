@@ -6,7 +6,9 @@
 //! methods — MoCHy-E, MoCHy-A, MoCHy-A+, adaptive MoCHy-A+, and on-the-fly
 //! MoCHy-A+ — plus two more exact rows: `incremental` (every hyperedge
 //! inserted into a [`StreamingEngine`]) and `mochy-e-sharded` (MoCHy-E over
-//! K = 4 centre spans, merged), on every
+//! K = 4 centre spans, merged), and a `mochy-a+-profile` row (a MoCHy-A+
+//! characteristic profile against five Chung-Lu references, whose counts
+//! are the references' mean), on every
 //! [`mochy_datagen::bench_datasets`] workload, and renders the result as
 //! machine-readable JSON. Seeds are fixed, so the *counts* in the output are
 //! bit-reproducible; the timings are what CI tracks over time as the
@@ -24,6 +26,7 @@
 
 use std::time::Instant;
 
+use mochy_analysis::profile::{CountingMethod, ProfileEstimator};
 use mochy_core::engine::{CountConfig, Method};
 use mochy_core::{AdaptiveConfig, MotifCounts, StreamConfig, StreamingEngine};
 use mochy_hypergraph::Hypergraph;
@@ -109,6 +112,9 @@ const LOAD_REPS: usize = 3;
 /// Shard count of the `mochy-e-sharded` perf row.
 const SHARDED_K: usize = 4;
 
+/// Chung-Lu references of the `mochy-a+-profile` perf row, as in the paper.
+const PROFILE_REFERENCES: usize = 5;
+
 fn run_dataset(name: &str, hypergraph: &Hypergraph, options: &PerfOptions) -> DatasetBlock {
     // Load timings go through real files in a scratch directory (cleaned
     // afterwards): the point is to time the actual cold-start path the
@@ -187,6 +193,26 @@ fn run_dataset(name: &str, hypergraph: &Hypergraph, options: &PerfOptions) -> Da
         total_ms: report.elapsed.as_secs_f64() * 1e3,
         samples_drawn: report.samples_drawn,
         counts: report.counts,
+    });
+    // Profile row: a MoCHy-A+ characteristic profile against Chung-Lu
+    // references. Its counts are the references' mean, so the gate pins
+    // every reference's draws and the projections only a profile builds.
+    let estimator = ProfileEstimator {
+        method: CountingMethod::SampleWedges(options.samples),
+        num_randomizations: PROFILE_REFERENCES,
+        threads: options.threads,
+        seed: options.seed,
+    };
+    let start = Instant::now();
+    let profile = estimator.estimate(hypergraph);
+    let profile_ms = start.elapsed().as_secs_f64() * 1e3;
+    block.rows.push(MethodRow {
+        method_name: "mochy-a+-profile",
+        projection_ms: 0.0,
+        counting_ms: profile_ms,
+        total_ms: profile_ms,
+        samples_drawn: None,
+        counts: profile.randomized_mean,
     });
     block
 }
@@ -429,6 +455,7 @@ mod tests {
             "mochy-a+-adaptive",
             "mochy-a+-otf",
             "mochy-e-sharded",
+            "mochy-a+-profile",
         ] {
             assert!(json.contains(name), "missing method {name} in:\n{json}");
         }

@@ -58,11 +58,6 @@ impl BipartiteGraph {
         &self.left_adjacency[v as usize]
     }
 
-    /// Left neighbours (nodes) of right vertex `e`.
-    pub fn nodes_of_edge(&self, e: EdgeId) -> &[u32] {
-        &self.right_adjacency[e as usize]
-    }
-
     /// Degree of left vertex `v`.
     pub fn left_degree(&self, v: NodeId) -> usize {
         self.left_adjacency[v as usize].len()
@@ -71,15 +66,6 @@ impl BipartiteGraph {
     /// Degree of right vertex `e` (the hyperedge size).
     pub fn right_degree(&self, e: EdgeId) -> usize {
         self.right_adjacency[e as usize].len()
-    }
-
-    /// Converts the bipartite graph back into a hypergraph.
-    pub fn to_hypergraph(&self) -> Option<Hypergraph> {
-        let mut builder = crate::builder::HypergraphBuilder::with_capacity(self.num_right());
-        for members in &self.right_adjacency {
-            builder.add_edge(members.iter().copied());
-        }
-        builder.build().ok()
     }
 
     /// A flat adjacency view of the bipartite graph as a simple undirected
@@ -129,7 +115,6 @@ mod tests {
         let h = sample();
         let b = BipartiteGraph::from_hypergraph(&h);
         assert_eq!(b.edges_of_node(0), &[0, 1]);
-        assert_eq!(b.nodes_of_edge(0), &[0, 1, 2]);
         assert_eq!(b.left_degree(3), 2);
         assert_eq!(b.right_degree(1), 2);
     }
@@ -143,17 +128,6 @@ mod tests {
         }
         for e in h.edge_ids() {
             assert_eq!(b.right_degree(e), h.edge_size(e));
-        }
-    }
-
-    #[test]
-    fn round_trip_to_hypergraph() {
-        let h = sample();
-        let b = BipartiteGraph::from_hypergraph(&h);
-        let restored = b.to_hypergraph().unwrap();
-        assert_eq!(restored.num_edges(), h.num_edges());
-        for e in h.edge_ids() {
-            assert_eq!(restored.edge(e), h.edge(e));
         }
     }
 

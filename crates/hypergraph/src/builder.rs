@@ -2,6 +2,7 @@
 
 use rustc_hash::FxHashSet;
 
+use crate::csr::Csr;
 use crate::error::HypergraphError;
 use crate::graph::{Hypergraph, NodeId};
 
@@ -135,14 +136,11 @@ impl HypergraphBuilder {
             edges.retain(|edge| seen.insert(edge.clone()));
         }
 
-        let num_nodes = edges
-            .iter()
-            .flat_map(|edge| edge.iter().copied())
-            .max()
-            .map(|m| m as usize + 1)
-            .unwrap_or(0);
-
-        Hypergraph::from_sorted_edges(num_nodes, edges)
+        let mut members = Csr::with_capacity(edges.len(), edges.iter().map(Vec::len).sum());
+        for edge in &edges {
+            members.push_row(edge);
+        }
+        Hypergraph::from_edge_csr(members)
     }
 }
 

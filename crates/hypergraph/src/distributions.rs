@@ -2,9 +2,8 @@
 //!
 //! The null model of the paper (Section 2.3, Appendix D) is designed to
 //! preserve exactly these two distributions; this module provides the
-//! machinery for checking how well they are preserved: summary moments,
-//! quantiles, the Gini coefficient, and the Kolmogorov–Smirnov distance
-//! between two empirical distributions.
+//! machinery for checking how well they are preserved: summary statistics
+//! and the Kolmogorov–Smirnov distance between two empirical distributions.
 
 use crate::graph::Hypergraph;
 
@@ -65,54 +64,6 @@ impl EmpiricalDistribution {
         self.values.iter().sum::<usize>() as f64 / self.values.len() as f64
     }
 
-    /// Population variance.
-    pub fn variance(&self) -> f64 {
-        if self.values.is_empty() {
-            return 0.0;
-        }
-        let mean = self.mean();
-        self.values
-            .iter()
-            .map(|&v| {
-                let d = v as f64 - mean;
-                d * d
-            })
-            .sum::<f64>()
-            / self.values.len() as f64
-    }
-
-    /// The `q`-quantile (0 ≤ q ≤ 1) using the nearest-rank method.
-    pub fn quantile(&self, q: f64) -> usize {
-        if self.values.is_empty() {
-            return 0;
-        }
-        let q = q.clamp(0.0, 1.0);
-        let rank = ((self.values.len() as f64) * q).ceil() as usize;
-        self.values[rank.saturating_sub(1).min(self.values.len() - 1)]
-    }
-
-    /// Gini coefficient of the observations — 0 for perfectly equal values,
-    /// approaching 1 for extreme concentration. Heavy-tailed degree
-    /// distributions (power laws, Section 1 of the paper) have high Gini.
-    pub fn gini(&self) -> f64 {
-        let n = self.values.len();
-        if n == 0 {
-            return 0.0;
-        }
-        let total: f64 = self.values.iter().map(|&v| v as f64).sum();
-        if total == 0.0 {
-            return 0.0;
-        }
-        // For sorted values: G = (2 Σ_i i·x_i) / (n Σ x_i) − (n+1)/n, with i starting at 1.
-        let weighted: f64 = self
-            .values
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| (i as f64 + 1.0) * v as f64)
-            .sum();
-        (2.0 * weighted) / (n as f64 * total) - (n as f64 + 1.0) / n as f64
-    }
-
     /// Kolmogorov–Smirnov distance between two empirical distributions:
     /// the maximum absolute difference of their CDFs.
     pub fn ks_distance(&self, other: &EmpiricalDistribution) -> f64 {
@@ -157,21 +108,6 @@ mod tests {
         assert_eq!(d.min(), 1);
         assert_eq!(d.max(), 10);
         assert!((d.mean() - 24.0 / 7.0).abs() < 1e-12);
-        assert!(d.variance() > 0.0);
-        assert_eq!(d.quantile(0.0), 1);
-        assert_eq!(d.quantile(0.5), 3);
-        assert_eq!(d.quantile(1.0), 10);
-    }
-
-    #[test]
-    fn gini_of_equal_values_is_zero() {
-        let equal = EmpiricalDistribution::new(vec![5; 100]);
-        assert!(equal.gini().abs() < 1e-9);
-        // A highly skewed distribution has a much larger Gini.
-        let mut skewed = vec![1usize; 99];
-        skewed.push(1000);
-        let skewed = EmpiricalDistribution::new(skewed);
-        assert!(skewed.gini() > 0.8);
     }
 
     #[test]

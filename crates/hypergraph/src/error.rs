@@ -12,6 +12,12 @@ pub enum HypergraphError {
     },
     /// The hypergraph has no hyperedges at all.
     NoEdges,
+    /// A hyperedge's members were not strictly ascending (out of order or
+    /// repeated).
+    UnsortedEdge {
+        /// Zero-based position of the offending hyperedge.
+        index: usize,
+    },
     /// A node identifier exceeded the supported maximum (`u32::MAX - 1`).
     NodeIdOverflow {
         /// The offending node identifier.
@@ -37,6 +43,12 @@ impl fmt::Display for HypergraphError {
                 write!(f, "hyperedge at position {index} is empty")
             }
             HypergraphError::NoEdges => write!(f, "hypergraph contains no hyperedges"),
+            HypergraphError::UnsortedEdge { index } => {
+                write!(
+                    f,
+                    "members of the hyperedge at position {index} are not strictly ascending"
+                )
+            }
             HypergraphError::NodeIdOverflow { node } => {
                 write!(f, "node identifier {node} exceeds the supported range")
             }

@@ -18,7 +18,8 @@ pub type EdgeId = u32;
 
 /// An immutable hypergraph `G = (V, E)` in CSR form.
 ///
-/// Construct it through [`crate::HypergraphBuilder`] or [`crate::io`].
+/// Construct it through [`crate::HypergraphBuilder`],
+/// [`Hypergraph::from_edge_csr`] or [`crate::io`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Hypergraph {
     /// Number of nodes. Node identifiers are `0..num_nodes`.
@@ -31,41 +32,47 @@ pub struct Hypergraph {
 }
 
 impl Hypergraph {
-    /// Builds a hypergraph from per-edge member lists.
+    /// Builds a hypergraph from its member CSR: row `e` lists the members of
+    /// hyperedge `e`, strictly ascending. `|V|` is the largest member plus
+    /// one, as [`crate::HypergraphBuilder`] sets it, and the incidence index
+    /// `E_v` is the transpose of `edges`.
     ///
-    /// Each member list must be sorted ascending and duplicate-free; this is
-    /// an internal constructor used by the builder and the IO layer, which
-    /// guarantee that invariant.
-    pub(crate) fn from_sorted_edges(
-        num_nodes: usize,
-        edges: Vec<Vec<NodeId>>,
-    ) -> Result<Self, HypergraphError> {
-        if edges.is_empty() {
+    /// # Errors
+    /// [`HypergraphError::NoEdges`] if `edges` has no rows,
+    /// [`HypergraphError::EmptyEdge`] if a row is empty,
+    /// [`HypergraphError::UnsortedEdge`] if a row is not strictly ascending
+    /// and [`HypergraphError::NodeIdOverflow`] for the member `u32::MAX`.
+    pub fn from_edge_csr(edges: Csr<NodeId>) -> Result<Self, HypergraphError> {
+        if edges.num_rows() == 0 {
             return Err(HypergraphError::NoEdges);
         }
-        let total: usize = edges.iter().map(Vec::len).sum();
-        let mut edge_csr = Csr::with_capacity(edges.len(), total);
-        for (index, edge) in edges.iter().enumerate() {
+        for (index, edge) in edges.rows().enumerate() {
             if edge.is_empty() {
                 return Err(HypergraphError::EmptyEdge { index });
             }
-            debug_assert!(edge.windows(2).all(|w| w[0] < w[1]), "edges must be sorted");
-            edge_csr.push_row(edge);
+            if edge.windows(2).any(|w| w[0] >= w[1]) {
+                return Err(HypergraphError::UnsortedEdge { index });
+            }
         }
+        let max_node = edges.values().iter().copied().max().unwrap_or(0);
+        if max_node == NodeId::MAX {
+            return Err(HypergraphError::NodeIdOverflow {
+                node: u64::from(max_node),
+            });
+        }
+        let num_nodes = max_node as usize + 1;
 
         // Transpose: count node degrees, then fill.
-        let mut degrees = vec![0usize; num_nodes];
-        for &v in edge_csr.values() {
-            degrees[v as usize] += 1;
+        let mut node_offsets = vec![0usize; num_nodes + 1];
+        for &v in edges.values() {
+            node_offsets[v as usize + 1] += 1;
         }
-        let mut node_offsets = Vec::with_capacity(num_nodes + 1);
-        node_offsets.push(0usize);
-        for d in &degrees {
-            node_offsets.push(node_offsets.last().unwrap() + d);
+        for v in 0..num_nodes {
+            node_offsets[v + 1] += node_offsets[v];
         }
         let mut cursor = node_offsets.clone();
-        let mut node_edges = vec![0 as EdgeId; total];
-        for (e, edge) in edges.iter().enumerate() {
+        let mut node_edges = vec![0 as EdgeId; edges.num_entries()];
+        for (e, edge) in edges.rows().enumerate() {
             for &v in edge {
                 node_edges[cursor[v as usize]] = e as EdgeId;
                 cursor[v as usize] += 1;
@@ -75,7 +82,7 @@ impl Hypergraph {
         // list is already sorted ascending by edge id.
         Ok(Self {
             num_nodes,
-            edges: edge_csr,
+            edges,
             incidence: Csr::from_parts(node_offsets, node_edges),
         })
     }
@@ -378,24 +385,51 @@ mod tests {
         );
     }
 
+    /// A member CSR with the given rows.
+    fn member_csr(rows: &[&[NodeId]]) -> Csr<NodeId> {
+        let mut csr = Csr::new();
+        for row in rows {
+            csr.push_row(row);
+        }
+        csr
+    }
+
     #[test]
     fn to_edge_lists_round_trips() {
         let h = figure2();
         let lists = h.to_edge_lists();
-        let rebuilt = Hypergraph::from_sorted_edges(8, lists).unwrap();
+        let rows: Vec<&[NodeId]> = lists.iter().map(Vec::as_slice).collect();
+        let rebuilt = Hypergraph::from_edge_csr(member_csr(&rows)).unwrap();
         assert_eq!(h, rebuilt);
     }
 
     #[test]
     fn empty_edge_rejected() {
-        let err = Hypergraph::from_sorted_edges(3, vec![vec![0, 1], vec![]]).unwrap_err();
+        let err = Hypergraph::from_edge_csr(member_csr(&[&[0, 1], &[]])).unwrap_err();
         assert!(matches!(err, HypergraphError::EmptyEdge { index: 1 }));
     }
 
     #[test]
     fn no_edges_rejected() {
-        let err = Hypergraph::from_sorted_edges(3, vec![]).unwrap_err();
+        let err = Hypergraph::from_edge_csr(member_csr(&[])).unwrap_err();
         assert!(matches!(err, HypergraphError::NoEdges));
+    }
+
+    #[test]
+    fn unsorted_repeated_or_overflowing_members_rejected() {
+        for rows in [&[&[0, 1][..], &[2, 1]][..], &[&[3, 3]]] {
+            let err = Hypergraph::from_edge_csr(member_csr(rows)).unwrap_err();
+            let index = rows.len() - 1;
+            assert!(
+                matches!(err, HypergraphError::UnsortedEdge { index: i } if i == index),
+                "{err}"
+            );
+        }
+        let err = Hypergraph::from_edge_csr(member_csr(&[&[0, NodeId::MAX]])).unwrap_err();
+        assert!(
+            matches!(err, HypergraphError::NodeIdOverflow { .. }),
+            "{err}"
+        );
     }
 
     #[test]

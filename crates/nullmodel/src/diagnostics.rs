@@ -65,28 +65,6 @@ impl PreservationReport {
         }
     }
 
-    /// Averages the numeric fields of several reports (the boolean fields
-    /// become "true for all").
-    pub fn aggregate(reports: &[PreservationReport]) -> Option<PreservationReport> {
-        if reports.is_empty() {
-            return None;
-        }
-        let n = reports.len() as f64;
-        Some(PreservationReport {
-            edge_count_preserved: reports.iter().all(|r| r.edge_count_preserved),
-            sizes_exact: reports.iter().all(|r| r.sizes_exact),
-            degrees_exact: reports.iter().all(|r| r.degrees_exact),
-            degree_ks: reports.iter().map(|r| r.degree_ks).sum::<f64>() / n,
-            size_ks: reports.iter().map(|r| r.size_ks).sum::<f64>() / n,
-            incidence_drift: reports.iter().map(|r| r.incidence_drift).sum::<f64>() / n,
-            unchanged_edge_fraction: reports
-                .iter()
-                .map(|r| r.unchanged_edge_fraction)
-                .sum::<f64>()
-                / n,
-        })
-    }
-
     /// One-line human-readable summary.
     pub fn summary(&self) -> String {
         format!(
@@ -180,23 +158,5 @@ mod tests {
             uniform.degree_ks,
             chung_lu.degree_ks
         );
-    }
-
-    #[test]
-    fn aggregate_averages_numeric_fields() {
-        let h = sample_hypergraph();
-        let reports: Vec<_> = (0..3)
-            .map(|i| {
-                PreservationReport::compare(
-                    &h,
-                    &chung_lu_randomize(&h, &mut StdRng::seed_from_u64(i)),
-                )
-            })
-            .collect();
-        let aggregated = PreservationReport::aggregate(&reports).unwrap();
-        assert!(aggregated.sizes_exact);
-        assert!(aggregated.degree_ks >= 0.0);
-        assert!(!aggregated.summary().is_empty());
-        assert!(PreservationReport::aggregate(&[]).is_none());
     }
 }

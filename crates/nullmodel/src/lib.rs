@@ -8,6 +8,10 @@
 //! - [`chung_lu_randomize`] — the Chung-Lu null model: every hyperedge keeps
 //!   its exact size; its members are re-drawn with probability proportional
 //!   to the original node degrees, so degrees are preserved in expectation.
+//!   A guide (cut-point) table over the cumulative degrees maps each uniform
+//!   draw to its node in O(1) expected steps, to the very node inversion by
+//!   binary search (`rand`'s `WeightedIndex`) picks, so a seed names the
+//!   same reference either way.
 //! - [`configuration_randomize`] — a stub-matching configuration model that
 //!   preserves node degrees *exactly* up to collision resolution; used as an
 //!   ablation of the null-model choice.
@@ -23,8 +27,7 @@ pub mod swap;
 pub use diagnostics::PreservationReport;
 pub use swap::{swap_randomize, swap_randomize_with, uniform_size_randomize, SwapStats};
 
-use mochy_hypergraph::{Hypergraph, HypergraphBuilder, NodeId};
-use rand::distributions::{Distribution, WeightedIndex};
+use mochy_hypergraph::{Csr, Hypergraph, HypergraphBuilder, NodeId};
 use rand::seq::SliceRandom;
 use rand::Rng;
 use rand::SeedableRng;
@@ -49,15 +52,21 @@ pub enum NullModel {
 ///
 /// Every hyperedge keeps its size; its members are drawn (without replacement
 /// within the hyperedge) with probability proportional to the node's degree
-/// in the original hypergraph. Nodes of degree 0 are never selected. The
-/// result therefore preserves the hyperedge-size distribution exactly and the
-/// node-degree distribution in expectation, the two properties the paper's
-/// randomization is designed to keep.
+/// in the original hypergraph. Nodes of degree 0 are never drawn; only the
+/// uniform fallback for a hyperedge that keeps drawing members it already
+/// holds can pick one. The result therefore preserves the hyperedge-size
+/// distribution exactly and the node-degree distribution in expectation,
+/// the two properties the paper's randomization is designed to keep.
+///
+/// Each member is one `rng.gen::<f64>()` draw, mapped to a node by a guide
+/// table over the cumulative degrees in O(1) expected steps. The nodes
+/// drawn, and so the hypergraph for a given RNG state, are exactly those of
+/// inversion by binary search over the cumulative degrees (`rand`'s
+/// `WeightedIndex`). Members go straight into one member CSR, and `|V|` of
+/// the result is its largest member plus one.
 pub fn chung_lu_randomize<R: Rng + ?Sized>(hypergraph: &Hypergraph, rng: &mut R) -> Hypergraph {
-    let degrees = hypergraph.node_degrees();
-    let weights: Vec<f64> = degrees.iter().map(|&d| d as f64).collect();
-    let distribution = WeightedIndex::new(&weights).expect("hypergraph has at least one incidence");
-    let mut builder = HypergraphBuilder::with_capacity(hypergraph.num_edges());
+    let guide = DegreeGuide::new(&hypergraph.node_degrees());
+    let mut edges = Csr::with_capacity(hypergraph.num_edges(), hypergraph.num_incidences());
     let mut members: Vec<NodeId> = Vec::new();
     for e in hypergraph.edge_ids() {
         let size = hypergraph.edge_size(e);
@@ -67,7 +76,7 @@ pub fn chung_lu_randomize<R: Rng + ?Sized>(hypergraph: &Hypergraph, rng: &mut R)
         // rare and this terminates quickly. A safety valve bounds the loop.
         let mut attempts = 0usize;
         while members.len() < size {
-            let candidate = distribution.sample(rng) as NodeId;
+            let candidate = guide.draw(rng);
             if !members.contains(&candidate) {
                 members.push(candidate);
             }
@@ -83,11 +92,96 @@ pub fn chung_lu_randomize<R: Rng + ?Sized>(hypergraph: &Hypergraph, rng: &mut R)
                 break;
             }
         }
-        builder.add_edge(members.iter().copied());
+        members.sort_unstable();
+        edges.push_row(&members);
     }
-    builder
-        .build()
-        .expect("randomized hypergraph has the same number of hyperedges")
+    Hypergraph::from_edge_csr(edges)
+        .expect("every randomized hyperedge holds distinct members, sorted")
+}
+
+/// Inversion sampling of node ids proportionally to their degrees, through a
+/// guide (cut-point) table over the cumulative degrees.
+///
+/// [`DegreeGuide::index_of`] returns the index that a binary search over the
+/// cumulative degrees returns (`rand`'s `WeightedIndex`), but starts a short
+/// forward scan at a precomputed cut point instead of searching.
+#[derive(Debug)]
+struct DegreeGuide {
+    /// `cumulative[v]` is the degree sum of nodes `0..=v`.
+    cumulative: Vec<f64>,
+    /// The degree sum of all nodes.
+    total: f64,
+    /// `cut[b]` is the first node whose cumulative degree reaches
+    /// `b · total / cut.len()`.
+    cut: Vec<usize>,
+    /// `cut.len() / total`: maps a target to its cut point.
+    cuts_per_degree: f64,
+}
+
+impl DegreeGuide {
+    /// A guide with one cut point per node.
+    ///
+    /// # Panics
+    /// Panics if every degree is zero (a hypergraph has at least one
+    /// incidence).
+    fn new(degrees: &[usize]) -> Self {
+        let mut total = 0.0f64;
+        let cumulative: Vec<f64> = degrees
+            .iter()
+            .map(|&d| {
+                total += d as f64;
+                total
+            })
+            .collect();
+        assert!(total > 0.0, "hypergraph has at least one incidence");
+        let buckets = cumulative.len();
+        let mut cut = Vec::with_capacity(buckets);
+        let mut node = 0usize;
+        for b in 0..buckets {
+            let lower = b as f64 * total / buckets as f64;
+            // `lower < total = cumulative[last]`, so the scan stays in range.
+            while cumulative[node] < lower {
+                node += 1;
+            }
+            cut.push(node);
+        }
+        Self {
+            cumulative,
+            total,
+            cut,
+            cuts_per_degree: buckets as f64 / total,
+        }
+    }
+
+    /// One node, drawn with probability proportional to its degree from one
+    /// `rng.gen::<f64>()`, as `WeightedIndex::sample` draws it.
+    fn draw<R: Rng + ?Sized>(&self, rng: &mut R) -> NodeId {
+        self.index_of(rng.gen::<f64>() * self.total) as NodeId
+    }
+
+    /// The index `WeightedIndex::sample` maps `target` (in `[0, total]`) to:
+    /// the first node whose cumulative degree is at least `target`. An exact
+    /// tie, where a cumulative degree equals `target`, and a cut point that
+    /// rounding placed past the answer both defer to the same binary search.
+    fn index_of(&self, target: f64) -> usize {
+        let bucket = ((target * self.cuts_per_degree) as usize).min(self.cut.len() - 1);
+        let mut node = self.cut[bucket];
+        if node == 0 || self.cumulative[node - 1] < target {
+            // `cumulative[last] = total >= target` ends the scan.
+            while self.cumulative[node] < target {
+                node += 1;
+            }
+            if self.cumulative[node] != target {
+                return node;
+            }
+        }
+        match self
+            .cumulative
+            .binary_search_by(|probe| probe.partial_cmp(&target).expect("finite weights"))
+        {
+            Ok(i) | Err(i) => i.min(self.cumulative.len() - 1),
+        }
+    }
 }
 
 /// Randomizes a hypergraph with a stub-matching configuration model: each
@@ -166,7 +260,168 @@ mod tests {
     use super::*;
     use mochy_hypergraph::stats::total_variation_distance;
     use mochy_hypergraph::HypergraphStats;
+    use rand::distributions::{Distribution, WeightedIndex};
     use rand::rngs::StdRng;
+
+    /// The Chung-Lu model drawn through `rand`'s `WeightedIndex` and built
+    /// through `HypergraphBuilder`: the reference `chung_lu_randomize` must
+    /// equal draw for draw.
+    fn chung_lu_reference<R: Rng + ?Sized>(hypergraph: &Hypergraph, rng: &mut R) -> Hypergraph {
+        let degrees = hypergraph.node_degrees();
+        let weights: Vec<f64> = degrees.iter().map(|&d| d as f64).collect();
+        let distribution =
+            WeightedIndex::new(&weights).expect("hypergraph has at least one incidence");
+        let mut builder = HypergraphBuilder::with_capacity(hypergraph.num_edges());
+        let mut members: Vec<NodeId> = Vec::new();
+        for e in hypergraph.edge_ids() {
+            let size = hypergraph.edge_size(e);
+            members.clear();
+            let mut attempts = 0usize;
+            while members.len() < size {
+                let candidate = distribution.sample(rng) as NodeId;
+                if !members.contains(&candidate) {
+                    members.push(candidate);
+                }
+                attempts += 1;
+                if attempts > 100 * size + 1000 {
+                    let mut fallback: Vec<NodeId> = (0..hypergraph.num_nodes() as NodeId)
+                        .filter(|v| !members.contains(v))
+                        .collect();
+                    fallback.shuffle(rng);
+                    members.extend(fallback.into_iter().take(size - members.len()));
+                    break;
+                }
+            }
+            builder.add_edge(members.iter().copied());
+        }
+        builder
+            .build()
+            .expect("randomized hypergraph has the same number of hyperedges")
+    }
+
+    /// A snapshot-loaded hypergraph with `num_nodes` nodes: unlike the
+    /// builder's `max id + 1`, the ids above every member are isolated nodes.
+    fn with_isolated_top_nodes(num_nodes: usize, edges: &[Vec<NodeId>]) -> Hypergraph {
+        let mut incidence = vec![Vec::new(); num_nodes];
+        for (e, members) in edges.iter().enumerate() {
+            for &v in members {
+                incidence[v as usize].push(e as u32);
+            }
+        }
+        let mut bytes = b"MOCHYSNP".to_vec();
+        bytes.extend(1u32.to_le_bytes());
+        bytes.extend(0u32.to_le_bytes());
+        let num_incidences: usize = edges.iter().map(Vec::len).sum();
+        for count in [num_nodes, edges.len(), num_incidences] {
+            bytes.extend((count as u64).to_le_bytes());
+        }
+        for rows in [edges, &incidence[..]] {
+            let mut offset = 0u64;
+            bytes.extend(offset.to_le_bytes());
+            for row in rows {
+                offset += row.len() as u64;
+                bytes.extend(offset.to_le_bytes());
+            }
+            for &id in rows.iter().flatten() {
+                bytes.extend(id.to_le_bytes());
+            }
+        }
+        let checksum = bytes.iter().fold(0xcbf2_9ce4_8422_2325_u64, |hash, &byte| {
+            (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        bytes.extend(checksum.to_le_bytes());
+        let hypergraph = mochy_hypergraph::read_snapshot_bytes(&bytes).unwrap();
+        assert_eq!(hypergraph.num_nodes(), num_nodes);
+        hypergraph
+    }
+
+    /// Over 200 seeds per input, the guide table draws exactly the
+    /// hypergraphs `WeightedIndex` draws, `num_nodes` included: on skewed
+    /// degrees, on runs of isolated ids at the bottom, in the middle and
+    /// above every member, on a hub that sends hyperedges to the uniform
+    /// fallback, and on the smallest input.
+    #[test]
+    fn chung_lu_draws_what_weighted_index_draws() {
+        // Members in 10..27 and 40..45 of 60 ids.
+        let gapped: Vec<Vec<NodeId>> = (0..120u32)
+            .map(|i| {
+                let mut members = vec![10 + i % 17, 10 + (i * 7 + 3) % 17, 40 + i % 5];
+                members.sort_unstable();
+                members.dedup();
+                members
+            })
+            .collect();
+        // Node 0 holds 2,002 of 2,007 degrees and node 5 none: only the
+        // uniform fallback can give node 5 a hyperedge.
+        let mut hub = HypergraphBuilder::new();
+        for _ in 0..2_000 {
+            hub.add_edge([0u32]);
+        }
+        hub.add_edge([0u32, 1, 2]);
+        hub.add_edge([0u32, 3, 4]);
+        hub.add_edge([6u32]);
+        let mut fallbacks = 0;
+        let inputs = [
+            ("skewed", skewed_hypergraph(0)),
+            ("gapped", with_isolated_top_nodes(60, &gapped)),
+            ("hub", hub.build().unwrap()),
+            (
+                "tiny",
+                HypergraphBuilder::new()
+                    .with_edge([0u32, 1])
+                    .with_edge([0u32, 1])
+                    .build()
+                    .unwrap(),
+            ),
+        ];
+        for (name, h) in &inputs {
+            for seed in 0..200u64 {
+                let drawn = chung_lu_randomize(h, &mut StdRng::seed_from_u64(seed));
+                let reference = chung_lu_reference(h, &mut StdRng::seed_from_u64(seed));
+                assert_eq!(drawn, reference, "{name}, seed {seed}");
+                assert_eq!(drawn.num_nodes(), reference.num_nodes(), "{name}");
+                if *name == "hub" && drawn.num_nodes() > 5 && drawn.node_degree(5) > 0 {
+                    fallbacks += 1;
+                }
+            }
+        }
+        assert!(fallbacks > 0, "no seed reached the uniform fallback");
+    }
+
+    /// Random draws almost never land exactly on a cumulative degree, so the
+    /// tie branch is checked directly: every integer and half-integer target
+    /// maps where the binary search maps it, on arrays with zero-weight runs
+    /// at the start, inside and at the end.
+    #[test]
+    fn guide_lookup_matches_the_binary_search_on_every_target() {
+        let arrays: [&[usize]; 7] = [
+            &[1],
+            &[0, 0, 1],
+            &[4, 0, 0, 0],
+            &[0, 0, 3, 0, 0, 1, 2, 0, 5, 0, 0],
+            &[1, 1, 1, 1, 1, 1, 1, 1],
+            &[0, 9, 0, 0, 0, 0, 0, 0, 0, 1],
+            &[2, 0, 7, 0, 0, 0, 1, 0, 0, 3, 0, 0, 0, 0, 6, 0],
+        ];
+        for degrees in arrays {
+            let guide = DegreeGuide::new(degrees);
+            let total: usize = degrees.iter().sum();
+            for half_steps in 0..2 * total {
+                let target = half_steps as f64 / 2.0;
+                let expected = match guide
+                    .cumulative
+                    .binary_search_by(|probe| probe.partial_cmp(&target).unwrap())
+                {
+                    Ok(i) | Err(i) => i.min(degrees.len() - 1),
+                };
+                assert_eq!(
+                    guide.index_of(target),
+                    expected,
+                    "degrees {degrees:?}, target {target}"
+                );
+            }
+        }
+    }
 
     fn skewed_hypergraph(seed: u64) -> Hypergraph {
         // Power-law-ish degrees: node v has weight ∝ 1/(v+1).

@@ -32,17 +32,6 @@ pub struct SwapStats {
     pub rejected_trivial: usize,
 }
 
-impl SwapStats {
-    /// Fraction of attempts that were applied.
-    pub fn acceptance_rate(&self) -> f64 {
-        if self.attempted == 0 {
-            0.0
-        } else {
-            self.accepted as f64 / self.attempted as f64
-        }
-    }
-}
-
 /// Randomizes a hypergraph by `attempts` random double-edge swaps on the
 /// bipartite incidence graph.
 ///
@@ -180,7 +169,6 @@ mod tests {
             stats.accepted + stats.rejected_duplicate + stats.rejected_trivial,
             stats.attempted
         );
-        assert!(stats.acceptance_rate() > 0.0 && stats.acceptance_rate() <= 1.0);
     }
 
     #[test]
@@ -215,7 +203,6 @@ mod tests {
         let (randomized, stats) = swap_randomize_with(&h, 0, &mut rng);
         assert_eq!(randomized, h);
         assert_eq!(stats.accepted, 0);
-        assert_eq!(stats.acceptance_rate(), 0.0);
     }
 
     #[test]

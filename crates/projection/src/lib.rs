@@ -9,11 +9,14 @@
 //!
 //! Three construction strategies are provided:
 //!
-//! - [`project`]: the sequential Algorithm 1, streaming every hyperedge
-//!   through one reusable dense [`NeighborhoodScratch`] into CSR storage.
-//! - [`project_parallel`]: the multi-threaded variant of Section 3.4
-//!   (workers steal hyperedge blocks from an atomic work queue, each with a
-//!   private scratch; output is identical to [`project`]).
+//! - [`project`]: the sequential Algorithm 1. Hyperedges are visited in
+//!   increasing id and each appends itself to the rows of the hyperedges it
+//!   overlaps, so rows come out sorted, with no hashing and no sorting,
+//!   straight into CSR storage.
+//! - [`project_parallel`]: the multi-threaded variant of Section 3.4. Each
+//!   worker fills the rows for one block of hyperedges, the blocks balanced
+//!   by work, and each row is stitched from the workers' sorted runs; output
+//!   is identical to [`project`].
 //! - [`lazy::LazyProjection`]: the on-the-fly variant of Section 3.4, which
 //!   computes hyperedge neighbourhoods on demand and memoizes them within a
 //!   configurable budget, prioritized by degree / LRU / random (Figure 11).
@@ -26,6 +29,5 @@ pub mod projected;
 
 pub use lazy::{LazyProjection, MemoPolicy, MemoStats};
 pub use projected::{
-    compute_neighborhood, project, project_parallel, NeighborhoodScratch, ProjectedGraph,
-    WeightedNeighbor,
+    compute_neighborhood, project, project_parallel, ProjectedGraph, WeightedNeighbor,
 };

@@ -1,14 +1,18 @@
 //! Eager (sequential and parallel) construction of the projected graph.
 //!
-//! The hot path is hash-free: neighbourhoods are accumulated either into a
-//! reusable dense counter array ([`NeighborhoodScratch`], used when the whole
-//! projected graph is being materialized) or by gather-sort-runlength
-//! ([`compute_neighborhood`], used for one-off / lazy lookups), and the
-//! result is stored in CSR form. The parallel builder pulls hyperedge blocks
-//! from an atomic work queue (work stealing), so skewed-degree datasets do
-//! not serialize on the heaviest static shard.
+//! The hot path neither hashes nor sorts: hyperedges `f` are visited in
+//! increasing id, and each appends itself to the row of every hyperedge it
+//! overlaps, so every row receives its neighbours already in increasing id
+//! and the `|e ∩ f|` appends of one pair arrive back to back (one entry,
+//! its weight counted up). A counting pass of the same loop sizes the CSR
+//! rows first. The parallel builder gives each worker one block of `f`,
+//! balanced by work, and stitches each row from the workers' sorted runs
+//! in block order. One-off lookups ([`compute_neighborhood`], used by the
+//! lazy projection) gather, sort and run-length encode one neighbourhood.
 
-use mochy_hypergraph::{default_chunk_size, map_reduce_chunks, Csr, EdgeId, Hypergraph};
+use std::ops::Range;
+
+use mochy_hypergraph::{Csr, EdgeId, Hypergraph};
 
 /// One entry of a hyperedge's neighbourhood in the projected graph: the
 /// adjacent hyperedge and the overlap size `ω(∧_ij) = |e_i ∩ e_j|`.
@@ -97,69 +101,11 @@ impl ProjectedGraph {
     }
 }
 
-/// Reusable dense accumulator for building hyperedge neighbourhoods.
-///
-/// Holds one `u32` overlap counter per hyperedge plus the list of counters
-/// touched by the current hyperedge, so a full projection performs zero
-/// hashing and only `O(output)` resets between hyperedges. One scratch is
-/// `O(|E|)` memory; the eager builders keep one per worker thread.
-pub struct NeighborhoodScratch {
-    weights: Vec<u32>,
-    touched: Vec<EdgeId>,
-}
-
-impl NeighborhoodScratch {
-    /// A scratch sized for `hypergraph` (all counters start at zero).
-    pub fn new(hypergraph: &Hypergraph) -> Self {
-        Self {
-            weights: vec![0; hypergraph.num_edges()],
-            touched: Vec::new(),
-        }
-    }
-
-    /// Appends the neighbourhood of `e` to `out` and returns its length:
-    /// every hyperedge sharing at least one node with `e`, with overlap
-    /// sizes, sorted by neighbour id. This is the work lines 3–7 of
-    /// Algorithm 1 perform for one hyperedge; appending (rather than
-    /// overwriting) lets the eager builders write each row straight into
-    /// the flat CSR value buffer with no intermediate copy.
-    pub fn append_neighborhood(
-        &mut self,
-        hypergraph: &Hypergraph,
-        e: EdgeId,
-        out: &mut Vec<WeightedNeighbor>,
-    ) -> usize {
-        debug_assert_eq!(self.weights.len(), hypergraph.num_edges());
-        for &v in hypergraph.edge(e) {
-            for &other in hypergraph.edges_of_node(v) {
-                if other == e {
-                    continue;
-                }
-                let slot = &mut self.weights[other as usize];
-                if *slot == 0 {
-                    self.touched.push(other);
-                }
-                *slot += 1;
-            }
-        }
-        self.touched.sort_unstable();
-        out.reserve(self.touched.len());
-        for &other in &self.touched {
-            out.push((other, self.weights[other as usize]));
-            self.weights[other as usize] = 0;
-        }
-        let appended = self.touched.len();
-        self.touched.clear();
-        appended
-    }
-}
-
 /// Computes the neighbourhood of a single hyperedge in the projected graph
 /// without any persistent scratch: the incident hyperedges of every member
 /// node are gathered into one buffer, sorted, and run-length encoded. This
-/// is the unit of work of the lazy projection; for materializing the whole
-/// projected graph, [`project`] / [`project_parallel`] amortize a
-/// [`NeighborhoodScratch`] instead.
+/// is the unit of work of the lazy projection; [`project`] and
+/// [`project_parallel`] materialize every row at once instead.
 pub fn compute_neighborhood(hypergraph: &Hypergraph, e: EdgeId) -> Vec<WeightedNeighbor> {
     let gathered: usize = hypergraph
         .edge(e)
@@ -187,87 +133,144 @@ pub fn compute_neighborhood(hypergraph: &Hypergraph, e: EdgeId) -> Vec<WeightedN
     neighbors
 }
 
-/// Algorithm 1: builds the projected graph sequentially, streaming every
-/// hyperedge through one reusable [`NeighborhoodScratch`] directly into CSR
-/// storage.
+/// Algorithm 1: builds the projected graph sequentially, as one block of
+/// the fill [`project_parallel`]'s workers share, straight into CSR storage.
 pub fn project(hypergraph: &Hypergraph) -> ProjectedGraph {
-    let mut scratch = NeighborhoodScratch::new(hypergraph);
+    let rows = BlockRows::fill(hypergraph, 0..hypergraph.num_edges());
+    ProjectedGraph::from_csr(Csr::from_parts(rows.offsets, rows.flat))
+}
+
+/// Parallel variant of Algorithm 1 (Section 3.4): `num_threads` scoped
+/// workers each fill the rows' entries for one contiguous block of
+/// hyperedges, the blocks balanced by `Σ_{v∈f} |E_v|`, the work each
+/// hyperedge `f` costs. A worker's entries for a row form one sorted run,
+/// and the row is the workers' runs in block order, so the result is
+/// identical to [`project`] for every thread count.
+///
+/// `num_threads == 0` or `1` falls back to the sequential implementation.
+pub fn project_parallel(hypergraph: &Hypergraph, num_threads: usize) -> ProjectedGraph {
+    let blocks = balanced_blocks(hypergraph, num_threads);
+    if blocks.len() <= 1 {
+        return project(hypergraph);
+    }
+    let parts: Vec<BlockRows> = std::thread::scope(|scope| {
+        let handles: Vec<_> = blocks
+            .into_iter()
+            .map(|block| scope.spawn(move || BlockRows::fill(hypergraph, block)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|handle| handle.join().expect("projection worker panicked"))
+            .collect()
+    });
     let n = hypergraph.num_edges();
+    let total_entries: usize = parts.iter().map(|part| part.flat.len()).sum();
     let mut offsets = Vec::with_capacity(n + 1);
     offsets.push(0usize);
-    let mut flat: Vec<WeightedNeighbor> = Vec::new();
-    for e in hypergraph.edge_ids() {
-        scratch.append_neighborhood(hypergraph, e, &mut flat);
+    let mut flat = Vec::with_capacity(total_entries);
+    for e in 0..n {
+        for part in &parts {
+            flat.extend_from_slice(part.row(e));
+        }
         offsets.push(flat.len());
     }
     ProjectedGraph::from_csr(Csr::from_parts(offsets, flat))
 }
 
-/// The rows a worker produced for one claimed block of hyperedges.
-struct ChunkRows {
-    start: usize,
-    row_lens: Vec<u32>,
+/// Splits the hyperedges into at most `parts` contiguous, non-empty blocks
+/// of about equal work `Σ_{v∈f} |E_v|`.
+fn balanced_blocks(hypergraph: &Hypergraph, parts: usize) -> Vec<Range<usize>> {
+    let work = |f: EdgeId| -> usize {
+        hypergraph
+            .edge(f)
+            .iter()
+            .map(|&v| hypergraph.node_degree(v))
+            .sum()
+    };
+    let n = hypergraph.num_edges();
+    let parts = parts.clamp(1, n.max(1));
+    let total: usize = hypergraph.edge_ids().map(work).sum();
+    let mut blocks = Vec::with_capacity(parts);
+    let (mut start, mut done) = (0usize, 0usize);
+    for f in hypergraph.edge_ids() {
+        done += work(f);
+        let share = (blocks.len() + 1) as f64 / parts as f64;
+        if blocks.len() + 1 < parts && done as f64 >= share * total as f64 {
+            blocks.push(start..f as usize + 1);
+            start = f as usize + 1;
+        }
+    }
+    if start < n {
+        blocks.push(start..n);
+    }
+    blocks
+}
+
+/// The projected rows' entries contributed by one block of hyperedges `f`:
+/// row `e` holds `(f, |e ∩ f|)` for every `f` of the block that overlaps
+/// `e`, in increasing `f`.
+struct BlockRows {
+    /// `offsets[e]..offsets[e + 1]` delimits row `e` in `flat`.
+    offsets: Vec<usize>,
     flat: Vec<WeightedNeighbor>,
 }
 
-/// Parallel variant of Algorithm 1 (Section 3.4): hyperedge blocks are
-/// claimed from an atomic work queue by `num_threads` scoped workers (work
-/// stealing), each with a private [`NeighborhoodScratch`]; the per-block rows
-/// are stitched back in hyperedge order, so the result is identical to
-/// [`project`] for every thread count and schedule.
-///
-/// `num_threads == 0` or `1` falls back to the sequential implementation.
-pub fn project_parallel(hypergraph: &Hypergraph, num_threads: usize) -> ProjectedGraph {
-    let n = hypergraph.num_edges();
-    if num_threads <= 1 || n < 2 {
-        return project(hypergraph);
-    }
-    let chunk_size = default_chunk_size(n, num_threads);
-    let per_worker = map_reduce_chunks(
-        n,
-        num_threads,
-        chunk_size,
-        || {
-            (
-                NeighborhoodScratch::new(hypergraph),
-                Vec::<ChunkRows>::new(),
-            )
-        },
-        |(scratch, chunks), range| {
-            let mut rows = ChunkRows {
-                start: range.start,
-                row_lens: Vec::with_capacity(range.len()),
-                flat: Vec::new(),
-            };
-            for e in range {
-                let len = scratch.append_neighborhood(hypergraph, e as EdgeId, &mut rows.flat);
-                rows.row_lens.push(len as u32);
+impl BlockRows {
+    /// Lines 3–7 of Algorithm 1 for every hyperedge `f` of `block`, run
+    /// twice: once to size each row, once to fill it. Each row keeps the
+    /// last `f` that reached it, so a pair's `|e ∩ f|` meetings count once
+    /// in the first pass and add up one entry's weight in the second.
+    fn fill(hypergraph: &Hypergraph, block: Range<usize>) -> Self {
+        let n = hypergraph.num_edges();
+        let block = block.start as EdgeId..block.end as EdgeId;
+        // Per row, in one 8-byte slot: its entry count, then its write
+        // cursor; and the last `f` that reached it.
+        let mut rows: Vec<(u32, EdgeId)> = vec![(0, EdgeId::MAX); n];
+        for f in block.clone() {
+            for &v in hypergraph.edge(f) {
+                for &e in hypergraph.edges_of_node(v) {
+                    let row = &mut rows[e as usize];
+                    if e != f && row.1 != f {
+                        *row = (row.0 + 1, f);
+                    }
+                }
             }
-            chunks.push(rows);
-        },
-    );
-
-    let mut chunks: Vec<ChunkRows> = per_worker
-        .into_iter()
-        .flat_map(|(_, chunks)| chunks)
-        .collect();
-    chunks.sort_unstable_by_key(|c| c.start);
-    debug_assert_eq!(
-        chunks.iter().map(|c| c.row_lens.len()).sum::<usize>(),
-        n,
-        "chunks must cover every hyperedge exactly once"
-    );
-    let total_entries: usize = chunks.iter().map(|c| c.flat.len()).sum();
-    let mut offsets = Vec::with_capacity(n + 1);
-    offsets.push(0usize);
-    let mut flat = Vec::with_capacity(total_entries);
-    for chunk in chunks {
-        for len in chunk.row_lens {
-            offsets.push(offsets.last().unwrap() + len as usize);
         }
-        flat.extend_from_slice(&chunk.flat);
+        let mut offsets = Vec::with_capacity(n + 1);
+        offsets.push(0usize);
+        let mut start = 0usize;
+        for row in &mut rows {
+            let len = row.0 as usize;
+            *row = (start as u32, EdgeId::MAX);
+            start += len;
+            offsets.push(start);
+        }
+        // No cursor passes the total, so the casts above were exact.
+        u32::try_from(start).expect("a block holds fewer than 2^32 entries");
+        let mut flat: Vec<WeightedNeighbor> = vec![(0, 0); start];
+        for f in block {
+            for &v in hypergraph.edge(f) {
+                for &e in hypergraph.edges_of_node(v) {
+                    if e == f {
+                        continue;
+                    }
+                    let row = &mut rows[e as usize];
+                    if row.1 == f {
+                        flat[row.0 as usize - 1].1 += 1;
+                    } else {
+                        flat[row.0 as usize] = (f, 1);
+                        *row = (row.0 + 1, f);
+                    }
+                }
+            }
+        }
+        Self { offsets, flat }
     }
-    ProjectedGraph::from_csr(Csr::from_parts(offsets, flat))
+
+    /// Row `e`'s entries from this block.
+    fn row(&self, e: usize) -> &[WeightedNeighbor] {
+        &self.flat[self.offsets[e]..self.offsets[e + 1]]
+    }
 }
 
 #[cfg(test)]
@@ -360,15 +363,89 @@ mod tests {
     }
 
     #[test]
-    fn standalone_neighborhood_matches_scratch() {
+    fn standalone_neighborhood_matches_projection() {
         let h = figure2();
-        let mut scratch = NeighborhoodScratch::new(&h);
-        let mut row = Vec::new();
+        let projected = project(&h);
         for e in h.edge_ids() {
-            row.clear();
-            let len = scratch.append_neighborhood(&h, e, &mut row);
-            assert_eq!(len, row.len());
-            assert_eq!(compute_neighborhood(&h, e), row, "edge {e}");
+            assert_eq!(
+                compute_neighborhood(&h, e),
+                projected.neighbors(e),
+                "edge {e}"
+            );
+        }
+    }
+
+    /// Every row of `project` and of `project_parallel` at 1, 2, 3, 8 and 64
+    /// threads equals the row built by brute force over all pairs with
+    /// `Hypergraph::intersection_size`, on 60 seeded hypergraphs with
+    /// repeated and singleton hyperedges, a node in every hyperedge,
+    /// hyperedges without neighbours, and often more workers than
+    /// hyperedges.
+    #[test]
+    fn rows_match_brute_force_intersections() {
+        // SplitMix64, seeded: a value below `n`.
+        let mut state = 0x5eed_u64;
+        let mut below = |n: u32| -> u32 {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z ^ (z >> 31)) % u64::from(n)) as u32
+        };
+        for graph in 0..60 {
+            let num_nodes = 2 + below(30);
+            let mut edges: Vec<Vec<u32>> = Vec::new();
+            for _ in 0..1 + below(100) {
+                if !edges.is_empty() && below(4) == 0 {
+                    let repeated = edges[below(edges.len() as u32) as usize].clone();
+                    edges.push(repeated);
+                } else {
+                    let size = 1 + below(5);
+                    edges.push((0..size).map(|_| below(num_nodes)).collect());
+                }
+            }
+            match graph % 3 {
+                // Node `num_nodes` in every hyperedge.
+                0 => edges.iter_mut().for_each(|edge| edge.push(num_nodes)),
+                // A hyperedge of fresh nodes, overlapping no other.
+                1 => edges.push(vec![num_nodes, num_nodes + 1]),
+                _ => {}
+            }
+            let mut builder = HypergraphBuilder::new();
+            builder.extend_edges(edges);
+            let h = builder.build().unwrap();
+            let expected: Vec<Vec<WeightedNeighbor>> = h
+                .edge_ids()
+                .map(|i| {
+                    h.edge_ids()
+                        .filter(|&j| j != i)
+                        .filter_map(|j| {
+                            let overlap = h.intersection_size(i, j) as u32;
+                            (overlap > 0).then_some((j, overlap))
+                        })
+                        .collect()
+                })
+                .collect();
+            let hyperwedges = expected.iter().map(Vec::len).sum::<usize>() / 2;
+            let mut built = vec![("project".to_string(), project(&h))];
+            for threads in [1, 2, 3, 8, 64] {
+                built.push((format!("{threads} threads"), project_parallel(&h, threads)));
+            }
+            for (how, projected) in &built {
+                assert_eq!(projected.num_edges(), h.num_edges(), "graph {graph}, {how}");
+                assert_eq!(
+                    projected.num_hyperwedges(),
+                    hyperwedges,
+                    "graph {graph}, {how}"
+                );
+                for e in h.edge_ids() {
+                    assert_eq!(
+                        projected.neighbors(e),
+                        expected[e as usize],
+                        "graph {graph}, {how}, row {e}"
+                    );
+                }
+            }
         }
     }
 

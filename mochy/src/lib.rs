@@ -126,5 +126,5 @@ pub mod prelude {
         GeneralizedCatalog, HMotif, MotifCatalog, MotifClass, RegionCardinalities,
     };
     pub use mochy_nullmodel::{chung_lu_randomize, swap_randomize, PreservationReport};
-    pub use mochy_projection::{project, project_parallel, NeighborhoodScratch, ProjectedGraph};
+    pub use mochy_projection::{project, project_parallel, ProjectedGraph};
 }
