@@ -15,10 +15,12 @@
 //! `open_key`, whose motifs `open_motifs` classifies once:
 //! - the exact counting kernel (`exact::CentreTally`) tallies every
 //!   neighbour pair of a centre `e_i` by open key, and each triangle of the
-//!   projected graph once, at its smallest member, by its `closed_key`,
-//!   with the triple intersection read as a popcount over bitmasks of
-//!   `e_i`'s nodes. `closed_class` decodes each key once per worker into
-//!   its closed motif and the open pairs the triangle gives back;
+//!   projected graph once, at its smallest member, by its `closed_key`.
+//!   A branch-free scan of `N(j)` per later neighbour `e_j` collects the
+//!   triangles into a buffer first, and a tight loop keys them, with the
+//!   triple intersection read as a popcount over bitmasks of `e_i`'s
+//!   nodes. `closed_class` decodes each key once per worker into its
+//!   closed motif and the open pairs the triangle gives back;
 //! - the hyperwedge sampling kernel (`sample::WedgeWalk`) counts, per
 //!   sampled hyperwedge `∧_ij`, how many nodes of `e_i ∩ e_j` each
 //!   hyperedge contains, and reads the triple intersection of each common

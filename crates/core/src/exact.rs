@@ -10,7 +10,10 @@
 //!   tallies the open h-motifs of `e_i` in closed form from a histogram of
 //!   `N(i)`, in `O(|N(i)| + |e_i|)`. Per-triple work is left only for the
 //!   triangles of the projected graph, each listed once at its smallest
-//!   member by a scan of `N(j)` per neighbour `e_j` and tallied under a
+//!   member by a scan of `N(j)` per neighbour `e_j`. The scan starts past
+//!   `j`, at a position each worker caches per row, and writes every entry
+//!   to a buffer whose length grows only for members of `N(i)`, so no entry
+//!   takes a branch. A tight loop then tallies each triangle found under a
 //!   10-bit key of its Venn regions (Lemma 2). Each key is classified once
 //!   per worker.
 //! - **Enumeration kernel** (`CentreWalk`). It visits every neighbour pair
@@ -21,7 +24,7 @@ use std::ops::Range;
 
 use mochy_hypergraph::{default_chunk_size, map_reduce_chunks, EdgeId, Hypergraph};
 use mochy_motif::{MotifCatalog, MotifId, NUM_MOTIFS};
-use mochy_projection::{ProjectedGraph, WeightedNeighbor};
+use mochy_projection::ProjectedGraph;
 
 use crate::classify::{closed_class, closed_key, open_key, open_motifs, CLOSED_KEYS, OPEN_KEYS};
 use crate::count::MotifCounts;
@@ -97,7 +100,7 @@ pub(crate) fn mochy_e_centres(
 
 /// Sets bit `p` of neighbour `a`'s mask iff `N(i)[a]` contains the `p`-th
 /// node of `e_i`, `⌈|e_i|/64⌉` words per neighbour; `slot[j]` must hold the
-/// position of every neighbour `e_j` in `N(i)`. Then
+/// position of every neighbour `e_j` in `N(i)` plus 1. Then
 /// `Σ popcount(mask_j & mask_k)` counts exactly the nodes of `e_i` in both
 /// `e_j` and `e_k`: `|e_i ∩ e_j ∩ e_k|`. One pass over the incidence lists of
 /// `e_i`'s nodes, the same work projection does for `e_i`.
@@ -116,7 +119,7 @@ fn fill_masks(
         let (word, bit) = (position / 64, 1u64 << (position % 64));
         for &other in hypergraph.edges_of_node(v) {
             if other != i {
-                masks[slot[other as usize] as usize * words + word] |= bit;
+                masks[(slot[other as usize] as usize - 1) * words + word] |= bit;
             }
         }
     }
@@ -138,9 +141,9 @@ fn triple_intersection(mask_j: &[u64], mask_k: &[u64]) -> usize {
 }
 
 /// One worker's state for the counting kernel over the centres of a span
-/// `[s, e)`: an `|E|`-long slot array, reusable per-centre buffers, and the
-/// worker's signed tallies. Visiting a centre allocates nothing once the
-/// buffers have grown.
+/// `[s, e)`: two `|E|`-long arrays (slots and scan starts), reusable
+/// per-centre buffers, and the worker's signed tallies. Visiting a centre
+/// allocates nothing once the buffers have grown.
 ///
 /// **Method.** Visiting centre `e_i`:
 /// 1. *Open tally.* Every unordered pair of `N(i)` is tallied under its open
@@ -148,9 +151,10 @@ fn triple_intersection(mask_j: &[u64], mask_k: &[u64]) -> usize {
 ///    the pairs with `ω_ij + ω_ik = |e_i|` are a two-sum over the histogram,
 ///    and the others are the complement of the totals by subset count.
 /// 2. *Triangles whose smallest member is `e_i`.* For each `j = N(i)[a] > i`,
-///    a scan of `N(j)` from its partition point for `N(i)[a+1]` up to
-///    `max N(i)` finds every `k > j` in `N(i)`. Each triangle adds one to its
-///    [`closed_key`]. [`CentreTally::motif_tallies`] decodes each key once
+///    one scan of `N(j)` ([`CentreTally::common_later`]) writes every common
+///    neighbour `k > j` into a buffer, and a tight loop then adds one to each
+///    triangle's [`closed_key`]. The masks are filled on the centre's first
+///    triangle. [`CentreTally::motif_tallies`] decodes each key once
 ///    ([`closed_class`]): its triangles add their closed motif and leave the
 ///    open tally of each member in `[s, e)`, where the pair of the other two
 ///    members was tallied as open. A member at or past `e` keeps its tally,
@@ -167,18 +171,29 @@ fn triple_intersection(mask_j: &[u64], mask_k: &[u64]) -> usize {
 ///
 /// **Cost.** Steps 1 and 3 per centre: `O(|N(i)| + |e_i|)` and the scans of
 /// the neighbours before the span. Step 2: one scan per later neighbour,
-/// and per triangle the [`fill_masks`] popcount and one key tally. The masks
-/// are filled once per centre, on its first triangle. Per worker, at most
-/// `3 · 2^10` keys are decoded, once each.
+/// one load and one store per scanned entry, and per triangle the
+/// [`fill_masks`] popcount and one key tally. A scan starts at the first
+/// entry of `N(j)` past `j`, found by one binary search per `j` and worker.
+/// It also reads the entries between `j` and `N(i)[a+1]`, none of them in
+/// `N(i)`, which costs less than a binary search per pair for the start.
+/// Per worker, at most `3 · 2^10` keys are decoded, once each.
 struct CentreTally<'g> {
     hypergraph: &'g Hypergraph,
     projected: &'g ProjectedGraph,
     /// The span `[s, e)` whose centres this worker may be handed.
     span: Range<usize>,
-    /// `slot[j]` is the position of `e_j` in the current centre's
-    /// neighbourhood. `k` is a neighbour iff `slot[k] < |N(i)|` and
-    /// `N(i)[slot[k]]` is `k`, so the array is never cleared.
+    /// `slot[k]` is the position of `e_k` in the current centre's
+    /// neighbourhood plus 1, and 0 for every other hyperedge, so `k` is a
+    /// neighbour iff `slot[k] != 0`. A visit resets its neighbours' slots
+    /// to 0 when it ends.
     slot: Vec<u32>,
+    /// `start[j]` is the position in `N(j)` of its first entry past `j`, or
+    /// [`UNKNOWN_START`] until a scan of `N(j)` first needs it.
+    start: Vec<u32>,
+    /// The last scan's common neighbours as `(slot[k], ω_jk)`, in
+    /// `found[..len]`. At least `|N(i)|` entries long: a scan of `N(j)` finds
+    /// at most `|N(i)| − 1`, as `j` is not in `N(j)`.
+    found: Vec<(u32, u32)>,
     /// The current centre's [`fill_masks`] masks, once it has a triangle.
     masks: Vec<u64>,
     /// `|e_j|` for each neighbour, in `N(i)` order.
@@ -195,6 +210,9 @@ struct CentreTally<'g> {
     closed: Box<[[i64; CLOSED_KEYS]; 3]>,
 }
 
+/// A [`CentreTally::start`] entry no scan has needed yet.
+const UNKNOWN_START: u32 = u32::MAX;
+
 impl<'g> CentreTally<'g> {
     fn new(hypergraph: &'g Hypergraph, projected: &'g ProjectedGraph, span: Range<usize>) -> Self {
         Self {
@@ -202,6 +220,8 @@ impl<'g> CentreTally<'g> {
             projected,
             span,
             slot: vec![0; hypergraph.num_edges()],
+            start: vec![UNKNOWN_START; hypergraph.num_edges()],
+            found: Vec::new(),
             masks: Vec::new(),
             sizes: Vec::new(),
             inside: Vec::new(),
@@ -220,6 +240,10 @@ impl<'g> CentreTally<'g> {
             return;
         }
         let size_i = hypergraph.edge_size(i);
+        let last = neighbors[n - 1].0;
+        if self.found.len() < n {
+            self.found.resize(n, (0, 0));
+        }
 
         // 1. Open tally.
         self.sizes.clear();
@@ -228,7 +252,7 @@ impl<'g> CentreTally<'g> {
         self.histogram.resize(size_i + 1, [0; 2]);
         let mut by_inside = [0i64; 2];
         for (position, &(j, w_ij)) in neighbors.iter().enumerate() {
-            self.slot[j as usize] = position as u32;
+            self.slot[j as usize] = position as u32 + 1;
             let size_j = hypergraph.edge_size(j);
             let inside = usize::from(w_ij as usize == size_j);
             self.histogram[w_ij as usize][inside] += 1;
@@ -267,22 +291,31 @@ impl<'g> CentreTally<'g> {
         let mut masks_filled = false;
         for a in neighbors.partition_point(|&(j, _)| j < i)..n - 1 {
             let (j, w_ij) = neighbors[a];
+            let hits = self.common_later(j, last);
+            if hits == 0 {
+                continue;
+            }
+            if !masks_filled {
+                fill_masks(hypergraph, i, n, &self.slot, &mut self.masks);
+                masks_filled = true;
+            }
             let (w_ij, size_j) = (w_ij as usize, self.sizes[a]);
             let j_past = usize::from(j as usize >= end);
-            for (p, w_jk) in later_shared(neighbors, a, &self.slot, projected.neighbors(j)) {
-                if !masks_filled {
-                    fill_masks(hypergraph, i, n, &self.slot, &mut self.masks);
-                    masks_filled = true;
-                }
+            for &(slot_k, w_jk) in &self.found[..hits] {
+                let p = slot_k as usize - 1;
                 let (k, w_ik) = neighbors[p];
-                let triple = triple_intersection(
-                    &self.masks[a * words..(a + 1) * words],
-                    &self.masks[p * words..(p + 1) * words],
-                );
+                let triple = if words == 1 {
+                    (self.masks[a] & self.masks[p]).count_ones() as usize
+                } else {
+                    triple_intersection(
+                        &self.masks[a * words..(a + 1) * words],
+                        &self.masks[p * words..(p + 1) * words],
+                    )
+                };
                 let key = closed_key(
                     [size_i, size_j, self.sizes[p]],
                     w_ij,
-                    w_jk,
+                    w_jk as usize,
                     w_ik as usize,
                     triple,
                 );
@@ -296,11 +329,44 @@ impl<'g> CentreTally<'g> {
             let (j, w_ij) = neighbors[a];
             let target = size_i - w_ij as usize;
             let inside_j = self.inside[a];
-            for (p, _) in later_shared(neighbors, a, &self.slot, projected.neighbors(j)) {
+            let hits = self.common_later(j, last);
+            for &(slot_k, _) in &self.found[..hits] {
+                let p = slot_k as usize - 1;
                 let key = open_key(neighbors[p].1 as usize == target, inside_j + self.inside[p]);
                 self.open[key] -= 1;
             }
         }
+
+        for &(j, _) in neighbors {
+            self.slot[j as usize] = 0;
+        }
+    }
+
+    /// Writes the common neighbours `e_k` of the current centre `e_i` and
+    /// its neighbour `e_j` with `j < k ≤ last` into `found` as
+    /// `(slot[k], ω_jk)`, and returns how many there are. `last` is
+    /// `max N(i)`.
+    ///
+    /// One scan of `N(j)` from its first entry past `j`, cached in `start`:
+    /// each entry is stored at `found[len]`, and `len` grows by 1 iff its
+    /// slot is set, so no entry takes a branch on whether it is in `N(i)`.
+    fn common_later(&mut self, j: EdgeId, last: EdgeId) -> usize {
+        let row = self.projected.neighbors(j);
+        let start = &mut self.start[j as usize];
+        if *start == UNKNOWN_START {
+            *start = row.partition_point(|&(k, _)| k <= j) as u32;
+        }
+        let (slot, found) = (&self.slot[..], &mut self.found[..]);
+        let mut len = 0;
+        for &(k, w_jk) in row[*start as usize..]
+            .iter()
+            .take_while(|&&(k, _)| k <= last)
+        {
+            let slot_k = slot[k as usize];
+            found[len] = (slot_k, w_jk);
+            len += usize::from(slot_k != 0);
+        }
+        len
     }
 
     /// The worker's tallies by motif id − 1. Each triangle key with a
@@ -329,27 +395,6 @@ impl<'g> CentreTally<'g> {
         }
         totals
     }
-}
-
-/// The common neighbours `e_k` of `e_i` and `e_j = N(i)[a]` with
-/// `k > j`, as each one's position `p` in `N(i)` and `ω_jk`: one scan of
-/// `N(j)` (`row`) from its partition point for `N(i)[a+1]` up to `max N(i)`,
-/// testing membership through `slot` (see [`CentreTally`]). `a` must be
-/// below `|N(i)| − 1`.
-fn later_shared<'a>(
-    neighbors: &'a [WeightedNeighbor],
-    a: usize,
-    slot: &'a [u32],
-    row: &'a [WeightedNeighbor],
-) -> impl Iterator<Item = (usize, usize)> + 'a {
-    let (next, last) = (neighbors[a + 1].0, neighbors[neighbors.len() - 1].0);
-    row[row.partition_point(|&(id, _)| id < next)..]
-        .iter()
-        .take_while(move |&&(k, _)| k <= last)
-        .filter_map(move |&(k, w_jk)| {
-            let p = slot[k as usize] as usize;
-            (p < neighbors.len() && neighbors[p].0 == k).then_some((p, w_jk as usize))
-        })
 }
 
 /// Enumerates every h-motif instance exactly once (Algorithm 3,
@@ -404,8 +449,9 @@ struct CentreWalk<'g> {
     projected: &'g ProjectedGraph,
     catalog: &'static MotifCatalog,
     /// `slot[j]` is the position of `e_j` in the current centre's
-    /// neighbourhood. Only the current centre's neighbours are ever read, so
-    /// the array is overwritten per centre and never cleared.
+    /// neighbourhood plus 1, as [`fill_masks`] reads it. Only the current
+    /// centre's neighbours are ever read, so the array is overwritten per
+    /// centre and never cleared.
     slot: Vec<u32>,
     /// The current centre's [`fill_masks`] masks.
     masks: Vec<u64>,
@@ -447,7 +493,7 @@ impl<'g> CentreWalk<'g> {
             return;
         }
         for (position, &(j, _)) in neighbors.iter().enumerate() {
-            self.slot[j as usize] = position as u32;
+            self.slot[j as usize] = position as u32 + 1;
         }
         fill_masks(hypergraph, i, neighbors.len(), &self.slot, &mut self.masks);
 
@@ -739,6 +785,165 @@ pub(crate) mod tests {
                         "seed {seed}, K={shards}, span {:?}",
                         partial.edges
                     );
+                }
+            }
+        }
+    }
+
+    /// A span's key tables: the open keys, and the closed keys by how many
+    /// of `e_j`, `e_k` lie at or past the span end.
+    type Tables = ([i64; OPEN_KEYS], [[i64; CLOSED_KEYS]; 3]);
+
+    /// `CentreTally`'s tables over `span`, its centres dealt round-robin to
+    /// `workers` tallies and their tables summed.
+    fn tallied_tables(
+        h: &Hypergraph,
+        proj: &ProjectedGraph,
+        span: Range<usize>,
+        workers: usize,
+    ) -> Tables {
+        let (mut open, mut closed) = ([0; OPEN_KEYS], [[0; CLOSED_KEYS]; 3]);
+        for worker in 0..workers {
+            let mut tally = CentreTally::new(h, proj, span.clone());
+            for centre in span.clone().skip(worker).step_by(workers) {
+                tally.visit(centre as EdgeId);
+            }
+            for (total, count) in open.iter_mut().zip(tally.open) {
+                *total += count;
+            }
+            for (totals, counts) in closed.iter_mut().zip(tally.closed.iter()) {
+                for (total, count) in totals.iter_mut().zip(counts) {
+                    *total += count;
+                }
+            }
+        }
+        (open, closed)
+    }
+
+    /// The tables `CentreTally` must hold for `span`, from the node sets
+    /// alone: every neighbour pair of each span centre under its open key,
+    /// less the pair of the other two at each span member of a triangle
+    /// whose smallest member precedes the span; and every triangle
+    /// `i < j < k` with `i` in the span under its closed key.
+    fn brute_force_tables(h: &Hypergraph, span: Range<usize>) -> Tables {
+        let n = h.num_edges() as EdgeId;
+        let size = |x: EdgeId| h.edge_size(x);
+        let overlap = |x: EdgeId, y: EdgeId| h.intersection_size(x, y);
+        let in_span = |x: EdgeId| span.contains(&(x as usize));
+        // The open key under which centre `x` tallies the pair `{y, z}`.
+        let open_at = |x, y, z| {
+            let (w_xy, w_xz) = (overlap(x, y), overlap(x, z));
+            let inside = usize::from(w_xy == size(y)) + usize::from(w_xz == size(z));
+            open_key(w_xy + w_xz == size(x), inside)
+        };
+        let (mut open, mut closed) = ([0; OPEN_KEYS], [[0; CLOSED_KEYS]; 3]);
+        for x in (0..n).filter(|&x| in_span(x)) {
+            for y in (0..n).filter(|&y| y != x && overlap(x, y) > 0) {
+                for z in (y + 1..n).filter(|&z| z != x && overlap(x, z) > 0) {
+                    open[open_at(x, y, z)] += 1;
+                }
+            }
+        }
+        for i in 0..n {
+            for j in i + 1..n {
+                for k in j + 1..n {
+                    let (w_ij, w_jk, w_ik) = (overlap(i, j), overlap(j, k), overlap(i, k));
+                    if w_ij == 0 || w_jk == 0 || w_ik == 0 {
+                        continue;
+                    }
+                    if in_span(i) {
+                        let triple = h.triple_intersection_size(i, j, k);
+                        let key = closed_key([size(i), size(j), size(k)], w_ij, w_jk, w_ik, triple);
+                        let past = [j, k].iter().filter(|&&x| x as usize >= span.end).count();
+                        closed[past][key] += 1;
+                    } else if (i as usize) < span.start {
+                        if in_span(j) {
+                            open[open_at(j, i, k)] -= 1;
+                        }
+                        if in_span(k) {
+                            open[open_at(k, i, j)] -= 1;
+                        }
+                    }
+                }
+            }
+        }
+        (open, closed)
+    }
+
+    /// Every entry where two span tables differ, as `(table, key, a, b)`:
+    /// table 0 holds the open keys, tables 1–3 the closed keys by `past`.
+    fn table_differences(a: &Tables, b: &Tables) -> Vec<(usize, usize, i64, i64)> {
+        let open = std::iter::once((&a.0[..], &b.0[..]));
+        let closed = a.1.iter().zip(b.1.iter()).map(|(x, y)| (&x[..], &y[..]));
+        open.chain(closed)
+            .enumerate()
+            .flat_map(|(table, (x, y))| {
+                x.iter()
+                    .zip(y)
+                    .enumerate()
+                    .filter(|(_, (x, y))| x != y)
+                    .map(move |(key, (&x, &y))| (table, key, x, y))
+            })
+            .collect()
+    }
+
+    /// `N(0) = [e_1, e_3]` and `N(1) = [e_0, e_2, e_3, e_4]`: centre `e_0`'s
+    /// scan of `N(1)` reads `e_2`, between `e_1` and `N(0)[1]`, and `e_4`,
+    /// past `max N(0)`, around its one common neighbour `e_3`. In a span
+    /// starting at 2, centre `e_3`'s boundary scan of `N(1)` reads `e_2`
+    /// and `e_3` itself before the common neighbour `e_4`.
+    fn crafted_scan_hypergraph() -> Hypergraph {
+        HypergraphBuilder::new()
+            .with_edge([0u32, 1])
+            .with_edge([1u32, 2, 3])
+            .with_edge([2u32, 6])
+            .with_edge([0u32, 3])
+            .with_edge([3u32, 7])
+            .build()
+            .unwrap()
+    }
+
+    #[test]
+    fn triangle_listing_matches_a_brute_force_lister_key_by_key() {
+        let crafted = crafted_scan_hypergraph();
+        let crafted_projection = project(&crafted);
+        let ids = |e: EdgeId| -> Vec<EdgeId> {
+            crafted_projection
+                .neighbors(e)
+                .iter()
+                .map(|&(k, _)| k)
+                .collect()
+        };
+        assert_eq!((ids(0), ids(1)), (vec![1, 3], vec![0, 2, 3, 4]));
+
+        let inputs = (0..200u64)
+            .map(|seed| {
+                (
+                    format!("duplicates seed {seed}"),
+                    random_hypergraph_with_duplicates(seed),
+                )
+            })
+            .chain((0..4u64).map(|seed| {
+                (
+                    format!("word boundary seed {seed}"),
+                    word_boundary_hypergraph(seed),
+                )
+            }))
+            .chain([("crafted".to_string(), crafted)]);
+        for (name, h) in inputs {
+            let proj = project(&h);
+            for shards in [1, 2, 3, 5] {
+                for span in crate::shard::shard_boundaries(h.num_edges(), shards) {
+                    let expected = brute_force_tables(&h, span.clone());
+                    for workers in 1..=3 {
+                        let tallied = tallied_tables(&h, &proj, span.clone(), workers);
+                        assert_eq!(
+                            table_differences(&expected, &tallied),
+                            [],
+                            "{name}, K={shards}, span {span:?}, {workers} workers: \
+                             (table, key, expected, tallied)"
+                        );
+                    }
                 }
             }
         }

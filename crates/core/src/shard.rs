@@ -20,7 +20,10 @@
 //! smallest member it holds and takes the pair back out only at members
 //! inside the span. A triangle whose smallest member lies before the span
 //! is found per centre by a boundary scan, which takes the pair back out
-//! at that centre only. So each closed pair of a span centre leaves its
+//! at that centre only: for each neighbour `e_j` before the span, the
+//! triangle listing's scan of `N(j)` from its first entry past `j`, which
+//! writes every common neighbour into a buffer without a branch per
+//! entry. So each closed pair of a span centre leaves its
 //! tally exactly once, inside the span. Taking pairs out at every member
 //! instead would move counts between partials and could make an entry
 //! negative, which [`ShardPartial::from_json`] rejects.

@@ -2,7 +2,7 @@
 //!
 //! The null model of the paper (Section 2.3, Appendix D) is designed to
 //! preserve exactly these two distributions; this module provides the
-//! machinery for checking how well they are preserved: summary statistics
+//! machinery for checking how well they are preserved: the largest value
 //! and the Kolmogorov–Smirnov distance between two empirical distributions.
 
 use crate::graph::Hypergraph;
@@ -31,37 +31,14 @@ impl EmpiricalDistribution {
         Self::new(hypergraph.edge_sizes())
     }
 
-    /// Number of observations.
-    pub fn len(&self) -> usize {
-        self.values.len()
-    }
-
-    /// Whether the distribution has no observations.
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
-    }
-
     /// The sorted observations.
     pub fn values(&self) -> &[usize] {
         &self.values
     }
 
-    /// Smallest observation (0 if empty).
-    pub fn min(&self) -> usize {
-        self.values.first().copied().unwrap_or(0)
-    }
-
     /// Largest observation (0 if empty).
     pub fn max(&self) -> usize {
         self.values.last().copied().unwrap_or(0)
-    }
-
-    /// Arithmetic mean.
-    pub fn mean(&self) -> f64 {
-        if self.values.is_empty() {
-            return 0.0;
-        }
-        self.values.iter().sum::<usize>() as f64 / self.values.len() as f64
     }
 
     /// Kolmogorov–Smirnov distance between two empirical distributions:
@@ -104,10 +81,7 @@ mod tests {
     #[test]
     fn summary_statistics() {
         let d = sample();
-        assert_eq!(d.len(), 7);
-        assert_eq!(d.min(), 1);
         assert_eq!(d.max(), 10);
-        assert!((d.mean() - 24.0 / 7.0).abs() < 1e-12);
     }
 
     #[test]

@@ -29,11 +29,6 @@ impl RandomForest {
             trees: Vec::new(),
         }
     }
-
-    /// Number of fitted trees (0 before training).
-    pub fn num_fitted_trees(&self) -> usize {
-        self.trees.len()
-    }
 }
 
 impl Classifier for RandomForest {
@@ -101,7 +96,6 @@ mod tests {
         let (x, y) = noisy_blobs(0);
         let mut forest = RandomForest::new(25, 6, 2, 3);
         forest.fit(&x, &y);
-        assert_eq!(forest.num_fitted_trees(), 25);
         let predictions: Vec<u8> = x.iter().map(|row| forest.predict(row)).collect();
         let scores: Vec<f64> = x.iter().map(|row| forest.predict_proba(row)).collect();
         assert!(accuracy(&y, &predictions) > 0.9);

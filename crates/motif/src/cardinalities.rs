@@ -133,11 +133,6 @@ impl RegionCardinalities {
     pub fn size_c(&self) -> usize {
         self.c_only + self.ca + self.bc + self.abc
     }
-
-    /// Total number of distinct nodes covered by the three hyperedges.
-    pub fn union_size(&self) -> usize {
-        self.a_only + self.b_only + self.c_only + self.ab + self.bc + self.ca + self.abc
-    }
 }
 
 #[cfg(test)]
@@ -156,7 +151,6 @@ mod tests {
         assert_eq!(direct.size_a(), 4);
         assert_eq!(direct.size_b(), 3);
         assert_eq!(direct.size_c(), 4);
-        assert_eq!(direct.union_size(), 7);
     }
 
     #[test]
@@ -192,14 +186,12 @@ mod tests {
     fn disjoint_sets() {
         let regions = RegionCardinalities::from_sorted_sets(&[0, 1], &[2, 3], &[4]);
         assert_eq!(regions.ab + regions.bc + regions.ca + regions.abc, 0);
-        assert_eq!(regions.union_size(), 5);
     }
 
     #[test]
     fn identical_sets() {
         let regions = RegionCardinalities::from_sorted_sets(&[1, 2], &[1, 2], &[1, 2]);
         assert_eq!(regions.abc, 2);
-        assert_eq!(regions.union_size(), 2);
         assert!(regions.pattern().has_duplicate_edges());
     }
 }
